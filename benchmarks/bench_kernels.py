@@ -5,8 +5,10 @@ Two workloads, matching the package's real hot paths:
 
 * ``sweep``: enumerate-and-simulate a contiguous strategy block of one player
   (the bounded-search / deviation-oracle path).
-* ``batch``: simulate a pre-decoded batch of profile tables across topologies
-  (the multi-player screening path).
+* ``batch``: ``simulate_min_even`` on a pre-decoded batch of two-player router
+  tables, one player varying and one fixed (the multi-player screening path).
+  Its numpy path folds each row into one product next-position table and
+  walks all rows and topologies together, ``SUB_BATCH`` rows at a time.
 
 Run from the repository root::
 

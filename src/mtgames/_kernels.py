@@ -9,19 +9,24 @@ search both ride on it.
 Two implementations are provided: a numba ``@njit`` kernel (default when numba
 imports) and a pure-numpy fallback. Selection is controlled by the
 ``MTGAMES_KERNEL`` environment variable: ``auto`` (default), ``numba`` or
-``numpy``. ``benchmarks/bench_kernels.py`` compares the two.
+``numpy``. ``benchmarks/bench_kernels.py`` times both.
 
-The simulation avoids explicit cycle detection: with ``window`` at least the
-number of product states, the trajectory is guaranteed periodic after
-``window`` steps, and any ``window``-length tail covers the full cycle. The
-tail's minimum priority therefore equals the lasso-based computation; the
-lasso path in ``strategy.outcome`` stays an independent implementation and the
-two are cross-checked in the tests.
+The numpy fallbacks walk functional graphs. Per candidate row the strategy
+tables fold into one next-position table over product positions (players'
+memories, then the game state); the walkers of all rows and topologies sit
+side by side in one flat array, and each step is one ``np.take``.
+``simulate_min_even`` takes rows in sub-batches of ``SUB_BATCH`` so the arrays
+stay cache-sized. With ``window`` the number of product positions, the walk is
+periodic after ``window`` steps and the next ``window`` steps cover the whole
+cycle, so no cycle detection is needed: the minimum priority accumulated over
+them equals the lasso-based computation. The lasso path in ``strategy.outcome``
+stays an independent implementation, cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 
 import numpy as np
@@ -41,6 +46,7 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
     prange = range  # type: ignore[assignment]
 
 _INT_MAX = np.int32(2147483647)
+SUB_BATCH = 1 << 13
 
 
 def active_backend(override: str | None = None) -> str:
@@ -85,30 +91,6 @@ def _sim_numba(delta, prio, upd, act, init_mems, s0, n_actions, window):  # prag
     return wins
 
 
-def _sim_numpy(delta, prio, upd, act, init_mems, s0, n_actions, window):
-    n_top, n_pla, _ = prio.shape
-    batch = upd.shape[1]
-    wins = np.zeros((batch, n_top, n_pla), dtype=bool)
-    rows = np.arange(batch)
-    for t in range(n_top):
-        s = np.full(batch, s0, dtype=np.int32)
-        mems = [np.full(batch, init_mems[p], dtype=np.int32) for p in range(n_pla)]
-        minp = [np.full(batch, _INT_MAX, dtype=np.int32) for p in range(n_pla)]
-        for step_i in range(2 * window):
-            j = np.zeros(batch, dtype=np.int64)
-            for p in range(n_pla):
-                j = j * n_actions + act[p, rows, mems[p], s]
-            for p in range(n_pla):
-                mems[p] = upd[p, rows, mems[p], s]
-            s = delta[t][s, j]
-            if step_i >= window:
-                for p in range(n_pla):
-                    np.minimum(minp[p], prio[t, p][s], out=minp[p])
-        for p in range(n_pla):
-            wins[:, t, p] = (minp[p] % 2) == 0
-    return wins
-
-
 def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
                       tables: list[tuple[np.ndarray, np.ndarray]],
                       s0: int, n_actions: int, backend: str | None = None) -> np.ndarray:
@@ -119,32 +101,89 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
     common batch size. Entry ``wins[b, t, p]`` is True iff under combination
     ``b`` in topology ``t`` the minimum priority player ``p`` sees infinitely
     often is even.
+
+    The numpy path walks ``SUB_BATCH`` rows at a time, one gather per step, as
+    the module docstring describes. Over the second ``window`` steps each
+    walker ORs in every player's priority one-hot, one bit field per player,
+    so a field's lowest set bit is that player's cycle minimum; fields wider
+    than 63 bits in total fall back to a running minimum per player.
     """
     n_pla = prio.shape[1]
     if len(tables) != n_pla:
         raise ValueError(f"expected {n_pla} strategy tables, got {len(tables)}")
     batch = max(u.shape[0] for u, _ in tables)
-    n_states = delta.shape[1]
+    if any(u.shape[0] not in (1, batch) or a.shape[0] != u.shape[0] for u, a in tables):
+        raise ValueError("strategy table batch dimensions must be 1 or the common batch size")
+    n_top, _, n_states = prio.shape
     mem_sizes = [u.shape[1] for u, _ in tables]
-    window = n_states
-    for m in mem_sizes:
-        window *= m
-    m_max = max(mem_sizes)
+    window = n_states * math.prod(mem_sizes)
 
-    upd = np.zeros((n_pla, batch, m_max, n_states), dtype=np.int32)
-    act = np.zeros((n_pla, batch, m_max, n_states), dtype=np.int32)
-    for p, (u, a) in enumerate(tables):
-        if u.shape[0] not in (1, batch) or a.shape[0] != u.shape[0]:
-            raise ValueError("strategy table batch dimensions must be 1 or the common batch size")
-        upd[p, :, : u.shape[1], :] = u
-        act[p, :, : a.shape[1], :] = a
-    init_mems = np.zeros(n_pla, dtype=np.int32)
+    if active_backend(backend) == "numba":
+        upd = np.zeros((n_pla, batch, max(mem_sizes), n_states), dtype=np.int32)
+        act = np.zeros_like(upd)
+        for p, (u, a) in enumerate(tables):
+            upd[p, :, : u.shape[1], :] = u
+            act[p, :, : a.shape[1], :] = a
+        return _sim_numba(np.ascontiguousarray(delta.astype(np.int32)),
+                          np.ascontiguousarray(prio.astype(np.int32)),
+                          upd, act, np.zeros(n_pla, dtype=np.int32), np.int32(s0),
+                          np.int32(n_actions), np.int32(window))
 
-    which = active_backend(backend)
-    fn = _sim_numba if which == "numba" else _sim_numpy
-    return fn(np.ascontiguousarray(delta.astype(np.int32)),
-              np.ascontiguousarray(prio.astype(np.int32)),
-              upd, act, init_mems, np.int32(s0), np.int32(n_actions), np.int32(window))
+    # product position ((mem_0 * M_1 + mem_1) * ...) * S + s under joint action j
+    # has key (target + s) * n_joint + j; each player's share of the key comes
+    # from one of its (memory, state) cells. Walker (row, topology) sits at
+    # flat index (row * window + position) * top + topology, and lookup[key, t]
+    # is its next flat index less the row's offset.
+    n_joint = delta.shape[2]
+    itype = np.int32 if max(SUB_BATCH, n_joint) * n_top * window < 2 ** 31 else np.int64
+    here, joint = np.divmod(np.arange(window * n_joint), n_joint)
+    states_at = here % n_states
+    lookup = ((here - states_at + delta[:, states_at, joint]) * n_top
+              + np.arange(n_top)[:, None]).T.astype(itype)
+    states_at = states_at[::n_joint]
+    base_key = states_at.astype(itype) * n_joint
+    cells = [(m * n_states + np.arange(n_states)).ravel()
+             for m in np.indices(mem_sizes).reshape(n_pla, -1, 1)]
+    low = int(prio.min())
+    width = int(prio.max()) - low + 1
+    if n_pla * width <= 63:
+        even = sum(1 << v for v in range(width) if (v + low) % 2 == 0)
+        shift = (np.arange(n_pla) * width)[None, :, None] + (prio - low)
+        per_state = [np.bitwise_or.reduce(np.left_shift(1, shift, dtype=np.int64), axis=1)]
+        op, fill = np.bitwise_or, 0
+    else:
+        per_state, op, fill = list(prio.transpose(1, 0, 2)), np.minimum, _INT_MAX
+    # accumulator tables over the flat indices of a full sub-batch; a shorter one uses a prefix
+    full = (min(batch, SUB_BATCH), window, n_top)
+    per_index = [np.broadcast_to(table[:, states_at].T, full).ravel() for table in per_state]
+
+    wins = np.empty((batch, n_top, n_pla), dtype=bool)
+    for lo in range(0, batch, SUB_BATCH):
+        hi = min(lo + SUB_BATCH, batch)
+        key = base_key
+        for p, (u, a) in enumerate(tables):
+            if u.shape[0] > 1:
+                u, a = u[lo:hi], a[lo:hi]
+            share = np.multiply(u, n_states * n_joint * math.prod(mem_sizes[p + 1:]), dtype=itype)
+            share += a * n_actions ** (n_pla - 1 - p)
+            key = key + np.take(share.reshape(len(share), -1), cells[p], axis=1)
+        offsets = np.arange(hi - lo, dtype=itype)[:, None] * (window * n_top)
+        nxt = (np.take(lookup, key, axis=0).reshape(hi - lo, -1) + offsets).ravel()
+        pos = (offsets + (s0 * n_top + np.arange(n_top, dtype=itype))).ravel()
+        accs = [np.full(pos.shape, fill, dtype=table.dtype) for table in per_index]
+        for step_i in range(2 * window):
+            pos = np.take(nxt, pos)
+            if step_i >= window:
+                for table, acc in zip(per_index, accs):
+                    op(acc, np.take(table, pos), out=acc)
+        out = wins[lo:hi].reshape(-1, n_pla)
+        for p in range(n_pla):
+            if op is np.minimum:
+                out[:, p] = accs[p] % 2 == 0
+            else:
+                field = accs[0] >> (p * width)  # p's field is never empty, so no mask
+                out[:, p] = (field & -field & even) != 0
+    return wins
 
 
 def decode_tables(indices: np.ndarray, cells: int, base: int) -> np.ndarray:

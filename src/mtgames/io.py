@@ -37,9 +37,18 @@ def load_json(path) -> dict:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise InputError(f"{where}: missing required key {key!r}")
     return doc[key]
+
+
+def _require_list(doc: dict, key: str, where: str) -> list:
+    value = _require(doc, key, where)
+    if not isinstance(value, list):
+        raise InputError(f"{where}: {key} must be a list, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +75,9 @@ def game_to_dict(game: Mtg) -> dict:
 def game_from_dict(doc: dict, where: str = "game") -> Mtg:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object at the top level")
-    players = tuple(_require(doc, "players", where))
-    actions = tuple(_require(doc, "actions", where))
-    states = tuple(_require(doc, "states", where))
+    players = tuple(_require_list(doc, "players", where))
+    actions = tuple(_require_list(doc, "actions", where))
+    states = tuple(_require_list(doc, "states", where))
     initial = _require(doc, "initial", where)
     tops = _require(doc, "topologies", where)
     prios = _require(doc, "priorities", where)
@@ -124,13 +133,23 @@ def strategy_to_dict(strat: MooreStrategy, game: Mtg) -> dict:
             "update": update, "act": act}
 
 
+def _table_rows(doc: dict, key: str, value: str, where: str) -> dict:
+    """A strategy table's rows as ``{(memory, state): row[value]}``."""
+    fields = ("memory", "state", value)
+    table = {}
+    for i, row in enumerate(_require_list(doc, key, where)):
+        if not isinstance(row, dict) or any(f not in row for f in fields):
+            raise InputError(f"{where}: {key} row {i} must be an object with keys "
+                             + ", ".join(map(repr, fields)))
+        table[(row["memory"], row["state"])] = row[value]
+    return table
+
+
 def strategy_from_dict(doc: dict, game: Mtg, where: str = "strategy") -> MooreStrategy:
-    memory = tuple(_require(doc, "memory", where))
+    memory = tuple(_require_list(doc, "memory", where))
     init = _require(doc, "init", where)
-    update = {(row["memory"], row["state"]): row["next"]
-              for row in _require(doc, "update", where)}
-    act = {(row["memory"], row["state"]): row["action"]
-           for row in _require(doc, "act", where)}
+    update = _table_rows(doc, "update", "next", where)
+    act = _table_rows(doc, "act", "action", where)
     strat = MooreStrategy(memory=memory, init=init, update=update, act=act)
     strat.check(game)
     return strat
@@ -168,10 +187,15 @@ def targets_to_dict(targets: dict[str, frozenset[str]], game: Mtg) -> dict:
 
 
 def targets_from_dict(doc: dict, game: Mtg, where: str = "targets") -> dict[str, frozenset[str]]:
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: expected a JSON object mapping players to topology lists")
     out = {}
     for p in game.players:
         if p not in doc:
             raise InputError(f"{where}: missing target set for player {p!r}")
+        if not isinstance(doc[p], list):
+            raise InputError(f"{where}: target set for {p!r} must be a list of topologies, "
+                             f"got {type(doc[p]).__name__}")
         ts = frozenset(doc[p])
         if not ts <= set(game.topologies):
             raise InputError(f"{where}: unknown topologies for {p}: {sorted(ts)}")

@@ -74,11 +74,8 @@ class _Chunk:
         self.positions = positions
 
     def tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for p, (idx, upd, act) in enumerate(self.per_player):
-            pos = self.positions[p]
-            out.append((upd[pos], act[pos]))
-        return out
+        return [(np.take(upd, pos, axis=0), np.take(act, pos, axis=0))
+                for (_, upd, act), pos in zip(self.per_player, self.positions)]
 
     def strategy_index(self, b: int, p: int) -> int:
         idx, _, _ = self.per_player[p]
@@ -163,7 +160,7 @@ def _memoryless_deviation_bits(game: Mtg, idx_game, chunk: _Chunk,
             tables.append((np.tile(dev_upd, (batch, 1, 1)), np.tile(dev_act, (batch, 1, 1))))
         else:
             pos = chunk.positions[p][rows]
-            tables.append((upd[pos], act[pos]))
+            tables.append((np.take(upd, pos, axis=0), np.take(act, pos, axis=0)))
     wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
                                       idx_game.initial, idx_game.n_actions,
                                       backend=backend)

@@ -245,3 +245,42 @@ class TestCli:
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run_cli(["validate", "/nonexistent/x.game"], capsys)
         assert code == 1
+
+
+def assert_one_error_line(args, capsys):
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+class TestMalformedInput:
+    def test_profile_row_missing_next(self, tmp_path, capsys):
+        doc = json.loads(data_path("turn-taking.profile").read_text())
+        del doc["players"]["blue"]["update"][3]["next"]
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
+                                     capsys)
+        assert str(path) in line and "update row 3" in line
+
+    def test_players_not_a_list(self, tmp_path, capsys):
+        doc = json.loads(data_path("router.game").read_text())
+        doc["players"] = 5
+        path = tmp_path / "bad.game"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["validate", str(path)], capsys)
+        assert str(path) in line and "players" in line
+
+    def test_target_set_given_as_string(self, tmp_path, capsys, router):
+        path = tmp_path / "bad.tt"
+        path.write_text(json.dumps({"blue": "A", "red": ["A", "B"]}))
+        with pytest.raises(InputError):
+            mio.load_targets(path, router)
+        line = assert_one_error_line(["find", "target", str(data_path("router.game")),
+                                      "--targets", str(path), "--memory", "1"], capsys)
+        assert str(path) in line and "'blue'" in line

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from brute import raw_step_wintop
 from mtgames import _kernels
 from mtgames.core import compile_tables
 from mtgames.generate import random_mtg, random_profile, random_strategy
+from mtgames.search import find_profile_with_wintop
 from mtgames.strategy import Profile, StrategyBlock, wintop
 
 BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
@@ -89,6 +91,86 @@ class TestSimulate:
         brute = raw_step_wintop(game, Profile((strat,)), game.players[0])
         for ti, t in enumerate(game.topologies):
             assert wins[0, ti, 0] == (t in brute)
+
+
+def _stacked_tables(game, strategies):
+    tabs = [s.tables(game) for s in strategies]
+    return np.concatenate([u for u, _ in tabs]), np.concatenate([a for _, a in tabs])
+
+
+def _check_rows(game, tables, strategies, rows):
+    """Kernel flags of ``rows`` against the lasso and raw-simulation oracles.
+
+    ``strategies[p]`` lists player ``p``'s strategy per row, or holds one
+    strategy when that player's tables are broadcast.
+    """
+    idx = compile_tables(game)
+    wins = _kernels.simulate_min_even(idx.delta, idx.prio, tables, idx.initial,
+                                      idx.n_actions, backend="numpy")
+    for b in rows:
+        profile = Profile(tuple(s[b] if len(s) > 1 else s[0] for s in strategies))
+        for pi, p in enumerate(game.players):
+            lasso = wintop(game, profile, p)
+            assert lasso == raw_step_wintop(game, profile, p)
+            for ti, t in enumerate(game.topologies):
+                assert wins[b, ti, pi] == (t in lasso), (b, t, p)
+
+
+class TestProductWalk:
+    def test_mixed_players_memories_and_broadcasts(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n_players = rng.randint(1, 3)
+            game = random_mtg(rng, n_players=n_players, n_states=rng.randint(2, 5),
+                              n_topologies=rng.randint(1, 3), max_priority=8)
+            game = dataclasses.replace(game, initial=rng.choice(game.states))
+            batch = rng.randint(2, 6)
+            strategies = []
+            for _ in game.players:
+                memory = rng.randint(1, 3)
+                count = 1 if rng.random() < 0.4 else batch
+                strategies.append([random_strategy(rng, game, memory) for _ in range(count)])
+            tables = [_stacked_tables(game, strats) for strats in strategies]
+            rows = batch if any(len(s) > 1 for s in strategies) else 1
+            _check_rows(game, tables, strategies, range(rows))
+
+    def test_batch_crosses_sub_batches(self):
+        rng = random.Random(22)
+        game = random_mtg(rng, n_players=2, n_states=3, max_priority=6)
+        game = dataclasses.replace(game, initial=game.states[2])
+        block = StrategyBlock(game, 2)
+        batch = 2 * _kernels.SUB_BATCH + 5
+        indices = np.random.default_rng(22).integers(0, block.total, size=batch)
+        fixed = random_strategy(rng, game, 3)
+        tables = [block.decode(indices), fixed.tables(game)]
+        strategies = [[block.strategy_at(int(i)) for i in indices], [fixed]]
+        edges = [0, _kernels.SUB_BATCH - 1, _kernels.SUB_BATCH, _kernels.SUB_BATCH + 1,
+                 2 * _kernels.SUB_BATCH - 1, 2 * _kernels.SUB_BATCH, batch - 1]
+        _check_rows(game, tables, strategies, edges + rng.sample(range(batch), 30))
+
+    def test_wide_priorities_use_running_minimum(self):
+        rng = random.Random(23)
+        game = random_mtg(rng, n_players=3, n_states=11, n_topologies=2, max_priority=22)
+        priority = dict(game.priority)
+        priority[("t0", "p0", "s1")] = 0
+        priority[("t1", "p2", "s4")] = 22
+        game = dataclasses.replace(game, priority=priority, initial="s3")
+        idx = compile_tables(game)
+        assert 3 * (int(idx.prio.max()) - int(idx.prio.min()) + 1) > 63
+        strategies = []
+        for _ in game.players:
+            memory = rng.randint(1, 2)
+            strategies.append([random_strategy(rng, game, memory) for _ in range(4)])
+        tables = [_stacked_tables(game, strats) for strats in strategies]
+        _check_rows(game, tables, strategies, range(4))
+
+    def test_router_target_search_independent_of_jobs(self, router):
+        targets = {"blue": frozenset({"A", "B"}), "red": frozenset({"A", "B"})}
+        one = find_profile_with_wintop(router, targets, 2, jobs=1)
+        two = find_profile_with_wintop(router, targets, 2, jobs=2)
+        assert one.status == two.status == "found"
+        assert one.examined == two.examined
+        assert one.profile == two.profile
 
 
 @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
