@@ -12,7 +12,7 @@ from .reductions import (DeviationChoice, HLasso, HState, PartialInfoGame,
 from .search import SearchResult, find_cne, find_gne, find_profile_with_wintop
 from .solvers import solve_conjunction, solve_one_player, solve_parity
 from .strategy import (MooreStrategy, Profile, enumerate_strategies, outcome,
-                       winners, wintop)
+                       winners, wintop, wintop_map)
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "check_ne", "compile_tables", "enumerate_strategies", "find_cne", "find_gne",
     "find_profile_with_wintop", "gamma_roundtrip", "outcome", "parity_satisfied",
     "semantic_objective", "solve_conjunction", "solve_one_player", "solve_parity",
-    "step", "symmetrize", "validate", "winners", "wintop",
+    "step", "symmetrize", "validate", "winners", "wintop", "wintop_map",
 ]

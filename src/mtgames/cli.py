@@ -19,7 +19,7 @@ from .equilibria import (build_knowledge_arena, build_residual_arena, check_cne,
 from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
 from .reductions import build_cne_game, build_gne_game
 from .search import SearchResult, default_jobs, find_cne, find_gne, find_profile_with_wintop
-from .strategy import outcome, wintop
+from .strategy import outcome, wintop_map
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,8 +57,9 @@ def _emit_check_arenas(kind: str, game, profile, topology, out_dir: str) -> None
             name = f"ne-{topology}-{p}.arena.txt"
             (directory / name).write_text(arena.dump() + "\n", encoding="utf-8")
         return
+    wt = wintop_map(game, profile)
     for p in game.players:
-        w = wintop(game, profile, p)
+        w = wt[p]
         if w == all_tops:
             continue
         for t in game.topologies:
@@ -170,8 +171,8 @@ def _run(args) -> int:
 
     if args.command == "wintop":
         profile = mio.load_profile(args.profile, game)
-        doc = {p: [t for t in game.topologies if t in wintop(game, profile, p)]
-               for p in game.players}
+        wt = wintop_map(game, profile)
+        doc = {p: [t for t in game.topologies if t in wt[p]] for p in game.players}
         _emit({"command": "wintop", "wintop": doc})
         for p, ts in doc.items():
             _info(f"{p}: {{{', '.join(ts)}}}")

@@ -46,13 +46,7 @@ class Mtg:
 
     def action_profiles(self) -> list[ActionProfile]:
         """All action profiles in lexicographic order, first player most significant."""
-        return [tuple(p) for p in itertools.product(self.actions, repeat=len(self.players))]
-
-    def successors(self, topology: str, state: str) -> list[str]:
-        """Distinct one-step successors of ``state`` in ``topology``, in state order."""
-        targets = {self.transition[(topology, state, prof)] for prof in self.action_profiles()
-                   if (topology, state, prof) in self.transition}
-        return [s for s in self.states if s in targets]
+        return list(itertools.product(self.actions, repeat=len(self.players)))
 
 
 @dataclass(frozen=True)
@@ -157,15 +151,18 @@ def check_lasso(game: Mtg, topology: str, lasso: Lasso) -> None:
         raise InputError(f"unknown topology {topology!r}")
     if not lasso.cycle:
         raise InputError("lasso cycle is empty")
-    seq = list(lasso.prefix) + list(lasso.cycle)
+    seq = (*lasso.prefix, *lasso.cycle)
     for s in seq:
         if s not in game.states:
             raise InputError(f"unknown state {s!r} in lasso")
     if seq[0] != game.initial:
         raise InputError(f"lasso starts at {seq[0]!r}, not at initial state {game.initial!r}")
-    pairs = list(zip(seq, seq[1:])) + [(lasso.cycle[-1], lasso.cycle[0])]
-    for u, v in pairs:
-        if v not in game.successors(topology, u):
+    profiles = game.action_profiles()
+    for u, v in zip(seq, seq[1:] + (lasso.cycle[0],)):
+        for prof in profiles:
+            if game.transition.get((topology, u, prof)) == v:
+                break
+        else:
             raise InputError(f"lasso edge {u!r} -> {v!r} not realizable in topology {topology!r}")
 
 

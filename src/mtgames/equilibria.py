@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .arena import SEEKER, SPOILER, Arena, ArenaLasso
 from .core import InputError, Mtg
 from .solvers import WitnessMachine, solve_conjunction, solve_one_player
-from .strategy import MooreStrategy, Profile, winners, wintop
+from .strategy import MooreStrategy, Profile, winners, wintop, wintop_map
 
 
 @dataclass(frozen=True)
@@ -338,12 +338,7 @@ class DeviationOracle:
         return self._cache[key]
 
 
-def _wintop_map(game: Mtg, profile: Profile) -> dict[str, frozenset[str]]:
-    return {p: wintop(game, profile, p) for p in game.players}
-
-
-def check_ne(game: Mtg, topology: str, profile: Profile,
-             oracle: DeviationOracle | None = None) -> EquilibriumReport:
+def check_ne(game: Mtg, topology: str, profile: Profile) -> EquilibriumReport:
     """Nash equilibrium of the single concurrent game in ``topology``.
 
     A losing player benefits iff the one-player residual game reaches a cycle
@@ -352,10 +347,9 @@ def check_ne(game: Mtg, topology: str, profile: Profile,
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
     profile.check(game)
-    wt = _wintop_map(game, profile)
-    winners_here = winners(game, topology, profile)
+    wt = wintop_map(game, profile)
     for p in game.players:
-        if p in winners_here:
+        if topology in wt[p]:
             continue
         arena = build_residual_arena(game, profile, p, topology)
         ok, lasso = solve_one_player(arena, 0)
@@ -376,7 +370,7 @@ def check_gne(game: Mtg, profile: Profile,
     """Greedy equilibrium: no player can deviate and win a currently-losing topology."""
     profile.check(game)
     oracle = oracle or DeviationOracle(game)
-    wt = _wintop_map(game, profile)
+    wt = wintop_map(game, profile)
     all_tops = frozenset(game.topologies)
     for p in game.players:
         if wt[p] == all_tops:
@@ -401,7 +395,7 @@ def check_cne(game: Mtg, profile: Profile,
     """
     profile.check(game)
     oracle = oracle or DeviationOracle(game)
-    wt = _wintop_map(game, profile)
+    wt = wintop_map(game, profile)
     all_tops = frozenset(game.topologies)
     for p in game.players:
         if wt[p] == all_tops:

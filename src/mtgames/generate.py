@@ -37,8 +37,9 @@ def random_strategy(rng: random.Random, game: Mtg, memory: int) -> MooreStrategy
     act = {}
     for m in mems:
         for s in game.states:
-            update[(m, s)] = rng.choice(mems)
-            act[(m, s)] = rng.choice(game.actions)
+            cell = (m, s)  # one key tuple for both tables saves memory
+            update[cell] = rng.choice(mems)
+            act[cell] = rng.choice(game.actions)
     return MooreStrategy(memory=mems, init="m0", update=update, act=act)
 
 

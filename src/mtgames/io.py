@@ -151,7 +151,7 @@ def strategy_from_dict(doc: dict, game: Mtg, where: str = "strategy") -> MooreSt
     update = _table_rows(doc, "update", "next", where)
     act = _table_rows(doc, "act", "action", where)
     strat = MooreStrategy(memory=memory, init=init, update=update, act=act)
-    strat.check(game)
+    strat.check(game, where)
     return strat
 
 

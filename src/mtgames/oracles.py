@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Mtg, compile_tables
+from .core import InputError, Mtg, compile_tables
 from .equilibria import can_deviator_win_set
 from .generate import random_profile, random_strategy
 from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame,
@@ -172,6 +172,8 @@ def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
     ``masks[i]`` has bit ``t`` set iff strategy ``indices[i]`` of that block
     wins topology ``t`` (in topology order) against the fixed co-strategies.
     """
+    if deviator not in game.players:
+        raise InputError(f"unknown player {deviator!r}")
     idx = compile_tables(game)
     di = game.players.index(deviator)
     fixed: list = [strat.tables(game) for strat in profile.by_player]
@@ -204,7 +206,9 @@ def brute_force_deviation(game: Mtg, profile: Profile, deviator: str,
     no strategy with at most ``memory_bound`` memory states works.
     """
     want = 0
-    for t in targets:
+    for t in sorted(targets):
+        if t not in game.topologies:
+            raise InputError(f"unknown topology {t!r} in targets")
         want |= 1 << game.topologies.index(t)
     for m, indices, masks in deviator_wintop_masks(game, profile, deviator,
                                                    memory_bound, backend=backend):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import InputError, Lasso, Mtg, parity_satisfied
+from .core import InputError, Lasso, Mtg, check_lasso
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MooreStrategy:
     """A finite-memory strategy over observed game states.
 
@@ -37,22 +37,24 @@ class MooreStrategy:
     def action(self, mem: str, state: str) -> str:
         return self.act[(mem, state)]
 
-    def check(self, game: Mtg) -> None:
-        """Raise InputError unless the tables are total and well formed for ``game``."""
+    def check(self, game: Mtg, where: str = "strategy") -> None:
+        """Raise InputError, naming ``where``, unless the tables are total and well formed."""
         if not self.memory or len(set(self.memory)) != len(self.memory):
-            raise InputError("strategy memory list empty or with duplicates")
+            raise InputError(f"{where}: memory list empty or with duplicates")
         if self.init not in self.memory:
-            raise InputError(f"initial memory {self.init!r} not in memory list")
+            raise InputError(f"{where}: initial memory {self.init!r} not in memory list")
         for m in self.memory:
             for s in game.states:
-                if (m, s) not in self.update:
-                    raise InputError(f"update table missing row ({m}, {s})")
-                if self.update[(m, s)] not in self.memory:
-                    raise InputError(f"update target {self.update[(m, s)]!r} not a memory state")
-                if (m, s) not in self.act:
-                    raise InputError(f"act table missing row ({m}, {s})")
-                if self.act[(m, s)] not in game.actions:
-                    raise InputError(f"act value {self.act[(m, s)]!r} not an action")
+                cell = (m, s)
+                if cell not in self.update:
+                    raise InputError(f"{where}: update table missing row ({m}, {s})")
+                if self.update[cell] not in self.memory:
+                    raise InputError(
+                        f"{where}: update target {self.update[cell]!r} not a memory state")
+                if cell not in self.act:
+                    raise InputError(f"{where}: act table missing row ({m}, {s})")
+                if self.act[cell] not in game.actions:
+                    raise InputError(f"{where}: act value {self.act[cell]!r} not an action")
 
     def encoding(self, game: Mtg) -> tuple:
         """Hashable content key, used for caching deviation analyses."""
@@ -89,14 +91,6 @@ def constant_strategy(game: Mtg, action: str) -> MooreStrategy:
         act={("m0", s): action for s in game.states})
 
 
-def memoryless_strategy(game: Mtg, choice: dict[str, str]) -> MooreStrategy:
-    """A memoryless strategy from a state -> action map."""
-    return MooreStrategy(
-        memory=("m0",), init="m0",
-        update={("m0", s): "m0" for s in game.states},
-        act={("m0", s): choice[s] for s in game.states})
-
-
 def periodic_strategy(game: Mtg, actions: list[str]) -> MooreStrategy:
     """A state-blind strategy cycling through ``actions``, one per round."""
     n = len(actions)
@@ -107,7 +101,7 @@ def periodic_strategy(game: Mtg, actions: list[str]) -> MooreStrategy:
         act={(f"m{i}", s): actions[i] for i in range(n) for s in game.states})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """One strategy per player, in player order."""
 
@@ -117,8 +111,8 @@ class Profile:
         if len(self.by_player) != len(game.players):
             raise InputError(
                 f"profile has {len(self.by_player)} strategies, expected {len(game.players)}")
-        for strat in self.by_player:
-            strat.check(game)
+        for p, strat in zip(game.players, self.by_player):
+            strat.check(game, f"profile.{p}")
 
     def substitute(self, player_idx: int, strat: MooreStrategy) -> "Profile":
         lst = list(self.by_player)
@@ -141,28 +135,39 @@ def outcome(game: Mtg, topology: str, profile: Profile) -> Lasso:
     seen: dict[tuple, int] = {(s, mems): 0}
     seq = [s]
     while True:
-        actions = tuple(strat.action(m, s) for strat, m in zip(profile.by_player, mems))
-        mems = tuple(strat.advance(m, s) for strat, m in zip(profile.by_player, mems))
+        actions = tuple([strat.act[(m, s)] for strat, m in zip(profile.by_player, mems)])
+        mems = tuple([strat.update[(m, s)] for strat, m in zip(profile.by_player, mems)])
         s = game.transition[(topology, s, actions)]
-        key = (s, mems)
-        if key in seen:
-            i = seen[key]
+        i = seen.setdefault((s, mems), len(seq))
+        if i < len(seq):
             return Lasso(prefix=tuple(seq[:i]), cycle=tuple(seq[i:]), topology=topology)
-        seen[key] = len(seq)
         seq.append(s)
+
+
+def _lasso_winners(game: Mtg, lasso: Lasso) -> frozenset[str]:
+    """Players whose parity objective holds on ``lasso``, which is checked legal once."""
+    t = lasso.topology
+    check_lasso(game, t, lasso)
+    return frozenset([p for p in game.players
+                      if min([game.priority[(t, p, s)] for s in lasso.cycle]) % 2 == 0])
 
 
 def winners(game: Mtg, topology: str, profile: Profile) -> frozenset[str]:
     """Players whose parity objective holds on the outcome in ``topology``."""
-    lasso = outcome(game, topology, profile)
-    return frozenset(p for p in game.players if parity_satisfied(game, topology, p, lasso))
+    return _lasso_winners(game, outcome(game, topology, profile))
+
+
+def wintop_map(game: Mtg, profile: Profile) -> dict[str, frozenset[str]]:
+    """Every player's set of winning topologies: one outcome per topology serves all players."""
+    won = {t: _lasso_winners(game, outcome(game, t, profile)) for t in game.topologies}
+    return {p: frozenset([t for t in game.topologies if p in won[t]]) for p in game.players}
 
 
 def wintop(game: Mtg, profile: Profile, player: str) -> frozenset[str]:
     """The set of topologies in which ``player`` wins under ``profile``."""
     if player not in game.players:
         raise InputError(f"unknown player {player!r}")
-    return frozenset(t for t in game.topologies if player in winners(game, t, profile))
+    return wintop_map(game, profile)[player]
 
 
 class StrategyBlock:
@@ -214,8 +219,9 @@ class StrategyBlock:
         action = {}
         for i in range(self.m):
             for j, s in enumerate(self.game.states):
-                update[(mems[i], s)] = mems[int(upd[0, i, j])]
-                action[(mems[i], s)] = self.game.actions[int(act[0, i, j])]
+                cell = (mems[i], s)  # one key tuple for both tables saves memory
+                update[cell] = mems[int(upd[0, i, j])]
+                action[cell] = self.game.actions[int(act[0, i, j])]
         return MooreStrategy(memory=mems, init="m0", update=update, act=action)
 
     def count_canonical(self) -> int:

@@ -284,3 +284,21 @@ class TestMalformedInput:
         line = assert_one_error_line(["find", "target", str(data_path("router.game")),
                                       "--targets", str(path), "--memory", "1"], capsys)
         assert str(path) in line and "'blue'" in line
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--deviator", "blue", "--target-set", "A,Z"], "'Z'"),
+        (["--deviator", "nobody", "--target-set", "A"], "'nobody'"),
+    ])
+    def test_oracle_deviation_unknown_identifier(self, capsys, flags, name):
+        line = assert_one_error_line(["oracle", "deviation", str(data_path("router.game")),
+                                      str(data_path("turn-taking.profile")), *flags], capsys)
+        assert name in line
+
+    def test_strategy_error_names_file_and_player(self, tmp_path, capsys):
+        doc = json.loads(data_path("turn-taking.profile").read_text())
+        doc["players"]["blue"]["update"][0]["next"] = "m9"
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
+                                     capsys)
+        assert line == f"error: {path}.blue: update target 'm9' not a memory state"

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import isomorphic_encodings, naive_strategy_space, raw_step_wintop
-from mtgames.core import InputError
+from mtgames import equilibria, strategy
+from mtgames.core import InputError, Lasso, parity_satisfied
 from mtgames.generate import random_mtg, random_profile
 from mtgames.strategy import (MooreStrategy, Profile, StrategyBlock, constant_strategy,
                               enumerate_strategies, outcome, periodic_strategy,
-                              winners, wintop)
+                              winners, wintop, wintop_map)
 
 
 class TestOutcome:
@@ -96,6 +97,7 @@ class TestWintop:
     def test_turn_taking_wins_everywhere(self, router, turn_taking):
         assert wintop(router, turn_taking, "blue") == {"A", "B"}
         assert wintop(router, turn_taking, "red") == {"A", "B"}
+        assert wintop_map(router, turn_taking) == {"blue": {"A", "B"}, "red": {"A", "B"}}
 
     def test_unknown_player(self, router, turn_taking):
         with pytest.raises(InputError):
@@ -109,6 +111,63 @@ class TestWintop:
         profile = random_profile(rng, game, memory=2)
         for p in game.players:
             assert wintop(game, profile, p) == raw_step_wintop(game, profile, p)
+
+
+class TestWintopMap:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_agrees_with_raw_step_simulation(self, seed):
+        rng = random.Random(seed)
+        game = random_mtg(rng, n_players=rng.randint(1, 3), n_states=rng.randint(1, 4),
+                          n_topologies=rng.randint(1, 3), max_priority=4)
+        profile = random_profile(rng, game, memory=rng.randint(1, 3))
+        assert wintop_map(game, profile) == {p: raw_step_wintop(game, profile, p)
+                                             for p in game.players}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_outcome_per_topology_per_check(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        game = random_mtg(rng, n_players=2, n_states=rng.randint(2, 4),
+                          n_topologies=rng.randint(1, 3))
+        profile = random_profile(rng, game, memory=2)
+        real = strategy.outcome
+        calls = []
+
+        def spy(game, topology, prof):
+            calls.append((topology, prof))
+            return real(game, topology, prof)
+
+        monkeypatch.setattr(strategy, "outcome", spy)
+        checks = [lambda: equilibria.check_gne(game, profile),
+                  lambda: equilibria.check_cne(game, profile)]
+        checks += [lambda t=t: equilibria.check_ne(game, t, profile) for t in game.topologies]
+        for check in checks:
+            calls.clear()
+            report = check()
+            own = [t for t, prof in calls if prof == profile]
+            assert own == list(game.topologies)
+            # a negative verdict's witness is still replayed
+            assert report.verdict or len(calls) > len(own)
+            # every other simulation replays a witness: the profile with one
+            # player's strategy replaced
+            for _, prof in calls:
+                if prof != profile:
+                    changed = [a != b for a, b in zip(prof.by_player, profile.by_player)]
+                    assert sum(changed) == 1
+
+
+class TestParityFromOutside:
+    def test_illegal_edge_rejected(self, fig3):
+        # s2 is a sink in both topologies, so s2 -> s1 is no play
+        with pytest.raises(InputError, match="not realizable"):
+            parity_satisfied(fig3, "t1", "solo", Lasso(prefix=("s0",), cycle=("s2", "s1")))
+
+    def test_outcome_lasso_agrees_with_winners(self, xor):
+        profile = Profile((constant_strategy(xor, "0"), constant_strategy(xor, "0")))
+        for t in xor.topologies:
+            lasso = outcome(xor, t, profile)
+            won = winners(xor, t, profile)
+            assert {p for p in xor.players if parity_satisfied(xor, t, p, lasso)} == won
 
 
 class TestEnumerate:
