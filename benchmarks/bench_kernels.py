@@ -4,7 +4,9 @@
 Two workloads, matching the package's real hot paths:
 
 * ``sweep``: enumerate-and-simulate a contiguous strategy block of one player
-  (the bounded-search / deviation-oracle path).
+  (the bounded-search / deviation-oracle path). Its numpy path filters the
+  block for canonical strategies and simulates the kept rows with
+  ``simulate_min_even``, the same walk as ``batch``.
 * ``batch``: ``simulate_min_even`` on a pre-decoded batch of two-player router
   tables, one player varying and one fixed (the multi-player screening path).
   Its numpy path folds each row into one product next-position table and

@@ -11,16 +11,19 @@ imports) and a pure-numpy fallback. Selection is controlled by the
 ``MTGAMES_KERNEL`` environment variable: ``auto`` (default), ``numba`` or
 ``numpy``. ``benchmarks/bench_kernels.py`` times both.
 
-The numpy fallbacks walk functional graphs. Per candidate row the strategy
-tables fold into one next-position table over product positions (players'
-memories, then the game state); the walkers of all rows and topologies sit
-side by side in one flat array, and each step is one ``np.take``.
-``simulate_min_even`` takes rows in sub-batches of ``SUB_BATCH`` so the arrays
-stay cache-sized. With ``window`` the number of product positions, the walk is
-periodic after ``window`` steps and the next ``window`` steps cover the whole
-cycle, so no cycle detection is needed: the minimum priority accumulated over
-them equals the lasso-based computation. The lasso path in ``strategy.outcome``
-stays an independent implementation, cross-checked in the tests.
+The numpy path has one simulation walk, in ``simulate_min_even``. The sweep
+``sweep_block``, which varies one player's strategy over an index range, only
+filters that range for canonical strategies and hands the kept rows to it.
+The walk follows a functional graph: per candidate row the strategy tables
+fold into one next-position table over product positions (players' memories,
+then the game state); the walkers of all rows and topologies sit side by side
+in one flat array, and each step is one ``np.take``. Rows go in sub-batches of
+``SUB_BATCH`` so the arrays stay cache-sized. With ``window`` the number of
+product positions, the walk is periodic after ``window`` steps and the next
+``window`` steps cover the whole cycle, so no cycle detection is needed: the
+minimum priority accumulated over them equals the lasso-based computation.
+The lasso path in ``strategy.outcome`` stays an independent implementation,
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -342,20 +345,18 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
     ``bits[i]`` holds the varying player's winning-topology bitmask. Entries
     with ``keep[i] == 0`` are renamings of earlier strategies and carry no
     simulation result. This is the hot path of the bounded searches and the
-    brute-force deviation oracle; the numba variant fuses decoding, the
-    canonicity test and the simulation into one pass.
+    brute-force deviation oracle. The numba variant fuses decoding, the
+    canonicity test and the simulation into one pass; the numpy path filters
+    the range and hands the kept rows to :func:`simulate_min_even`.
     """
-    n_pla = prio.shape[1]
     n_states = delta.shape[1]
-    cells = m_var * n_states
-    n_act_tables = n_actions ** cells
-    window = n_states * m_var
-    for p, tabs in enumerate(fixed_tables):
-        if p == var_player:
-            continue
-        window *= tabs[0].shape[1]
-    which = active_backend(backend)
-    if which == "numba":
+    n_act_tables = n_actions ** (m_var * n_states)
+    if active_backend(backend) == "numba":
+        n_pla = prio.shape[1]
+        window = n_states * m_var
+        for p, tabs in enumerate(fixed_tables):
+            if p != var_player:
+                window *= tabs[0].shape[1]
         m_fixed = max((tabs[0].shape[1] for p, tabs in enumerate(fixed_tables)
                        if p != var_player), default=1)
         fixed_upd = np.zeros((n_pla, m_fixed, n_states), dtype=np.int32)
@@ -372,21 +373,22 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
                             np.int64(m_var), np.int64(lo), np.int64(hi),
                             np.int64(s0), np.int64(n_actions),
                             np.int64(n_act_tables), phis, invs, np.int64(window))
-    return _sweep_numpy(delta.astype(np.int32), prio.astype(np.int32), fixed_tables,
-                        var_player, m_var, lo, hi, s0, n_actions, n_act_tables)
+    return _sweep_numpy(delta, prio, fixed_tables, var_player, m_var, lo, hi,
+                        s0, n_actions, n_act_tables)
 
 
 def _sweep_numpy(delta, prio, fixed_tables, var_player, m_var, lo, hi,
                  s0, n_actions, n_act_tables):
-    """Vectorized fallback sweep.
+    """Vectorized sweep: canonicity filter, then one :func:`simulate_min_even` call.
 
     Canonicity depends only on the update/act tables; consecutive indices share
     one update table per ``n_act_tables`` block, so the renaming test runs on
-    the distinct update tables and act digits are only decoded for ties and
-    for surviving rows. The simulation walks a per-candidate product automaton
-    over (co-memories, own memory, state) with one gather per step.
+    the distinct update tables and act digits are only decoded for ties. The
+    kept rows take the ``var_player`` slot of the batch simulation, every
+    fixed co-strategy is broadcast, and the bitmask is read off that player's
+    column. Update and act tables are each decoded once per distinct table.
     """
-    n_top, n_pla, n_states = prio.shape
+    n_top, _, n_states = prio.shape
     count = hi - lo
     cells = m_var * n_states
     indices = np.arange(lo, hi, dtype=np.int64)
@@ -419,68 +421,18 @@ def _sweep_numpy(delta, prio, fixed_tables, var_player, m_var, lo, hi,
 
     bits = np.zeros(count, dtype=np.int64)
     kept = np.nonzero(keep)[0]
-    batch = len(kept)
-    if batch == 0:
+    if len(kept) == 0:
         return keep.astype(np.uint8), bits
 
-    u = ud[row_of[kept]].reshape(batch, m_var, n_states)
-    a = decode_tables(a_idx[kept], cells, n_actions).reshape(batch, m_var, n_states)
-
-    # fold the fixed co-strategies into one automaton over combined co-memory
-    co = [(p, tabs) for p, tabs in enumerate(fixed_tables) if p != var_player]
-    co_sizes = [tabs[0].shape[1] for _, tabs in co]
-    cm_total = 1
-    for size in co_sizes:
-        cm_total *= size
-    var_factor = n_actions ** (n_pla - 1 - var_player)
-    co_contrib = np.zeros((cm_total, n_states), dtype=np.int64)
-    co_next = np.zeros((cm_total, n_states), dtype=np.int64)
-    for cm in range(cm_total):
-        parts = []
-        rest = cm
-        for size in reversed(co_sizes):
-            parts.append(rest % size)
-            rest //= size
-        parts.reverse()
-        for s in range(n_states):
-            j_part = 0
-            nxt = 0
-            for (p, tabs), mem, size in zip(co, parts, co_sizes):
-                j_part += int(tabs[1][0, mem, s]) * (n_actions ** (n_pla - 1 - p))
-                nxt = nxt * size + int(tabs[0][0, mem, s])
-            co_contrib[cm, s] = j_part
-            co_next[cm, s] = nxt
-
-    # product positions: ((cm * m_var) + vm) * n_states + s
-    n_pos = cm_total * m_var * n_states
-    cm_g, vm_g, s_g = np.meshgrid(np.arange(cm_total), np.arange(m_var),
-                                  np.arange(n_states), indexing="ij")
-    cm_f, vm_f, s_f = cm_g.ravel(), vm_g.ravel(), s_g.ravel()
-    pos0 = (0 * m_var + 0) * n_states + s0
-    row_base = np.arange(batch, dtype=np.int64) * n_pos
-
-    window = n_pos
-    joint = co_contrib[cm_f, s_f] + a[:, vm_f, s_f].astype(np.int64) * var_factor
-    prefix = (co_next[cm_f, s_f] * m_var + u[:, vm_f, s_f]) * n_states
-    # all topologies walk together as one stacked functional graph, one gather
-    # per step on absolute flat indices
-    rows_all = np.arange(batch * n_top, dtype=np.int64) * n_pos
-    flat = np.empty(batch * n_top * n_pos, dtype=np.int32)
-    prio_all = np.empty(batch * n_top * n_pos, dtype=np.int32)
-    for t in range(n_top):
-        next_pos = prefix + delta[t][s_f, joint]
-        seg = slice(t * batch * n_pos, (t + 1) * batch * n_pos)
-        flat[seg] = (next_pos + rows_all[t * batch:(t + 1) * batch, None]).ravel()
-        prio_all[seg] = np.tile(prio[t, var_player][s_f].astype(np.int32), batch)
-    pos = (rows_all + pos0).astype(np.int32)
-    minp = np.full(batch * n_top, _INT_MAX, dtype=np.int32)
-    for step_i in range(2 * window):
-        pos = np.take(flat, pos)
-        if step_i >= window:
-            np.minimum(minp, np.take(prio_all, pos), out=minp)
-    even = (minp % 2 == 0).reshape(n_top, batch)
-    for t in range(n_top):
-        bits[kept] |= even[t].astype(np.int64) << t
+    first = lo % n_act_tables
+    ad = decode_tables((first + np.arange(min(count, n_act_tables))) % n_act_tables,
+                       cells, n_actions)
+    shape = (len(kept), m_var, n_states)
+    var_tables = (np.take(ud, row_of[kept], axis=0).reshape(shape),
+                  np.take(ad, (a_idx[kept] - first) % n_act_tables, axis=0).reshape(shape))
+    tables = [var_tables if p == var_player else tabs for p, tabs in enumerate(fixed_tables)]
+    wins = simulate_min_even(delta, prio, tables, s0, n_actions, backend="numpy")
+    bits[kept] = (wins[:, :, var_player] << np.arange(n_top, dtype=np.int64)).sum(axis=1)
     return keep.astype(np.uint8), bits
 
 

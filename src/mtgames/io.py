@@ -196,6 +196,8 @@ def targets_from_dict(doc: dict, game: Mtg, where: str = "targets") -> dict[str,
         if not isinstance(doc[p], list):
             raise InputError(f"{where}: target set for {p!r} must be a list of topologies, "
                              f"got {type(doc[p]).__name__}")
+        if not all(isinstance(t, str) for t in doc[p]):
+            raise InputError(f"{where}: target set for {p!r} must list topology names")
         ts = frozenset(doc[p])
         if not ts <= set(game.topologies):
             raise InputError(f"{where}: unknown topologies for {p}: {sorted(ts)}")

@@ -174,6 +174,8 @@ def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
     """
     if deviator not in game.players:
         raise InputError(f"unknown player {deviator!r}")
+    if memory_bound < 1:
+        raise InputError(f"memory bound must be >= 1, got {memory_bound}")
     idx = compile_tables(game)
     di = game.players.index(deviator)
     fixed: list = [strat.tables(game) for strat in profile.by_player]

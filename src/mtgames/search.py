@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .core import InputError, Mtg, compile_tables
 from .equilibria import DeviationOracle, EquilibriumReport, check_cne, check_gne
-from .strategy import Profile, StrategyBlock, constant_strategy, wintop
+from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 
 CHUNK_CAP = 1 << 17
 _SMALL_BLOCK = 1 << 20
@@ -256,16 +256,17 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
         if kind == "cne":
             report = check_cne(game, profile, oracle=oracle)
             return report if report.verdict else None
-        for p in game.players:
-            if wintop(game, profile, p) != targets[p]:
-                return None
+        won = wintop_map(game, profile)
+        if any(won[p] != targets[p] for p in game.players):
+            return None
         return EquilibriumReport(kind="target", verdict=True,
                                  wintop={p: targets[p] for p in game.players},
                                  witness=None)
 
     if n_players == 1:
-        # fused enumerate-and-simulate sweep; no cross products needed. The
-        # chunk size keeps the fallback's walk arrays inside the cache.
+        # fused enumerate-and-simulate sweep; no cross products needed. Each
+        # chunk is one task for the thread pool; the simulation walks it in
+        # sub-batches of _kernels.SUB_BATCH rows.
         sweep_chunk = 1 << 16
         def tasks():
             for m in range(1, memory_bound + 1):

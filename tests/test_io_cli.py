@@ -285,6 +285,22 @@ class TestMalformedInput:
                                       "--targets", str(path), "--memory", "1"], capsys)
         assert str(path) in line and "'blue'" in line
 
+    def test_target_entry_not_a_string(self, tmp_path, capsys, router):
+        path = tmp_path / "bad.tt"
+        path.write_text(json.dumps({"blue": [["A"]], "red": ["A"]}))
+        with pytest.raises(InputError):
+            mio.load_targets(path, router)
+        line = assert_one_error_line(["find", "target", str(data_path("router.game")),
+                                      "--targets", str(path), "--memory", "1"], capsys)
+        assert str(path) in line and "'blue'" in line
+
+    def test_oracle_deviation_memory_zero(self, capsys):
+        line = assert_one_error_line(["oracle", "deviation", str(data_path("router.game")),
+                                      str(data_path("turn-taking.profile")),
+                                      "--deviator", "blue", "--target-set", "A",
+                                      "--memory", "0"], capsys)
+        assert line == "error: memory bound must be >= 1, got 0"
+
     @pytest.mark.parametrize("flags, name", [
         (["--deviator", "blue", "--target-set", "A,Z"], "'Z'"),
         (["--deviator", "nobody", "--target-set", "A"], "'nobody'"),

@@ -173,6 +173,84 @@ class TestProductWalk:
         assert one.profile == two.profile
 
 
+def _check_sweep(game, var_player, co, m, lo, hi):
+    """numpy ``sweep_block`` over ``[lo, hi)`` against ``canonical_mask`` and ``wintop``.
+
+    ``co[p]`` is player ``p``'s fixed strategy; ``co[var_player]`` is ignored.
+    Returns the number of kept rows.
+    """
+    idx = compile_tables(game)
+    fixed = [None if p == var_player else s.tables(game) for p, s in enumerate(co)]
+    keep, bits = _kernels.sweep_block(idx.delta, idx.prio, fixed, var_player, m, lo, hi,
+                                      idx.initial, idx.n_actions, backend="numpy")
+    block = StrategyBlock(game, m)
+    upd, act = block.decode(np.arange(lo, hi, dtype=np.int64))
+    want = _kernels.canonical_mask(upd.reshape(hi - lo, -1), act.reshape(hi - lo, -1),
+                                   m, block.n_actions)
+    assert np.array_equal(keep.astype(bool), want)
+    player = game.players[var_player]
+    for i in np.nonzero(keep)[0]:
+        profile = Profile(tuple(block.strategy_at(lo + int(i)) if p == var_player else s
+                                for p, s in enumerate(co)))
+        won = wintop(game, profile, player)
+        mask = sum(1 << t for t, name in enumerate(game.topologies) if name in won)
+        assert bits[i] == mask, (m, lo + int(i))
+    return int(np.count_nonzero(keep))
+
+
+def _unaligned_range(rng, block, length, lo_below=None):
+    """A range of about ``length`` indices whose ends are off the act-table grid."""
+    n_act = block.n_act_tables
+    lo = rng.randrange(1, lo_below or block.total - length - 1)
+    lo += lo % n_act == 0
+    hi = lo + length
+    hi += hi % n_act == 0
+    return lo, hi
+
+
+class TestSweepBlock:
+    def test_random_games_and_co_strategies(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            n_players = rng.randint(1, 3)
+            game = random_mtg(rng, n_players=n_players, n_states=rng.randint(2, 3),
+                              n_topologies=rng.randint(1, 3), max_priority=6)
+            game = dataclasses.replace(game, initial=rng.choice(game.states))
+            var_player = rng.randrange(1, n_players) if n_players > 1 else 0
+            co = [random_strategy(rng, game, rng.randint(1, 3)) for _ in game.players]
+            for m in (1, 2, 3):
+                block = StrategyBlock(game, m)
+                lo, hi = _unaligned_range(rng, block, min(block.total - 3,
+                                                          2 * block.n_act_tables + 7, 600))
+                _check_sweep(game, var_player, co, m, lo, hi)
+
+    def test_range_crosses_sub_batch(self):
+        rng = random.Random(32)
+        game = random_mtg(rng, n_players=2, n_states=3, max_priority=5)
+        co = [random_strategy(rng, game, 2), None]
+        block = StrategyBlock(game, 3)
+        # early update tables are mostly canonical, so the kept rows fill more than one sub-batch
+        lo, hi = _unaligned_range(rng, block, 2 * _kernels.SUB_BATCH + 1000, block.total // 100)
+        assert _check_sweep(game, 1, co, 3, lo, hi) > _kernels.SUB_BATCH
+
+    def test_wide_priorities(self):
+        rng = random.Random(33)
+        game = random_mtg(rng, n_players=3, n_states=3, n_topologies=2, max_priority=22)
+        priority = dict(game.priority)
+        priority[("t0", "p1", "s1")] = 0
+        # the varying player's field would sit past bit 63 in topology t1
+        priority.update({("t1", "p2", "s0"): 20, ("t1", "p2", "s1"): 21,
+                         ("t1", "p2", "s2"): 22})
+        game = dataclasses.replace(game, priority=priority, initial="s1")
+        idx = compile_tables(game)
+        assert 3 * (int(idx.prio.max()) - int(idx.prio.min()) + 1) > 63
+        co = [random_strategy(rng, game, memory) for memory in (3, 1, 2)]
+        for m in (1, 2, 3):
+            block = StrategyBlock(game, m)
+            lo, hi = _unaligned_range(rng, block, min(block.total - 3, 500))
+            _check_sweep(game, 2, co, m, lo, hi)
+
+
 @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
 class TestBackendEquivalence:
     def test_simulate_identical(self):
