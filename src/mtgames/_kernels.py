@@ -6,12 +6,7 @@ and decide, per strategy and topology, whether each player's minimum
 infinitely-visited priority is even. The brute-force oracles and the bounded
 search both ride on it.
 
-Two implementations are provided: a numba ``@njit`` kernel (default when numba
-imports) and a pure-numpy fallback. Selection is controlled by the
-``MTGAMES_KERNEL`` environment variable: ``auto`` (default), ``numba`` or
-``numpy``. ``benchmarks/bench_kernels.py`` times both.
-
-The numpy path has one simulation walk, in ``simulate_min_even``. The sweep
+There is one simulation walk, in ``simulate_min_even``. The sweep
 ``sweep_block``, which varies one player's strategy over an index range, only
 filters that range for canonical strategies and hands the kept rows to it.
 The walk follows a functional graph: per candidate row the strategy tables
@@ -30,73 +25,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-        return wrap
-
-    prange = range  # type: ignore[assignment]
 
 _INT_MAX = np.int32(2147483647)
 SUB_BATCH = 1 << 13
 
 
-def active_backend(override: str | None = None) -> str:
-    """Resolve the kernel backend: 'numba' or 'numpy'."""
-    choice = override or os.environ.get("MTGAMES_KERNEL", "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"MTGAMES_KERNEL must be auto, numba or numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("MTGAMES_KERNEL=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
+HAS_NUMBA = False  # read only by perfbench/worker.py, which records it in its machine info
 
 
-@njit(parallel=True, nogil=True, cache=True)
-def _sim_numba(delta, prio, upd, act, init_mems, s0, n_actions, window):  # pragma: no cover - jitted
-    n_top, n_pla, _ = prio.shape
-    batch = upd.shape[1]
-    wins = np.zeros((batch, n_top, n_pla), dtype=np.bool_)
-    for b in prange(batch):
-        mem = np.empty(n_pla, dtype=np.int32)
-        minp = np.empty(n_pla, dtype=np.int32)
-        for t in range(n_top):
-            for p in range(n_pla):
-                mem[p] = init_mems[p]
-                minp[p] = 2147483647
-            s = s0
-            for step_i in range(2 * window):
-                j = 0
-                for p in range(n_pla):
-                    j = j * n_actions + act[p, b, mem[p], s]
-                for p in range(n_pla):
-                    mem[p] = upd[p, b, mem[p], s]
-                s = delta[t, s, j]
-                if step_i >= window:
-                    for p in range(n_pla):
-                        v = prio[t, p, s]
-                        if v < minp[p]:
-                            minp[p] = v
-            for p in range(n_pla):
-                wins[b, t, p] = (minp[p] % 2) == 0
-    return wins
+def active_backend() -> str:
+    return "numpy"  # read only by perfbench/worker.py, which records it in its machine info
 
 
 def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
                       tables: list[tuple[np.ndarray, np.ndarray]],
-                      s0: int, n_actions: int, backend: str | None = None) -> np.ndarray:
+                      s0: int, n_actions: int) -> np.ndarray:
     """Simulate a batch of strategy combinations; return win flags (batch, top, player).
 
     ``tables`` holds one ``(update, act)`` pair per player, each of shape
@@ -105,7 +50,7 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
     ``b`` in topology ``t`` the minimum priority player ``p`` sees infinitely
     often is even.
 
-    The numpy path walks ``SUB_BATCH`` rows at a time, one gather per step, as
+    The walk takes ``SUB_BATCH`` rows at a time, one gather per step, as
     the module docstring describes. Over the second ``window`` steps each
     walker ORs in every player's priority one-hot, one bit field per player,
     so a field's lowest set bit is that player's cycle minimum; fields wider
@@ -120,17 +65,6 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
     n_top, _, n_states = prio.shape
     mem_sizes = [u.shape[1] for u, _ in tables]
     window = n_states * math.prod(mem_sizes)
-
-    if active_backend(backend) == "numba":
-        upd = np.zeros((n_pla, batch, max(mem_sizes), n_states), dtype=np.int32)
-        act = np.zeros_like(upd)
-        for p, (u, a) in enumerate(tables):
-            upd[p, :, : u.shape[1], :] = u
-            act[p, :, : a.shape[1], :] = a
-        return _sim_numba(np.ascontiguousarray(delta.astype(np.int32)),
-                          np.ascontiguousarray(prio.astype(np.int32)),
-                          upd, act, np.zeros(n_pla, dtype=np.int32), np.int32(s0),
-                          np.int32(n_actions), np.int32(window))
 
     # product position ((mem_0 * M_1 + mem_1) * ...) * S + s under joint action j
     # has key (target + s) * n_joint + j; each player's share of the key comes
@@ -257,86 +191,10 @@ def canonical_mask(upd_digits: np.ndarray, act_digits: np.ndarray, m: int,
     return keep
 
 
-@njit(parallel=True, nogil=True, cache=True)
-def _sweep_numba(delta, prio, fixed_upd, fixed_act, var_player, m_var, lo, hi,
-                 s0, n_actions, n_act_tables, phis, invs, window):  # pragma: no cover - jitted
-    n_top, n_pla, n_states = prio.shape
-    count = hi - lo
-    keep = np.zeros(count, dtype=np.uint8)
-    bits = np.zeros(count, dtype=np.int64)
-    cells = m_var * n_states
-    for i in prange(count):
-        idx = lo + i
-        u_idx = idx // n_act_tables
-        a_idx = idx % n_act_tables
-        u = np.empty((m_var, n_states), dtype=np.int32)
-        a = np.empty((m_var, n_states), dtype=np.int32)
-        rem_u = u_idx
-        rem_a = a_idx
-        for c in range(cells - 1, -1, -1):
-            u[c // n_states, c % n_states] = rem_u % m_var
-            rem_u //= m_var
-            a[c // n_states, c % n_states] = rem_a % n_actions
-            rem_a //= n_actions
-        ok = True
-        for pi in range(phis.shape[0]):
-            cmp = 0
-            for c in range(cells):
-                mm = c // n_states
-                s = c % n_states
-                rel = phis[pi, u[invs[pi, mm], s]]
-                if rel != u[mm, s]:
-                    cmp = 1 if rel > u[mm, s] else -1
-                    break
-            if cmp == 0:
-                for c in range(cells):
-                    mm = c // n_states
-                    s = c % n_states
-                    rel = a[invs[pi, mm], s]
-                    if rel != a[mm, s]:
-                        cmp = 1 if rel > a[mm, s] else -1
-                        break
-            if cmp == -1:
-                ok = False
-                break
-        if not ok:
-            continue
-        keep[i] = 1
-        mask = 0
-        mem = np.empty(n_pla, dtype=np.int32)
-        for t in range(n_top):
-            for p in range(n_pla):
-                mem[p] = 0
-            s = s0
-            minp = 2147483647
-            for step_i in range(2 * window):
-                j = 0
-                for p in range(n_pla):
-                    if p == var_player:
-                        j = j * n_actions + a[mem[p], s]
-                    else:
-                        j = j * n_actions + fixed_act[p, mem[p], s]
-                for p in range(n_pla):
-                    if p == var_player:
-                        mem[p] = u[mem[p], s]
-                    else:
-                        mem[p] = fixed_upd[p, mem[p], s]
-                s = delta[t, s, j]
-                if step_i >= window:
-                    v = prio[t, var_player, s]
-                    if v < minp:
-                        minp = v
-            if minp % 2 == 0:
-                mask |= 1 << t
-        bits[i] = mask
-    return keep, bits
-
-
 def sweep_block(delta: np.ndarray, prio: np.ndarray,
                 fixed_tables: list[tuple[np.ndarray, np.ndarray] | None],
                 var_player: int, m_var: int, lo: int, hi: int,
-                s0: int, n_actions: int, backend: str | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+                s0: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate-and-simulate a contiguous index range of one player's strategy block.
 
     All players except ``var_player`` play the fixed strategies; the varying
@@ -345,50 +203,18 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
     ``bits[i]`` holds the varying player's winning-topology bitmask. Entries
     with ``keep[i] == 0`` are renamings of earlier strategies and carry no
     simulation result. This is the hot path of the bounded searches and the
-    brute-force deviation oracle. The numba variant fuses decoding, the
-    canonicity test and the simulation into one pass; the numpy path filters
-    the range and hands the kept rows to :func:`simulate_min_even`.
-    """
-    n_states = delta.shape[1]
-    n_act_tables = n_actions ** (m_var * n_states)
-    if active_backend(backend) == "numba":
-        n_pla = prio.shape[1]
-        window = n_states * m_var
-        for p, tabs in enumerate(fixed_tables):
-            if p != var_player:
-                window *= tabs[0].shape[1]
-        m_fixed = max((tabs[0].shape[1] for p, tabs in enumerate(fixed_tables)
-                       if p != var_player), default=1)
-        fixed_upd = np.zeros((n_pla, m_fixed, n_states), dtype=np.int32)
-        fixed_act = np.zeros((n_pla, m_fixed, n_states), dtype=np.int32)
-        for p, tabs in enumerate(fixed_tables):
-            if p == var_player:
-                continue
-            fixed_upd[p, : tabs[0].shape[1], :] = tabs[0][0]
-            fixed_act[p, : tabs[1].shape[1], :] = tabs[1][0]
-        phis, invs = renaming_perms(m_var)
-        return _sweep_numba(np.ascontiguousarray(delta.astype(np.int32)),
-                            np.ascontiguousarray(prio.astype(np.int32)),
-                            fixed_upd, fixed_act, np.int64(var_player),
-                            np.int64(m_var), np.int64(lo), np.int64(hi),
-                            np.int64(s0), np.int64(n_actions),
-                            np.int64(n_act_tables), phis, invs, np.int64(window))
-    return _sweep_numpy(delta, prio, fixed_tables, var_player, m_var, lo, hi,
-                        s0, n_actions, n_act_tables)
-
-
-def _sweep_numpy(delta, prio, fixed_tables, var_player, m_var, lo, hi,
-                 s0, n_actions, n_act_tables):
-    """Vectorized sweep: canonicity filter, then one :func:`simulate_min_even` call.
+    brute-force deviation oracle.
 
     Canonicity depends only on the update/act tables; consecutive indices share
     one update table per ``n_act_tables`` block, so the renaming test runs on
     the distinct update tables and act digits are only decoded for ties. The
-    kept rows take the ``var_player`` slot of the batch simulation, every
-    fixed co-strategy is broadcast, and the bitmask is read off that player's
-    column. Update and act tables are each decoded once per distinct table.
+    kept rows take the ``var_player`` slot of one :func:`simulate_min_even`
+    call, every fixed co-strategy is broadcast, and the bitmask is read off
+    that player's column. Update and act tables are each decoded once per
+    distinct table.
     """
     n_top, _, n_states = prio.shape
+    n_act_tables = n_actions ** (m_var * n_states)
     count = hi - lo
     cells = m_var * n_states
     indices = np.arange(lo, hi, dtype=np.int64)
@@ -431,15 +257,6 @@ def _sweep_numpy(delta, prio, fixed_tables, var_player, m_var, lo, hi,
     var_tables = (np.take(ud, row_of[kept], axis=0).reshape(shape),
                   np.take(ad, (a_idx[kept] - first) % n_act_tables, axis=0).reshape(shape))
     tables = [var_tables if p == var_player else tabs for p, tabs in enumerate(fixed_tables)]
-    wins = simulate_min_even(delta, prio, tables, s0, n_actions, backend="numpy")
+    wins = simulate_min_even(delta, prio, tables, s0, n_actions)
     bits[kept] = (wins[:, :, var_player] << np.arange(n_top, dtype=np.int64)).sum(axis=1)
     return keep.astype(np.uint8), bits
-
-
-def warmup(backend: str | None = None) -> None:
-    """Trigger JIT compilation on a tiny instance so later timings are steady."""
-    delta = np.zeros((1, 1, 1), dtype=np.int32)
-    prio = np.zeros((1, 1, 1), dtype=np.int32)
-    tables = [(np.zeros((2, 1, 1), dtype=np.int32), np.zeros((2, 1, 1), dtype=np.int32))]
-    simulate_min_even(delta, prio, tables, 0, 1, backend=backend)
-    sweep_block(delta, prio, [None], 0, 1, 0, 1, 0, 1, backend=backend)

@@ -18,7 +18,7 @@ from .equilibria import (build_knowledge_arena, build_residual_arena, check_cne,
                          check_gne, check_ne)
 from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
 from .reductions import build_cne_game, build_gne_game
-from .search import SearchResult, default_jobs, find_cne, find_gne, find_profile_with_wintop
+from .search import SearchResult, find_cne, find_gne, find_profile_with_wintop
 from .strategy import outcome, wintop_map
 
 EXIT_OK = 0
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", help="target file, required for kind=target")
     p.add_argument("--budget", type=int, default=None,
                    help="abort after examining this many candidate profiles")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--profile-out", help="also write a found profile to this file")
 
     p = sub.add_parser("reduce", help="build a partial-information challenge game")
@@ -195,17 +195,16 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "find":
-        jobs = args.jobs if args.jobs is not None else default_jobs()
         if args.kind == "gne":
-            result = find_gne(game, args.memory, budget=args.budget, jobs=jobs)
+            result = find_gne(game, args.memory, budget=args.budget, jobs=args.jobs)
         elif args.kind == "cne":
-            result = find_cne(game, args.memory, budget=args.budget, jobs=jobs)
+            result = find_cne(game, args.memory, budget=args.budget, jobs=args.jobs)
         else:
             if not args.targets:
                 raise InputError("find target needs --targets")
             targets = mio.load_targets(args.targets, game)
             result = find_profile_with_wintop(game, targets, args.memory,
-                                              budget=args.budget, jobs=jobs)
+                                              budget=args.budget, jobs=args.jobs)
         _emit({"command": "find", "kind": args.kind,
                **_search_result_doc(result, game)})
         _info(f"find {args.kind}: {result.status} after {result.examined} candidates")

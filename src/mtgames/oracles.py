@@ -69,6 +69,8 @@ class OmegaAgreement:
 
 def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgreement:
     """Compare semantic objective and rank parity on every reachable short-cycled lasso."""
+    if cycle_bound < 1:
+        raise InputError(f"cycle bound must be >= 1, got {cycle_bound}")
     succ_all = {q: sorted(ws, key=h.states.index) for q, ws in h.successor_sets().items()}
     # reachability from the start state
     reach = {h.initial}
@@ -138,6 +140,10 @@ class GammaSample:
 def gamma_sample(game: Mtg, h: PartialInfoGame, samples: int, seed: int,
                  memory: int = 2) -> GammaSample:
     """Sample finite-memory commitments and verify the play correspondence."""
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    if memory < 1:
+        raise InputError(f"memory bound must be >= 1, got {memory}")
     rng = random.Random(seed)
     mismatches = []
     start_choices = h.start_choices()
@@ -164,8 +170,7 @@ def gamma_sample(game: Mtg, h: PartialInfoGame, samples: int, seed: int,
 
 
 def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
-                          memory_bound: int, backend: str | None = None
-                          ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+                          memory_bound: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Winning-topology bitmasks of every deviator strategy up to the bound.
 
     Returns one ``(memory_size, indices, masks)`` triple per memory size;
@@ -189,8 +194,7 @@ def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
         for lo in range(0, block.total, chunk):
             hi = min(lo + chunk, block.total)
             keep, bits = _kernels.sweep_block(idx.delta, idx.prio, fixed, di, m,
-                                              lo, hi, idx.initial, idx.n_actions,
-                                              backend=backend)
+                                              lo, hi, idx.initial, idx.n_actions)
             kept = np.nonzero(keep)[0]
             all_idx.append(kept + lo)
             all_masks.append(bits[kept])
@@ -200,8 +204,8 @@ def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
 
 
 def brute_force_deviation(game: Mtg, profile: Profile, deviator: str,
-                          targets: frozenset[str], memory_bound: int,
-                          backend: str | None = None) -> tuple[bool, object | None]:
+                          targets: frozenset[str], memory_bound: int
+                          ) -> tuple[bool, object | None]:
     """Exhaustive bounded search for a deviation winning every target topology.
 
     Sound but incomplete in the negative direction: a False verdict only says
@@ -212,8 +216,7 @@ def brute_force_deviation(game: Mtg, profile: Profile, deviator: str,
         if t not in game.topologies:
             raise InputError(f"unknown topology {t!r} in targets")
         want |= 1 << game.topologies.index(t)
-    for m, indices, masks in deviator_wintop_masks(game, profile, deviator,
-                                                   memory_bound, backend=backend):
+    for m, indices, masks in deviator_wintop_masks(game, profile, deviator, memory_bound):
         hit = np.nonzero((masks & want) == want)[0]
         if len(hit):
             block = StrategyBlock(game, m)
@@ -230,16 +233,15 @@ class DeviationComparison:
 
 
 def compare_deviation_checker(game: Mtg, profile: Profile, deviator: str,
-                              targets: frozenset[str], memory_bound: int = 2,
-                              backend: str | None = None) -> DeviationComparison:
+                              targets: frozenset[str], memory_bound: int = 2
+                              ) -> DeviationComparison:
     """Exact checker vs bounded brute force on one deviation question.
 
     The brute force finding a deviation while the checker denies one is a hard
     failure; the converse only means the witness needs more memory than the
     bound, in which case the checker's witness replay is re-validated here.
     """
-    brute, _ = brute_force_deviation(game, profile, deviator, targets,
-                                     memory_bound, backend=backend)
+    brute, _ = brute_force_deviation(game, profile, deviator, targets, memory_bound)
     checker, strat = can_deviator_win_set(game, profile, deviator, targets)
     witness_ok: bool | None = None
     if checker:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,13 +40,6 @@ class SearchResult:
     examined: int
     memory_bound: int
     note: str = ""
-
-
-def default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("MTGAMES_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _size_vectors(n_players: int, bound: int):
@@ -128,11 +120,10 @@ def _candidate_chunks(game: Mtg, bound: int):
                 yield chunk
 
 
-def _wintop_masks(idx_game, chunk: _Chunk, backend: str | None) -> np.ndarray:
+def _wintop_masks(idx_game, chunk: _Chunk) -> np.ndarray:
     """(batch, players) bitmask over topologies from the simulation kernel."""
     wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, chunk.tables(),
-                                      idx_game.initial, idx_game.n_actions,
-                                      backend=backend)
+                                      idx_game.initial, idx_game.n_actions)
     n_top = wins.shape[1]
     masks = np.zeros((chunk.batch, wins.shape[2]), dtype=np.int64)
     for t in range(n_top):
@@ -141,7 +132,7 @@ def _wintop_masks(idx_game, chunk: _Chunk, backend: str | None) -> np.ndarray:
 
 
 def _memoryless_deviation_bits(game: Mtg, idx_game, chunk: _Chunk,
-                               player: int, backend: str | None) -> np.ndarray:
+                               player: int) -> np.ndarray:
     """(batch, n_dev) wintop bitmasks of every memoryless deviation of ``player``.
 
     Necessary-condition prefilter for multi-player searches: any memoryless
@@ -162,8 +153,7 @@ def _memoryless_deviation_bits(game: Mtg, idx_game, chunk: _Chunk,
             pos = chunk.positions[p][rows]
             tables.append((np.take(upd, pos, axis=0), np.take(act, pos, axis=0)))
     wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
-                                      idx_game.initial, idx_game.n_actions,
-                                      backend=backend)
+                                      idx_game.initial, idx_game.n_actions)
     n_top = wins.shape[1]
     bits = np.zeros(batch * n_dev, dtype=np.int64)
     for t in range(n_top):
@@ -180,12 +170,13 @@ def _materialize(game: Mtg, chunk: _Chunk, b: int) -> Profile:
 
 
 def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
-            jobs: int, backend: str | None,
-            targets: dict[str, frozenset[str]] | None = None) -> SearchResult:
+            jobs: int, targets: dict[str, frozenset[str]] | None = None) -> SearchResult:
     if memory_bound < 1:
         raise InputError(f"memory bound must be >= 1, got {memory_bound}")
     if budget is not None and budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     idx_game = compile_tables(game)
     oracle = DeviationOracle(game)
     n_players = len(game.players)
@@ -240,7 +231,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             full = w == all_mask
             if bool(np.all(full)):
                 continue
-            dev_bits = _memoryless_deviation_bits(game, idx_game, chunk, p, backend)
+            dev_bits = _memoryless_deviation_bits(game, idx_game, chunk, p)
             if kind == "gne":
                 bad = (dev_bits & ~w[:, None]) != 0
             else:
@@ -278,7 +269,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             m, lo, hi = task
             keep, bits = _kernels.sweep_block(idx_game.delta, idx_game.prio, [None],
                                               0, m, lo, hi, idx_game.initial,
-                                              idx_game.n_actions, backend=backend)
+                                              idx_game.n_actions)
             return task, keep, bits
 
         pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -318,7 +309,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
     chunks = _candidate_chunks(game, memory_bound)
 
     def evaluate(chunk: _Chunk):
-        return chunk, _wintop_masks(idx_game, chunk, backend)
+        return chunk, _wintop_masks(idx_game, chunk)
 
     if jobs > 1:
         pool = ThreadPoolExecutor(max_workers=jobs)
@@ -351,24 +342,22 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
 
 
 def find_gne(game: Mtg, memory_bound: int, budget: int | None = None,
-             jobs: int | None = None, backend: str | None = None) -> SearchResult:
+             jobs: int = 1) -> SearchResult:
     """First profile (in enumeration order) that is a greedy equilibrium."""
-    return _search(game, memory_bound, "gne", budget, jobs or default_jobs(), backend)
+    return _search(game, memory_bound, "gne", budget, jobs)
 
 
 def find_cne(game: Mtg, memory_bound: int, budget: int | None = None,
-             jobs: int | None = None, backend: str | None = None) -> SearchResult:
+             jobs: int = 1) -> SearchResult:
     """First profile (in enumeration order) that is a conservative equilibrium."""
-    return _search(game, memory_bound, "cne", budget, jobs or default_jobs(), backend)
+    return _search(game, memory_bound, "cne", budget, jobs)
 
 
 def find_profile_with_wintop(game: Mtg, targets: dict[str, frozenset[str]],
                              memory_bound: int, budget: int | None = None,
-                             jobs: int | None = None, backend: str | None = None
-                             ) -> SearchResult:
+                             jobs: int = 1) -> SearchResult:
     """First profile whose winning-topology sets match the targets exactly."""
     for p in game.players:
         if p not in targets:
             raise InputError(f"missing target set for player {p!r}")
-    return _search(game, memory_bound, "target", budget, jobs or default_jobs(),
-                   backend, targets=targets)
+    return _search(game, memory_bound, "target", budget, jobs, targets=targets)

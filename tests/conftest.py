@@ -5,16 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from mtgames import _kernels
 from mtgames.examples import (example_turn_taking_profile, fig3_game, router_base_game,
                               router_game, xor_game)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure steady state."""
-    _kernels.warmup()
-    yield
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mtgames
 from mtgames import cli
 from mtgames import io as mio
 from mtgames.core import InputError
@@ -318,3 +323,34 @@ class TestMalformedInput:
         line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
                                      capsys)
         assert line == f"error: {path}.blue: update target 'm9' not a memory state"
+
+    @pytest.mark.parametrize("args, message", [
+        (["find", "gne", "fig3.game", "--memory", "1", "--jobs", "0"],
+         "jobs must be >= 1, got 0"),
+        (["find", "gne", "fig3.game", "--memory", "1", "--jobs", "-3"],
+         "jobs must be >= 1, got -3"),
+        (["oracle", "gamma", "router.game", "--kind", "gne", "--targets", "router-all.tt",
+          "--samples", "-1"], "samples must be >= 1, got -1"),
+        (["oracle", "gamma", "router.game", "--kind", "gne", "--targets", "router-all.tt",
+          "--memory", "0"], "memory bound must be >= 1, got 0"),
+        (["oracle", "omega", "router.game", "--kind", "gne", "--targets", "router-all.tt",
+          "--cycle-bound", "-1"], "cycle bound must be >= 1, got -1"),
+    ], ids=["jobs-zero", "jobs-negative", "gamma-samples", "gamma-memory", "omega-cycle-bound"])
+    def test_non_positive_counts(self, capsys, args, message):
+        args = [str(data_path(a)) if a.endswith((".game", ".tt")) else a for a in args]
+        assert assert_one_error_line(args, capsys) == f"error: {message}"
+
+
+def test_mtgames_environment_variables_are_ignored():
+    """Leftover ``MTGAMES_*`` settings change neither the exit code nor stdout."""
+    src = str(Path(mtgames.__file__).resolve().parents[1])
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("MTGAMES_")}
+    clean["PYTHONPATH"] = os.pathsep.join(filter(None, [src, clean.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "mtgames.cli", "find", "gne",
+           str(data_path("fig3.game")), "--memory", "1"]
+    runs = [subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+            for env in (clean, {**clean, "MTGAMES_KERNEL": "bogus", "MTGAMES_JOBS": "bogus"})]
+    for run in runs:
+        assert run.returncode == 0, run.stderr.decode()
+        assert b"Traceback" not in run.stderr
+    assert runs[0].stdout and runs[1].stdout == runs[0].stdout

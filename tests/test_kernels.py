@@ -2,7 +2,6 @@ import dataclasses
 import random
 
 import numpy as np
-import pytest
 
 from brute import raw_step_wintop
 from mtgames import _kernels
@@ -10,9 +9,6 @@ from mtgames.core import compile_tables
 from mtgames.generate import random_mtg, random_profile, random_strategy
 from mtgames.search import find_profile_with_wintop
 from mtgames.strategy import Profile, StrategyBlock, wintop
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
-
 
 class TestCodecs:
     def test_decode_encode_roundtrip(self):
@@ -49,9 +45,8 @@ class TestCodecs:
             assert keep[row] == minimal
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSimulate:
-    def test_matches_lasso_wintop(self, backend):
+    def test_matches_lasso_wintop(self):
         rng = random.Random(13)
         for _ in range(25):
             game = random_mtg(rng, n_players=rng.randint(1, 2), n_states=rng.randint(2, 4))
@@ -59,12 +54,12 @@ class TestSimulate:
             profile = random_profile(rng, game, memory=2)
             tables = [s.tables(game) for s in profile.by_player]
             wins = _kernels.simulate_min_even(idx.delta, idx.prio, tables,
-                                              idx.initial, idx.n_actions, backend=backend)
+                                              idx.initial, idx.n_actions)
             for ti, t in enumerate(game.topologies):
                 for pi, p in enumerate(game.players):
                     assert wins[0, ti, pi] == (t in wintop(game, profile, p))
 
-    def test_batched_equals_individual(self, backend):
+    def test_batched_equals_individual(self):
         rng = random.Random(14)
         game = random_mtg(rng, n_players=2, n_states=3)
         idx = compile_tables(game)
@@ -74,20 +69,20 @@ class TestSimulate:
         batch_act = np.concatenate([s.tables(game)[1] for s in strategies])
         wins = _kernels.simulate_min_even(
             idx.delta, idx.prio, [(batch_upd, batch_act), fixed.tables(game)],
-            idx.initial, idx.n_actions, backend=backend)
+            idx.initial, idx.n_actions)
         for i, strat in enumerate(strategies):
             profile = Profile((strat, fixed))
             for ti, t in enumerate(game.topologies):
                 for pi, p in enumerate(game.players):
                     assert wins[i, ti, pi] == (t in wintop(game, profile, p)), (i, t, p)
 
-    def test_tail_window_equals_raw_simulation(self, backend):
+    def test_tail_window_equals_raw_simulation(self):
         rng = random.Random(15)
         game = random_mtg(rng, n_players=1, n_states=4)
         idx = compile_tables(game)
         strat = random_strategy(rng, game, 3)
         wins = _kernels.simulate_min_even(idx.delta, idx.prio, [strat.tables(game)],
-                                          idx.initial, idx.n_actions, backend=backend)
+                                          idx.initial, idx.n_actions)
         brute = raw_step_wintop(game, Profile((strat,)), game.players[0])
         for ti, t in enumerate(game.topologies):
             assert wins[0, ti, 0] == (t in brute)
@@ -106,7 +101,7 @@ def _check_rows(game, tables, strategies, rows):
     """
     idx = compile_tables(game)
     wins = _kernels.simulate_min_even(idx.delta, idx.prio, tables, idx.initial,
-                                      idx.n_actions, backend="numpy")
+                                      idx.n_actions)
     for b in rows:
         profile = Profile(tuple(s[b] if len(s) > 1 else s[0] for s in strategies))
         for pi, p in enumerate(game.players):
@@ -182,7 +177,7 @@ def _check_sweep(game, var_player, co, m, lo, hi):
     idx = compile_tables(game)
     fixed = [None if p == var_player else s.tables(game) for p, s in enumerate(co)]
     keep, bits = _kernels.sweep_block(idx.delta, idx.prio, fixed, var_player, m, lo, hi,
-                                      idx.initial, idx.n_actions, backend="numpy")
+                                      idx.initial, idx.n_actions)
     block = StrategyBlock(game, m)
     upd, act = block.decode(np.arange(lo, hi, dtype=np.int64))
     want = _kernels.canonical_mask(upd.reshape(hi - lo, -1), act.reshape(hi - lo, -1),
@@ -249,52 +244,3 @@ class TestSweepBlock:
             block = StrategyBlock(game, m)
             lo, hi = _unaligned_range(rng, block, min(block.total - 3, 500))
             _check_sweep(game, 2, co, m, lo, hi)
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-class TestBackendEquivalence:
-    def test_simulate_identical(self):
-        rng = random.Random(16)
-        for _ in range(10):
-            game = random_mtg(rng, n_players=rng.randint(1, 2), n_states=rng.randint(2, 4))
-            idx = compile_tables(game)
-            block = StrategyBlock(game, 2)
-            n = min(block.total, 512)
-            indices = np.arange(n, dtype=np.int64)
-            upd, act = block.decode(indices)
-            others = [random_strategy(rng, game, 2).tables(game)
-                      for _ in range(len(game.players) - 1)]
-            tables = [(upd, act)] + others
-            a = _kernels.simulate_min_even(idx.delta, idx.prio, tables,
-                                           idx.initial, idx.n_actions, backend="numba")
-            b = _kernels.simulate_min_even(idx.delta, idx.prio, tables,
-                                           idx.initial, idx.n_actions, backend="numpy")
-            assert np.array_equal(a, b)
-
-    def test_sweep_identical(self):
-        rng = random.Random(17)
-        for _ in range(8):
-            game = random_mtg(rng, n_players=rng.randint(1, 2), n_states=3)
-            idx = compile_tables(game)
-            fixed = [None] + [random_strategy(rng, game, 2).tables(game)
-                              for _ in range(len(game.players) - 1)]
-            for m in (1, 2, 3):
-                block = StrategyBlock(game, m)
-                hi = min(block.total, 2048)
-                ka, ba = _kernels.sweep_block(idx.delta, idx.prio, fixed, 0, m, 0, hi,
-                                              idx.initial, idx.n_actions, backend="numba")
-                kb, bb = _kernels.sweep_block(idx.delta, idx.prio, fixed, 0, m, 0, hi,
-                                              idx.initial, idx.n_actions, backend="numpy")
-                assert np.array_equal(ka, kb)
-                assert np.array_equal(ba, bb)
-
-    def test_env_flag_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("MTGAMES_KERNEL", "numpy")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.setenv("MTGAMES_KERNEL", "numba")
-        assert _kernels.active_backend() == "numba"
-        monkeypatch.setenv("MTGAMES_KERNEL", "auto")
-        assert _kernels.active_backend() == "numba"
-        monkeypatch.setenv("MTGAMES_KERNEL", "bogus")
-        with pytest.raises(ValueError):
-            _kernels.active_backend()

@@ -35,6 +35,8 @@ class TestFindGne:
     def test_bad_bound_rejected(self, fig3):
         with pytest.raises(InputError):
             find_gne(fig3, 0)
+        with pytest.raises(InputError):
+            find_gne(fig3, 1, jobs=0)
 
 
 class TestFindCne:
