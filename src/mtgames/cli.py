@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import io as mio
 from .core import InputError, symmetrize, validate
-from .equilibria import (build_knowledge_arena, build_residual_arena, check_cne,
-                         check_gne, check_ne)
+from .equilibria import (check_cne, check_gne, check_ne, deviation_arena,
+                         deviation_questions)
 from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
 from .reductions import build_cne_game, build_gne_game
 from .search import SearchResult, find_cne, find_gne, find_profile_with_wintop
@@ -46,29 +46,17 @@ def _search_result_doc(result: SearchResult, game) -> dict:
     return doc
 
 
-def _emit_check_arenas(kind: str, game, profile, topology, out_dir: str) -> None:
-    """Write the arenas an equilibrium check consults, for failure triage."""
+def _emit_check_arenas(report, game, profile, out_dir: str) -> None:
+    """Write the arena each deviation question of the check is decided on, for failure triage."""
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    all_tops = frozenset(game.topologies)
-    if kind == "ne":
-        for p in game.players:
-            arena = build_residual_arena(game, profile, p, topology)
-            name = f"ne-{topology}-{p}.arena.txt"
-            (directory / name).write_text(arena.dump() + "\n", encoding="utf-8")
-        return
-    wt = wintop_map(game, profile)
-    for p in game.players:
-        w = wt[p]
-        if w == all_tops:
-            continue
-        for t in game.topologies:
-            if t in w:
-                continue
-            targets = frozenset({t}) if kind == "gne" else w | {t}
-            arena = build_knowledge_arena(game, profile, p, targets)
-            name = f"{kind}-{p}-" + "+".join(sorted(targets)) + ".arena.txt"
-            (directory / name).write_text(arena.dump() + "\n", encoding="utf-8")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create arena directory {out_dir}: {exc}") from exc
+    for p, targets in deviation_questions(game, report.kind, report.wintop, report.topology):
+        arena = deviation_arena(game, profile, p, targets)
+        name = f"{report.kind}-{p}-" + "+".join(sorted(targets)) + ".arena.txt"
+        mio.write_text(directory / name, arena.dump() + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +177,7 @@ def _run(args) -> int:
         else:
             report = check_cne(game, profile)
         if args.emit_arenas:
-            _emit_check_arenas(args.kind, game, profile, args.topology, args.emit_arenas)
+            _emit_check_arenas(report, game, profile, args.emit_arenas)
         _emit({"command": "check", "report": mio.report_to_dict(report, game)})
         _info(f"{args.kind} verdict: {report.verdict}")
         return EXIT_OK

@@ -7,10 +7,15 @@ Three solution concepts are checked for a given profile:
 * CNE: no player has a deviation making her winning-topology set a strict
   superset of the current one.
 
-Single-topology deviations reduce to one-player residual games (the deviator
-plays against the fixed co-strategies). Simultaneous multi-topology deviations
-are decided on a knowledge arena whose nodes track the current state, the set
-of topologies still consistent with the observed history, and the co-players'
+Every check asks the same kind of question, in the order of
+:func:`deviation_questions`: can this player, against the fixed co-strategies,
+win every topology of this target set? :func:`can_deviator_win_set` answers
+it. A single target (every NE and GNE question, and a CNE question when the
+deviator wins nothing yet) is decided on the one-player residual game:
+strategies observe states only, so a deviation wins topology t of the game
+exactly when it wins the single game t. Two or more targets (CNE only) are
+decided on a knowledge arena whose nodes track the current state, the set of
+topologies still consistent with the observed history, and the co-players'
 memories. Because a deviating strategy is one function of the state history,
 topologies with identical observed histories must receive identical deviator
 actions; the knowledge set captures exactly that, so verification is exact for
@@ -20,11 +25,12 @@ deviating strategies of unbounded memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .arena import SEEKER, SPOILER, Arena, ArenaLasso
 from .core import InputError, Mtg
 from .solvers import WitnessMachine, solve_conjunction, solve_one_player
-from .strategy import MooreStrategy, Profile, winners, wintop, wintop_map
+from .strategy import MooreStrategy, Profile, winners, wintop_map
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,6 @@ def build_knowledge_arena(game: Mtg, profile: Profile, deviator: str,
     def vector(k: KnowledgeNode) -> tuple[int, ...]:
         return tuple(game.priority[(t, deviator, k.state)] if t in k.consistent else 0
                      for t in tlist)
-
-    def mask_of(k: KnowledgeNode) -> tuple[bool, ...]:
-        return tuple(t in k.consistent for t in tlist)
 
     init = KnowledgeNode(game.initial, frozenset(game.topologies),
                          tuple(s.init for s in co_strats))
@@ -236,35 +239,14 @@ def _machine_to_moore(game: Mtg, arena: Arena, machine: WitnessMachine,
                          update=update, act=act)
 
 
-def can_deviator_win_set(game: Mtg, profile: Profile, deviator: str,
-                         targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
-    """Does some deviating strategy (any memory) win every target topology at once?
-
-    Decided exactly on the knowledge arena. On success the witness strategy is
-    replayed through the winning-topology computation and must cover the
-    targets, otherwise an internal error is raised.
-    """
-    targets = frozenset(targets)
-    arena = build_knowledge_arena(game, profile, deviator, targets)
-    tlist = [t for t in game.topologies if t in targets]
-    mask = knowledge_active_mask(arena, tlist)
-    res = solve_conjunction(arena, mask)
-    if not res.winner:
-        return False, None
-    moore = _machine_to_moore(game, arena, res.witness, deviator)
-    di = game.players.index(deviator)
-    achieved = wintop(game, profile.substitute(di, moore), deviator)
-    if not targets <= achieved:
-        raise AssertionError(
-            f"deviation witness failed replay: wanted {sorted(targets)}, got {sorted(achieved)}")
-    return True, moore
-
-
 def build_residual_arena(game: Mtg, profile: Profile, deviator: str,
                          topology: str) -> Arena:
     """One-player game the deviator faces in a fixed topology with co-strategies fixed."""
+    if deviator not in game.players:
+        raise InputError(f"unknown player {deviator!r}")
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
+    profile.check(game)
     di = game.players.index(deviator)
     co = _co_players(game, deviator)
     co_strats = [profile.by_player[i] for i in co]
@@ -315,6 +297,49 @@ def _lasso_to_moore(game: Mtg, lasso: ArenaLasso) -> MooreStrategy:
     return MooreStrategy(memory=mems, init="m0", update=update, act=act)
 
 
+def deviation_arena(game: Mtg, profile: Profile, deviator: str,
+                    targets: frozenset[str]) -> Arena:
+    """The arena :func:`can_deviator_win_set` solves for this question.
+
+    One target is the residual game; two or more need the knowledge arena,
+    where the deviator must act alike in topologies she cannot yet tell apart.
+    """
+    if len(targets) == 1:
+        (topology,) = targets
+        return build_residual_arena(game, profile, deviator, topology)
+    return build_knowledge_arena(game, profile, deviator, targets)
+
+
+def can_deviator_win_set(game: Mtg, profile: Profile, deviator: str,
+                         targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
+    """Does some deviating strategy (any memory) win every target topology at once?
+
+    Strategies observe states only, so a deviation wins topology t of the game
+    exactly when it wins the single game t: one target is decided on the
+    one-player residual game, with a lasso-following witness. Two or more are
+    decided on the knowledge arena by the conjunction solver. On success the
+    witness is replayed in each target topology and must win there, otherwise
+    an internal error is raised.
+    """
+    targets = frozenset(targets)
+    arena = deviation_arena(game, profile, deviator, targets)
+    if len(targets) == 1:
+        ok, lasso = solve_one_player(arena, 0)
+        strat = _lasso_to_moore(game, lasso) if ok else None
+    else:
+        tlist = [t for t in game.topologies if t in targets]
+        res = solve_conjunction(arena, knowledge_active_mask(arena, tlist))
+        strat = _machine_to_moore(game, arena, res.witness, deviator) if res.winner else None
+    if strat is None:
+        return False, None
+    deviated = profile.substitute(game.players.index(deviator), strat)
+    for t in targets:
+        if deviator not in winners(game, t, deviated):
+            raise AssertionError(f"deviation witness failed replay: wanted "
+                                 f"{sorted(targets)}, lost {t}")
+    return True, strat
+
+
 class DeviationOracle:
     """Memoizing front end for :func:`can_deviator_win_set`.
 
@@ -338,74 +363,53 @@ class DeviationOracle:
         return self._cache[key]
 
 
+def deviation_questions(game: Mtg, kind: str, wt: dict[str, frozenset[str]],
+                        topology: str | None = None):
+    """The (player, targets) questions a ``kind`` check asks under winning sets ``wt``.
+
+    Player-major, then topology order, over each player's losing topologies t
+    (only ``topology`` when given). NE and GNE ask whether the player can win
+    {t}. CNE asks whether she can win her current set plus t: any deviation
+    achieving a strict superset achieves one of those, and conversely.
+    """
+    tops = game.topologies if topology is None else (topology,)
+    for p in game.players:
+        for t in tops:
+            if t not in wt[p]:
+                yield p, (wt[p] | {t}) if kind == "cne" else frozenset({t})
+
+
+def _check(kind: str, game: Mtg, profile: Profile, ask,
+           topology: str | None = None) -> EquilibriumReport:
+    """Ask ``kind``'s deviation questions in order; the first yes refutes the profile."""
+    wt = wintop_map(game, profile)  # validates the profile, once per topology
+    for p, targets in deviation_questions(game, kind, wt, topology):
+        ok, strat = ask(profile, p, targets)
+        if ok:
+            return EquilibriumReport(kind=kind, verdict=False, wintop=wt,
+                                     witness=DeviationWitness(p, targets, strat),
+                                     topology=topology)
+    return EquilibriumReport(kind=kind, verdict=True, wintop=wt, witness=None,
+                             topology=topology)
+
+
 def check_ne(game: Mtg, topology: str, profile: Profile) -> EquilibriumReport:
     """Nash equilibrium of the single concurrent game in ``topology``.
 
-    A losing player benefits iff the one-player residual game reaches a cycle
-    whose minimum priority for her is even.
+    A losing player benefits iff she can win ``topology`` by deviating.
     """
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
-    profile.check(game)
-    wt = wintop_map(game, profile)
-    for p in game.players:
-        if topology in wt[p]:
-            continue
-        arena = build_residual_arena(game, profile, p, topology)
-        ok, lasso = solve_one_player(arena, 0)
-        if ok:
-            strat = _lasso_to_moore(game, lasso)
-            di = game.players.index(p)
-            if p not in winners(game, topology, profile.substitute(di, strat)):
-                raise AssertionError("residual deviation witness failed replay")
-            return EquilibriumReport(kind="ne", verdict=False, wintop=wt,
-                                     witness=DeviationWitness(p, frozenset({topology}), strat),
-                                     topology=topology)
-    return EquilibriumReport(kind="ne", verdict=True, wintop=wt, witness=None,
-                             topology=topology)
+    return _check("ne", game, profile, partial(can_deviator_win_set, game), topology)
 
 
 def check_gne(game: Mtg, profile: Profile,
               oracle: DeviationOracle | None = None) -> EquilibriumReport:
     """Greedy equilibrium: no player can deviate and win a currently-losing topology."""
-    profile.check(game)
-    oracle = oracle or DeviationOracle(game)
-    wt = wintop_map(game, profile)
-    all_tops = frozenset(game.topologies)
-    for p in game.players:
-        if wt[p] == all_tops:
-            continue
-        for t in game.topologies:
-            if t in wt[p]:
-                continue
-            ok, strat = oracle.can_win(profile, p, frozenset({t}))
-            if ok:
-                return EquilibriumReport(kind="gne", verdict=False, wintop=wt,
-                                         witness=DeviationWitness(p, frozenset({t}), strat))
-    return EquilibriumReport(kind="gne", verdict=True, wintop=wt, witness=None)
+    return _check("gne", game, profile, (oracle or DeviationOracle(game)).can_win)
 
 
 def check_cne(game: Mtg, profile: Profile,
               oracle: DeviationOracle | None = None) -> EquilibriumReport:
-    """Conservative equilibrium: no deviation yields a strict superset of winning topologies.
-
-    Any deviation achieving a strict superset achieves the current set plus
-    one extra topology, and conversely, so it suffices to test the current set
-    extended by each losing topology.
-    """
-    profile.check(game)
-    oracle = oracle or DeviationOracle(game)
-    wt = wintop_map(game, profile)
-    all_tops = frozenset(game.topologies)
-    for p in game.players:
-        if wt[p] == all_tops:
-            continue
-        for t in game.topologies:
-            if t in wt[p]:
-                continue
-            targets = wt[p] | {t}
-            ok, strat = oracle.can_win(profile, p, targets)
-            if ok:
-                return EquilibriumReport(kind="cne", verdict=False, wintop=wt,
-                                         witness=DeviationWitness(p, frozenset(targets), strat))
-    return EquilibriumReport(kind="cne", verdict=True, wintop=wt, witness=None)
+    """Conservative equilibrium: no deviation yields a strict superset of winning topologies."""
+    return _check("cne", game, profile, (oracle or DeviationOracle(game)).can_win)

@@ -14,6 +14,7 @@ through the loaders in this module.
 from __future__ import annotations
 
 import json
+from importlib import resources
 from pathlib import Path
 
 from .core import InputError, Lasso, Mtg, validate
@@ -22,8 +23,21 @@ from .reductions import COALITION, DEVIATOR, RESOLVER, START, HState, PartialInf
 from .strategy import MooreStrategy, Profile
 
 
+def data_path(name: str):
+    """Filesystem path of a bundled data file (context-manager free for CPython)."""
+    return resources.files("mtgames.data").joinpath(name)
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; a failed write is an input error naming the path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path) -> dict:
@@ -117,7 +131,7 @@ def load_game(path) -> Mtg:
 
 
 def save_game(game: Mtg, path) -> None:
-    Path(path).write_text(dumps_canonical(game_to_dict(game)), encoding="utf-8")
+    write_text(path, dumps_canonical(game_to_dict(game)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +189,7 @@ def load_profile(path, game: Mtg) -> Profile:
 
 
 def save_profile(profile: Profile, game: Mtg, path) -> None:
-    Path(path).write_text(dumps_canonical(profile_to_dict(profile, game)), encoding="utf-8")
+    write_text(path, dumps_canonical(profile_to_dict(profile, game)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,4 +360,4 @@ def load_h(path) -> PartialInfoGame:
 
 
 def save_h(h: PartialInfoGame, path) -> None:
-    Path(path).write_text(dumps_canonical(h_to_dict(h)), encoding="utf-8")
+    write_text(path, dumps_canonical(h_to_dict(h)))

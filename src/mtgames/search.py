@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .core import InputError, Mtg, compile_tables
-from .equilibria import DeviationOracle, EquilibriumReport, check_cne, check_gne
+from .equilibria import (DeviationOracle, EquilibriumReport, check_cne, check_gne,
+                         deviation_questions)
 from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 
 CHUNK_CAP = 1 << 17
@@ -189,30 +190,18 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             [sum(1 << game.topologies.index(t) for t in targets[p]) for p in game.players],
             dtype=np.int64)
 
-    placeholder = Profile(tuple(constant_strategy(game, game.actions[0])
-                                for _ in game.players))
-
-    single_gne_mask: int | None = None
-    single_cne_table: np.ndarray | None = None
-    if n_players == 1 and kind == "gne":
-        single_gne_mask = 0
-        for t_i, t in enumerate(game.topologies):
-            ok, _ = oracle.can_win(placeholder, game.players[0], frozenset({t}))
-            if ok:
-                single_gne_mask |= 1 << t_i
-    if n_players == 1 and kind == "cne":
-        single_cne_table = np.zeros(1 << n_top, dtype=bool)
+    single_table = None
+    if n_players == 1 and kind != "target":
+        # whether a winning set w is stable depends on w alone, since the one
+        # player's own strategy is what deviates: ask against a placeholder
+        p0 = game.players[0]
+        placeholder = Profile((constant_strategy(game, game.actions[0]),))
+        single_table = np.zeros(1 << n_top, dtype=bool)
         for w in range(1 << n_top):
             wset = frozenset(t for i, t in enumerate(game.topologies) if w >> i & 1)
-            good = True
-            for t in game.topologies:
-                if t in wset:
-                    continue
-                ok, _ = oracle.can_win(placeholder, game.players[0], wset | {t})
-                if ok:
-                    good = False
-                    break
-            single_cne_table[w] = good
+            single_table[w] = not any(
+                oracle.can_win(placeholder, p, targets)[0]
+                for p, targets in deviation_questions(game, kind, {p0: wset}))
 
     def survivors_of(chunk: _Chunk, masks: np.ndarray) -> np.ndarray:
         if kind == "target":
@@ -220,11 +209,6 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             for p in range(n_players):
                 ok &= masks[:, p] == target_masks[p]
             return np.nonzero(ok)[0]
-        if n_players == 1:
-            w = masks[:, 0]
-            if kind == "gne":
-                return np.nonzero((single_gne_mask & ~w) == 0)[0]
-            return np.nonzero(single_cne_table[w])[0]
         ok = np.ones(chunk.batch, dtype=bool)
         for p in range(n_players):
             w = masks[:, p]
@@ -241,18 +225,15 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
         return np.nonzero(ok)[0]
 
     def finalize(profile: Profile) -> EquilibriumReport | None:
-        if kind == "gne":
-            report = check_gne(game, profile, oracle=oracle)
-            return report if report.verdict else None
-        if kind == "cne":
-            report = check_cne(game, profile, oracle=oracle)
-            return report if report.verdict else None
-        won = wintop_map(game, profile)
-        if any(won[p] != targets[p] for p in game.players):
-            return None
-        return EquilibriumReport(kind="target", verdict=True,
-                                 wintop={p: targets[p] for p in game.players},
-                                 witness=None)
+        if kind == "target":
+            won = wintop_map(game, profile)
+            if any(won[p] != targets[p] for p in game.players):
+                return None
+            return EquilibriumReport(kind="target", verdict=True,
+                                     wintop={p: targets[p] for p in game.players},
+                                     witness=None)
+        report = (check_gne if kind == "gne" else check_cne)(game, profile, oracle=oracle)
+        return report if report.verdict else None
 
     if n_players == 1:
         # fused enumerate-and-simulate sweep; no cross products needed. Each
@@ -282,12 +263,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 if budget is not None:
                     kept = kept[: budget - examined]
                 w = bits[kept]
-                if kind == "gne":
-                    ok = (single_gne_mask & ~w) == 0
-                elif kind == "cne":
-                    ok = single_cne_table[w]
-                else:
-                    ok = w == target_masks[0]
+                ok = w == target_masks[0] if kind == "target" else single_table[w]
                 block = StrategyBlock(game, m)
                 for pos in np.nonzero(ok)[0]:
                     profile = Profile((block.strategy_at(int(lo + kept[pos])),))

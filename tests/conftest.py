@@ -5,30 +5,29 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from mtgames.examples import (example_turn_taking_profile, fig3_game, router_base_game,
-                              router_game, xor_game)
+from mtgames.io import data_path, load_game, load_profile
 
 
 @pytest.fixture(scope="session")
 def router():
-    return router_game()
+    return load_game(data_path("router.game"))
 
 
 @pytest.fixture(scope="session")
 def router_base():
-    return router_base_game()
+    return load_game(data_path("router-base.game"))
 
 
 @pytest.fixture(scope="session")
 def fig3():
-    return fig3_game()
+    return load_game(data_path("fig3.game"))
 
 
 @pytest.fixture(scope="session")
 def xor():
-    return xor_game()
+    return load_game(data_path("xor.game"))
 
 
 @pytest.fixture(scope="session")
 def turn_taking(router):
-    return example_turn_taking_profile(router)
+    return load_profile(data_path("turn-taking.profile"), router)

@@ -14,8 +14,8 @@ import numpy as np
 from mtgames import io as mio
 from mtgames.core import symmetrize
 from mtgames.equilibria import DeviationOracle, can_deviator_win_set, check_cne, check_gne, check_ne
-from mtgames.examples import data_path
 from mtgames.generate import random_mtg
+from mtgames.io import data_path
 from mtgames.oracles import deviator_wintop_masks, gamma_sample, omega_rank_agreement
 from mtgames.reductions import build_cne_game, build_gne_game, challenge_sets
 from mtgames.search import find_gne

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from mtgames import equilibria
 from mtgames.arena import SEEKER, SPOILER
 from mtgames.core import InputError, Mtg
 from mtgames.equilibria import (DeviationOracle, KnowledgeNode, build_knowledge_arena,
-                                build_residual_arena, can_deviator_win_set, check_cne,
-                                check_gne, check_ne)
-from mtgames.generate import random_mtg
-from mtgames.solvers import solve_one_player
+                                can_deviator_win_set, check_cne, check_gne, check_ne,
+                                knowledge_active_mask)
+from mtgames.generate import random_mtg, random_strategy
+from mtgames.solvers import solve_conjunction
 from mtgames.strategy import Profile, constant_strategy, enumerate_strategies, wintop
 
 
@@ -74,18 +75,43 @@ class TestCanDeviatorWinSet:
         ok_b, witness_b = can_deviator_win_set(router, profile, "blue", frozenset({"B"}))
         assert ok_a and not ok_b and witness_b is None
 
-    def test_singleton_equals_residual_route(self, router):
+    def test_singleton_equals_residual_route(self, monkeypatch):
+        """Singletons take the residual route; the knowledge arena must agree on them."""
         rng = random.Random(21)
-        for _ in range(10):
-            game = random_mtg(rng, n_players=2, n_states=3)
-            profile = Profile((constant_strategy(game, game.actions[0]),
-                               constant_strategy(game, game.actions[-1])))
+        knowledge_targets = []
+        real_build = equilibria.build_knowledge_arena
+
+        def spy(game, profile, deviator, targets):
+            knowledge_targets.append(frozenset(targets))
+            return real_build(game, profile, deviator, targets)
+
+        positives = negatives = 0
+        gne_verdicts = set()
+        for _ in range(30):
+            game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 4),
+                              n_topologies=rng.randint(2, 3))
+            profile = Profile(tuple(random_strategy(rng, game, rng.randint(1, 3))
+                                    for _ in game.players))
             for p in game.players:
                 for t in game.topologies:
                     ok, _ = can_deviator_win_set(game, profile, p, frozenset({t}))
-                    arena = build_residual_arena(game, profile, p, t)
-                    res_ok, _ = solve_one_player(arena, 0)
-                    assert ok == res_ok, (p, t)
+                    arena = build_knowledge_arena(game, profile, p, frozenset({t}))
+                    want = solve_conjunction(arena, knowledge_active_mask(arena, [t])).winner
+                    assert ok == want, (p, t)
+                    positives += ok
+                    negatives += not ok
+            monkeypatch.setattr(equilibria, "build_knowledge_arena", spy)
+            gne = check_gne(game, profile)
+            gne_verdicts.add(gne.verdict)
+            assert not knowledge_targets, "check_gne built a knowledge arena"
+            assert gne.verdict == all(check_ne(game, t, profile).verdict
+                                      for t in game.topologies)
+            check_cne(game, profile)
+            assert all(len(ts) >= 2 for ts in knowledge_targets), \
+                "check_cne built a knowledge arena for a singleton"
+            monkeypatch.undo()
+            knowledge_targets.clear()
+        assert positives and negatives and gne_verdicts == {True, False}
 
     def test_antitone_in_targets(self, router):
         profile = Profile((constant_strategy(router, "0"), constant_strategy(router, "1")))

@@ -10,8 +10,8 @@ import mtgames
 from mtgames import cli
 from mtgames import io as mio
 from mtgames.core import InputError
-from mtgames.examples import data_path
 from mtgames.generate import random_mtg, random_profile
+from mtgames.io import data_path
 from mtgames.reductions import build_cne_game, build_gne_game
 from mtgames.strategy import Profile, constant_strategy
 
@@ -20,11 +20,13 @@ import random
 
 class TestGameFiles:
     def test_bundled_router_loads(self, router):
-        assert mio.load_game(data_path("router.game")) == router
+        text = data_path("router.game").read_text(encoding="utf-8")
+        assert mio.dumps_canonical(mio.game_to_dict(router)) == text
 
     def test_bundled_fig3_and_xor_load(self, fig3, xor):
-        assert mio.load_game(data_path("fig3.game")) == fig3
-        assert mio.load_game(data_path("xor.game")) == xor
+        for name, game in (("fig3.game", fig3), ("xor.game", xor)):
+            text = data_path(name).read_text(encoding="utf-8")
+            assert mio.dumps_canonical(mio.game_to_dict(game)) == text
 
     def test_round_trip_random_games(self, tmp_path):
         rng = random.Random(40)
@@ -167,10 +169,25 @@ class TestCli:
         code, doc = run_cli(["check", "gne", str(data_path("router.game")), str(ppath),
                              "--emit-arenas", str(out_dir)], capsys)
         assert code == 0
-        dumps = list(out_dir.glob("*.arena.txt"))
-        assert dumps
-        text = dumps[0].read_text()
+        names = sorted(d.name for d in out_dir.glob("*.arena.txt"))
+        assert names == ["gne-blue-A.arena.txt", "gne-blue-B.arena.txt"]
+        text = (out_dir / names[0]).read_text()
         assert "SEEKER" in text and "prio=" in text
+        code, _ = run_cli(["check", "ne", str(data_path("router.game")), str(ppath),
+                           "--topology", "A", "--emit-arenas", str(out_dir)], capsys)
+        assert code == 0
+        assert (out_dir / "ne-blue-A.arena.txt").exists()
+        assert not (out_dir / "ne-red-A.arena.txt").exists()
+
+    @pytest.mark.parametrize("args", [["gne", "fig3.game"], ["cne", "xor.game"]],
+                             ids=["gne-fig3", "cne-xor"])
+    def test_find_stdout_independent_of_jobs(self, capsys, args):
+        kind, game = args
+        outs = []
+        for jobs in ("1", "2"):
+            cli.main(["find", kind, str(data_path(game)), "--memory", "2", "--jobs", jobs])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_find_gne_exhausts_on_fig3(self, capsys):
         code, doc = run_cli(["find", "gne", str(data_path("fig3.game")),
@@ -323,6 +340,20 @@ class TestMalformedInput:
         line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
                                      capsys)
         assert line == f"error: {path}.blue: update target 'm9' not a memory state"
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.game"
+        line = assert_one_error_line(["symmetrize", str(data_path("router-base.game")),
+                                      "--out", str(out)], capsys)
+        assert str(out) in line
+
+    def test_emit_arenas_onto_existing_file(self, tmp_path, capsys):
+        existing = tmp_path / "router.game"
+        existing.write_text("{}")
+        line = assert_one_error_line(["check", "gne", str(data_path("router.game")),
+                                      str(data_path("turn-taking.profile")),
+                                      "--emit-arenas", str(existing)], capsys)
+        assert str(existing) in line
 
     @pytest.mark.parametrize("args, message", [
         (["find", "gne", "fig3.game", "--memory", "1", "--jobs", "0"],

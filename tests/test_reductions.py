@@ -139,10 +139,9 @@ class TestSemanticObjective:
         assert not semantic_objective(router_cne, lasso)
         assert not rank_parity(router_cne, lasso)
 
-    def test_obeying_win_on_intended_topology(self, router, router_cne):
+    def test_obeying_win_on_intended_topology(self, router_cne, turn_taking):
         # turn taking realizes the intended sets, so the obeying play satisfies it
-        from mtgames.examples import example_turn_taking_profile
-        profile = example_turn_taking_profile(router)
+        profile = turn_taking
         dev = DeviationChoice(player="blue", strategy=profile.by_player[0],
                               topologies=frozenset({"A"}))
         rho = simulate_h(router_cne, profile, dev, resolved="A")
