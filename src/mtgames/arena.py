@@ -68,9 +68,3 @@ class ArenaLasso:
     cycle: list[int]
     prefix_labels: list
     cycle_labels: list
-
-    def node_sequence(self, n: int) -> list[int]:
-        out = list(self.prefix)
-        while len(out) < n:
-            out.extend(self.cycle)
-        return out[:n]

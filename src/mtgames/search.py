@@ -1,22 +1,33 @@
 """Bounded-memory existence search with exact verification of every candidate.
 
-Profiles are enumerated by per-player memory-size vectors (ascending by total
-memory, then componentwise), and within a size vector in lexicographic order
-of the per-player strategy indices with the first player most significant.
-Candidates are screened in batches: the simulation kernels compute every
-player's winning-topology bitmask, cheap necessary conditions prune the bulk,
-and only survivors reach the exact deviation analysis. Whatever the search
-returns has passed the full equilibrium check, so a found profile re-verifies;
-absence after exhausting the space is NOT a proof of non-existence beyond the
-memory bound, and the result says so.
+Profiles are enumerated by per-player memory-size vectors, ordered by total
+memory and then componentwise, i.e. by ``(sum, vector)``. Within a size
+vector they come in tiles: each player's canonical strategies are cut into
+chunks of ``round(CHUNK_CAP ** (1 / n))``, the tile of the outer player
+changes slowest, and within a tile profiles are in lexicographic order of
+the per-player strategy indices, first player most significant. In router's
+(2, 2) block, for example, (blue 1, red 0) comes before (blue 0, red 362).
+
+Candidates are screened in batches. The multi-player questions of the GNE
+and the target search are one-player residual questions that depend on the
+other players' strategies alone, so ``_kernels.closed_walk_exists`` decides
+them once per distinct strategy: a target row is simulated only if no
+player's strategy rules it out, and a GNE candidate survives iff every
+player's winning set equals the set she can win alone, which is exact. The
+CNE search keeps a memoryless-deviation prefilter, a necessary condition.
+Whatever the search returns has passed the full equilibrium check, so a
+found profile re-verifies; absence after exhausting the space is NOT a proof
+of non-existence beyond the memory bound, and the result says so.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,30 +60,35 @@ def _size_vectors(n_players: int, bound: int):
 
 
 @dataclass
+class _PlayerChunk:
+    """One player's canonical strategies in a chunk: block indices and (B, M, S) tables.
+
+    ``walks`` keeps the closed-walk screen of these strategies as the one
+    fixed player (see ``_walk_masks``), so a cached inner chunk computes it
+    once for every outer chunk it meets.
+    """
+
+    indices: np.ndarray
+    upd: np.ndarray
+    act: np.ndarray
+    walks: np.ndarray | None = None
+
+
+@dataclass
 class _Chunk:
+    """The cross product of one chunk per player; row-major, the first player slowest."""
+
     sizes: tuple[int, ...]
-    per_player: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # indices, upd, act
-    positions: list[np.ndarray] = field(default_factory=list)
-    batch: int = 0
+    per_player: list[_PlayerChunk]
 
-    def expand(self) -> None:
-        lens = [len(idx) for idx, _, _ in self.per_player]
-        self.batch = math.prod(lens)
-        flat = np.arange(self.batch)
-        suffix = 1
-        positions = [None] * len(lens)
-        for p in range(len(lens) - 1, -1, -1):
-            positions[p] = (flat // suffix) % lens[p]
-            suffix *= lens[p]
-        self.positions = positions
+    def __post_init__(self) -> None:
+        self.lens = tuple(len(pc.indices) for pc in self.per_player)
+        self.batch = math.prod(self.lens)
 
-    def strategy_index(self, b: int, p: int) -> int:
-        idx, _, _ = self.per_player[p]
-        return int(idx[self.positions[p][b]])
-
-    def truncate(self, n: int) -> None:
-        self.batch = n
-        self.positions = [pos[:n] for pos in self.positions]
+    def positions(self, rows, players=None) -> list:
+        """Each player's (or each of ``players``') chunk position in ``rows``."""
+        pos = np.unravel_index(rows, self.lens)
+        return [pos[p] for p in (range(len(pos)) if players is None else players)]
 
 
 def _player_chunk_lists(game: Mtg, sizes: tuple[int, ...], cap_per_player: int):
@@ -85,20 +101,22 @@ def _player_chunk_lists(game: Mtg, sizes: tuple[int, ...], cap_per_player: int):
     cache: dict[int, list] = {}
 
     def chunks_of(p: int):
+        chunks = (_PlayerChunk(*chunk)
+                  for chunk in blocks[p].canonical_chunks(chunk_size=cap_per_player))
         # inner players are re-iterated once per outer chunk; keep small blocks
         # materialized so the canonical filter does not rerun
         if p > 0 and blocks[p].total <= _SMALL_BLOCK:
             if p not in cache:
-                cache[p] = list(blocks[p].canonical_chunks(chunk_size=cap_per_player))
+                cache[p] = list(chunks)
             return cache[p]
-        return blocks[p].canonical_chunks(chunk_size=cap_per_player)
+        return chunks
 
     def rec(p: int, acc: list):
         if p == len(blocks):
             yield _Chunk(sizes=sizes, per_player=list(acc))
             return
-        for indices, upd, act in chunks_of(p):
-            acc.append((indices, upd, act))
+        for pc in chunks_of(p):
+            acc.append(pc)
             yield from rec(p + 1, acc)
             acc.pop()
 
@@ -112,61 +130,127 @@ def _candidate_chunks(game: Mtg, bound: int):
         cap = CHUNK_CAP
     for sizes in _size_vectors(n, bound):
         for chunk in _player_chunk_lists(game, sizes, cap):
-            chunk.expand()
             if chunk.batch:
                 yield chunk
 
 
-def _wintop_masks(idx_game, chunk: _Chunk) -> np.ndarray:
-    """(batch, players) bitmask over topologies from the simulation kernel.
+def _topology_bits(flags: np.ndarray) -> np.ndarray:
+    """(rows, topologies, ...) bool -> (rows, ...) bitmask over topologies."""
+    bits = np.zeros(flags.shape[:1] + flags.shape[2:], dtype=np.int64)
+    for t in range(flags.shape[1]):
+        bits |= flags[:, t].astype(np.int64) << t
+    return bits
 
-    Each player's chunk tables go to the kernel once, with ``chunk.positions``
-    saying which of them every row plays.
+
+def _wintop_masks(idx_game, chunk: _Chunk,
+                  picks: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``chunk`` and their (rows, players) bitmasks over topologies.
+
+    Each player's chunk tables go to the simulation kernel once, with every
+    row's positions in them. With ``picks``, one array of chunk positions per
+    player, only the rows that play picked strategies alone are simulated,
+    against the picked tables; they are returned in ascending order.
     """
-    wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio,
-                                      [(upd, act) for _, upd, act in chunk.per_player],
-                                      idx_game.initial, idx_game.n_actions,
-                                      rows=chunk.positions)
-    n_top = wins.shape[1]
-    masks = np.zeros((chunk.batch, wins.shape[2]), dtype=np.int64)
-    for t in range(n_top):
-        masks |= wins[:, t, :].astype(np.int64) << t
+    if picks is None:
+        rows = np.arange(chunk.batch)
+        tables = [(pc.upd, pc.act) for pc in chunk.per_player]
+        index = chunk.positions(rows)
+    else:
+        sub = [len(k) for k in picks]
+        index = list(np.unravel_index(np.arange(math.prod(sub)), sub))
+        rows = np.ravel_multi_index([k[i] for k, i in zip(picks, index)], chunk.lens)
+        tables = [(pc.upd[k], pc.act[k]) for pc, k in zip(chunk.per_player, picks)]
+    if not len(rows):
+        return rows, np.zeros((0, len(tables)), dtype=np.int64)
+    wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
+                                      idx_game.initial, idx_game.n_actions, rows=index)
+    return rows, _topology_bits(wins)
+
+
+def _walk_masks(idx_game, chunk: _Chunk, fixed: list[int], wants: np.ndarray) -> np.ndarray:
+    """Topology bitmask of ``_kernels.closed_walk_exists`` per tuple of fixed strategies.
+
+    The players ``fixed`` play one strategy each from their chunks and the
+    others are free; tuples are in row-major order of the fixed players'
+    chunk positions. The kernel runs once per distinct tuple. With one fixed
+    player the result is kept on that player's chunk, since a search asks
+    one question per fixed player.
+    """
+    pcs = [chunk.per_player[q] for q in fixed]
+    if len(fixed) == 1 and pcs[0].walks is not None:
+        return pcs[0].walks
+    tables = [None] * len(chunk.per_player)
+    rows = [None] * len(chunk.per_player)
+    lens = [chunk.lens[q] for q in fixed]
+    for q, pc, grid in zip(fixed, pcs, np.indices(lens).reshape(len(fixed), -1)):
+        tables[q] = (pc.upd, pc.act)
+        rows[q] = grid
+    masks = _topology_bits(_kernels.closed_walk_exists(
+        idx_game.delta, idx_game.prio, tables, rows, idx_game.initial,
+        idx_game.n_actions, wants))
+    if len(fixed) == 1:
+        pcs[0].walks = masks
     return masks
 
 
-def _memoryless_deviation_bits(game: Mtg, idx_game, chunk: _Chunk,
-                               player: int) -> np.ndarray:
-    """(batch, n_dev) wintop bitmasks of every memoryless deviation of ``player``.
+def _alone_masks(idx_game, chunk: _Chunk, rows: np.ndarray, player: int) -> np.ndarray:
+    """Per row: bitmask of the topologies ``player`` can win alone against the row's others."""
+    co = [q for q in range(len(chunk.per_player)) if q != player]
+    wants = np.full((idx_game.prio.shape[0], len(chunk.per_player)), -1)
+    wants[:, player] = 0
+    alone = _walk_masks(idx_game, chunk, co, wants)
+    return alone[np.ravel_multi_index(chunk.positions(rows, co), [chunk.lens[q] for q in co])]
 
-    Necessary-condition prefilter for multi-player searches: any memoryless
+
+def _memoryless_deviation_bits(game: Mtg, idx_game, chunk: _Chunk, rows: np.ndarray,
+                               player: int) -> np.ndarray:
+    """(rows, n_dev) wintop bitmasks of every memoryless deviation of ``player``.
+
+    Necessary-condition prefilter for the CNE search: any memoryless
     deviation that already improves on a candidate disqualifies it before the
-    exact analysis runs. Row ``b * n_dev + d`` plays deviation ``d`` against
-    candidate ``b``'s co-strategies; the memoryless block and the chunk tables
-    each go to the kernel once, with index vectors.
+    exact analysis runs. Kernel row ``b * n_dev + d`` plays deviation ``d``
+    against the co-strategies of ``rows[b]``; the memoryless block and the
+    chunk tables each go to the kernel once, with index vectors.
     """
     dev_block = StrategyBlock(game, 1)
     n_dev = dev_block.total
-    batch = chunk.batch
+    batch = len(rows)
     flat = np.arange(batch * n_dev)
-    tables = [(upd, act) for _, upd, act in chunk.per_player]
+    tables = [(pc.upd, pc.act) for pc in chunk.per_player]
     tables[player] = dev_block.decode(np.arange(n_dev, dtype=np.int64))
-    rows = [flat % n_dev if p == player else pos[flat // n_dev]
-            for p, pos in enumerate(chunk.positions)]
+    index = [flat % n_dev if p == player else pos[flat // n_dev]
+             for p, pos in enumerate(chunk.positions(rows))]
     wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
-                                      idx_game.initial, idx_game.n_actions, rows=rows)
-    n_top = wins.shape[1]
-    bits = np.zeros(batch * n_dev, dtype=np.int64)
-    for t in range(n_top):
-        bits |= wins[:, t, player].astype(np.int64) << t
-    return bits.reshape(batch, n_dev)
+                                      idx_game.initial, idx_game.n_actions, rows=index)
+    return _topology_bits(wins[:, :, player]).reshape(batch, n_dev)
 
 
 def _materialize(game: Mtg, chunk: _Chunk, b: int) -> Profile:
-    strats = []
-    for p, m in enumerate(chunk.sizes):
-        block = StrategyBlock(game, m)
-        strats.append(block.strategy_at(chunk.strategy_index(b, p)))
-    return Profile(tuple(strats))
+    return Profile(tuple(StrategyBlock(game, m).strategy_at(int(pc.indices[pos]))
+                         for m, pc, pos in zip(chunk.sizes, chunk.per_player,
+                                               chunk.positions(b))))
+
+
+def _ordered_map(fn, tasks, jobs: int):
+    """``map(fn, tasks)`` on ``jobs`` threads, in order, with at most ``2 * jobs`` tasks in flight.
+
+    ``tasks`` is drawn in the calling thread. Closing the generator cancels
+    the tasks not yet started.
+    """
+    if jobs == 1:
+        yield from map(fn, tasks)
+        return
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    pending: deque = deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(fn, task))
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
@@ -202,27 +286,6 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 oracle.can_win(placeholder, p, targets)[0]
                 for p, targets in deviation_questions(game, kind, {p0: wset}))
 
-    def survivors_of(chunk: _Chunk, masks: np.ndarray) -> np.ndarray:
-        if kind == "target":
-            ok = np.ones(chunk.batch, dtype=bool)
-            for p in range(n_players):
-                ok &= masks[:, p] == target_masks[p]
-            return np.nonzero(ok)[0]
-        ok = np.ones(chunk.batch, dtype=bool)
-        for p in range(n_players):
-            w = masks[:, p]
-            full = w == all_mask
-            if bool(np.all(full)):
-                continue
-            dev_bits = _memoryless_deviation_bits(game, idx_game, chunk, p)
-            if kind == "gne":
-                bad = (dev_bits & ~w[:, None]) != 0
-            else:
-                covers = (dev_bits & w[:, None]) == w[:, None]
-                bad = covers & (dev_bits != w[:, None])
-            ok &= full | ~bad.any(axis=1)
-        return np.nonzero(ok)[0]
-
     def finalize(profile: Profile) -> EquilibriumReport | None:
         if kind == "target":
             won = wintop_map(game, profile)
@@ -252,10 +315,8 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                                               idx_game.n_actions)
             return task, keep, bits
 
-        pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        stream = pool.map(evaluate_sweep, tasks()) if pool else map(evaluate_sweep, tasks())
         examined = 0
-        try:
+        with closing(_ordered_map(evaluate_sweep, tasks(), jobs)) as stream:
             for (m, lo, _), keep, bits in stream:
                 kept = np.nonzero(keep)[0]
                 hit_budget = budget is not None and examined + len(kept) >= budget
@@ -274,46 +335,72 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 if hit_budget:
                     return SearchResult("budget-exhausted", None, None,
                                         examined, memory_bound)
-            return SearchResult("exhausted-space", None, None, examined, memory_bound,
-                                note=EXHAUSTED_NOTE)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    examined = 0
-    chunks = _candidate_chunks(game, memory_bound)
-
-    def evaluate(chunk: _Chunk):
-        return chunk, _wintop_masks(idx_game, chunk)
-
-    if jobs > 1:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        stream = pool.map(evaluate, chunks)
-    else:
-        pool = None
-        stream = map(evaluate, chunks)
-    try:
-        for chunk, masks in stream:
-            if budget is not None and examined + chunk.batch > budget:
-                keep = budget - examined
-                chunk.truncate(keep)
-                masks = masks[:keep]
-                if keep == 0:
-                    return SearchResult("budget-exhausted", None, None, examined, memory_bound)
-            for b in survivors_of(chunk, masks):
-                profile = _materialize(game, chunk, int(b))
-                report = finalize(profile)
-                if report is not None:
-                    return SearchResult("found", profile, report,
-                                        examined + int(b) + 1, memory_bound)
-            examined += chunk.batch
-            if budget is not None and examined >= budget:
-                return SearchResult("budget-exhausted", None, None, examined, memory_bound)
         return SearchResult("exhausted-space", None, None, examined, memory_bound,
                             note=EXHAUSTED_NOTE)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+
+    if kind == "target":
+        # the parity each player's minimum must have in each topology
+        target_wants = np.array([[int(t not in targets[p]) for p in game.players]
+                                 for t in game.topologies])
+
+    def chunk_tasks():
+        # runs in the consuming thread, like survivors_of, so the screen
+        # results kept on the chunks need no lock
+        for chunk in _candidate_chunks(game, memory_bound):
+            picks = None
+            if kind == "target":
+                # a strategy that fails a topology against every play of the
+                # other players rules out each row that contains it
+                picks = [np.nonzero(_walk_masks(idx_game, chunk, [p], target_wants)
+                                    == all_mask)[0] for p in range(n_players)]
+            yield chunk, picks
+
+    def evaluate(task):
+        chunk, picks = task
+        return (chunk, *_wintop_masks(idx_game, chunk, picks))
+
+    def survivors_of(chunk: _Chunk, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        if kind == "target":
+            return np.nonzero((masks == target_masks).all(axis=1))[0]
+        ok = np.ones(len(rows), dtype=bool)
+        for p in range(n_players):
+            w = masks[:, p]
+            if kind == "gne":
+                # a player wins alone every topology she wins now, so the
+                # candidate is a GNE iff each player wins all she can alone
+                ok &= w == _alone_masks(idx_game, chunk, rows, p)
+                continue
+            full = w == all_mask
+            if bool(np.all(full)):
+                continue
+            dev_bits = _memoryless_deviation_bits(game, idx_game, chunk, rows, p)
+            covers = (dev_bits & w[:, None]) == w[:, None]
+            bad = covers & (dev_bits != w[:, None])
+            ok &= full | ~bad.any(axis=1)
+        return np.nonzero(ok)[0]
+
+    examined = 0
+    with closing(_ordered_map(evaluate, chunk_tasks(), jobs)) as stream:
+        for chunk, rows, masks in stream:
+            batch = chunk.batch
+            if budget is not None and examined + batch > budget:
+                batch = budget - examined
+                if batch == 0:
+                    return SearchResult("budget-exhausted", None, None, examined, memory_bound)
+                n = np.searchsorted(rows, batch)
+                rows, masks = rows[:n], masks[:n]
+            for i in survivors_of(chunk, rows, masks):
+                b = int(rows[i])
+                profile = _materialize(game, chunk, b)
+                report = finalize(profile)
+                if report is not None:
+                    return SearchResult("found", profile, report, examined + b + 1,
+                                        memory_bound)
+            examined += batch
+            if budget is not None and examined >= budget:
+                return SearchResult("budget-exhausted", None, None, examined, memory_bound)
+    return SearchResult("exhausted-space", None, None, examined, memory_bound,
+                        note=EXHAUSTED_NOTE)
 
 
 def find_gne(game: Mtg, memory_bound: int, budget: int | None = None,

@@ -91,16 +91,6 @@ def constant_strategy(game: Mtg, action: str) -> MooreStrategy:
         act={("m0", s): action for s in game.states})
 
 
-def periodic_strategy(game: Mtg, actions: list[str]) -> MooreStrategy:
-    """A state-blind strategy cycling through ``actions``, one per round."""
-    n = len(actions)
-    mems = tuple(f"m{i}" for i in range(n))
-    return MooreStrategy(
-        memory=mems, init="m0",
-        update={(f"m{i}", s): f"m{(i + 1) % n}" for i in range(n) for s in game.states},
-        act={(f"m{i}", s): actions[i] for i in range(n) for s in game.states})
-
-
 @dataclass(frozen=True, slots=True)
 class Profile:
     """One strategy per player, in player order."""
@@ -223,9 +213,6 @@ class StrategyBlock:
                 update[cell] = mems[int(upd[0, i, j])]
                 action[cell] = self.game.actions[int(act[0, i, j])]
         return MooreStrategy(memory=mems, init="m0", update=update, act=action)
-
-    def count_canonical(self) -> int:
-        return sum(len(idx) for idx, _, _ in self.canonical_chunks())
 
 
 def enumerate_strategies(game: Mtg, memory_bound: int):

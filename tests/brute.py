@@ -7,7 +7,7 @@ import itertools
 from mtgames.arena import SEEKER, Arena
 from mtgames.core import Mtg
 from mtgames.solvers import effective_priorities
-from mtgames.strategy import Profile
+from mtgames.strategy import MooreStrategy, Profile
 
 
 def functional_min_parity(next_node: dict[int, int], prio: dict[int, int], start: int) -> bool:
@@ -184,3 +184,47 @@ def raw_step_wintop(game: Mtg, profile: Profile, player: str) -> frozenset[str]:
         if min(game.priority[(t, player, u)] for u in set(tail)) % 2 == 0:
             wins.add(t)
     return frozenset(wins)
+
+
+def residual_closed_walk(game: Mtg, fixed: dict[int, MooreStrategy], topology: str,
+                         wants: dict[int, int]) -> bool:
+    """Is there a closed walk, reachable from the start, with the wanted minima parities?
+
+    The players in ``fixed`` play their strategies and the others choose
+    freely at every step. Exhausts the node sets of the reachable residual
+    graph: a closed walk visits exactly the nodes of a set that is strongly
+    connected through its own nodes, and each such set has one.
+    """
+    order = sorted(fixed)
+    start = (game.initial, tuple(fixed[i].init for i in order))
+    nodes, succ = [start], {}
+    for node in nodes:
+        s, mems = node
+        succ[node] = set()
+        for actions in game.action_profiles():
+            if any(actions[i] != fixed[i].action(m, s) for i, m in zip(order, mems)):
+                continue
+            child = (game.transition[(topology, s, actions)],
+                     tuple(fixed[i].advance(m, s) for i, m in zip(order, mems)))
+            succ[node].add(child)
+            if child not in succ and child not in nodes:
+                nodes.append(child)
+    for size in range(1, len(nodes) + 1):
+        for part in itertools.combinations(nodes, size):
+            inside = set(part)
+            closed = True
+            for u in part:
+                seen, frontier = set(), [u]
+                while frontier:
+                    for w in succ[frontier.pop()] & inside:
+                        if w not in seen:
+                            seen.add(w)
+                            frontier.append(w)
+                if seen != inside:
+                    closed = False
+                    break
+            if closed and all(min(game.priority[(topology, game.players[q], s)]
+                                  for s, _ in part) % 2 == want
+                              for q, want in wants.items()):
+                return True
+    return False

@@ -4,12 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from brute import raw_step_wintop
+from brute import raw_step_wintop, residual_closed_walk
 from mtgames import _kernels
 from mtgames.core import Mtg, compile_tables
+from mtgames.equilibria import can_deviator_win_set
 from mtgames.generate import random_mtg, random_profile, random_strategy
 from mtgames.search import find_profile_with_wintop
-from mtgames.strategy import MooreStrategy, Profile, StrategyBlock, wintop
+from mtgames.strategy import (MooreStrategy, Profile, StrategyBlock, constant_strategy,
+                              wintop)
 
 class TestCodecs:
     def test_decode_encode_roundtrip(self):
@@ -405,3 +407,134 @@ class TestIndexedTables:
             with pytest.raises(ValueError):
                 _kernels.simulate_min_even(idx.delta, idx.prio, tables, idx.initial,
                                            idx.n_actions, rows=rows)
+
+
+def _stacked(game, strategies):
+    """One player's ``(update, act)`` tables for strategies of one memory size."""
+    pairs = [s.tables(game) for s in strategies]
+    return np.concatenate([u for u, _ in pairs]), np.concatenate([a for _, a in pairs])
+
+
+def _closed_walks(game, fixed, wants):
+    """Kernel flags (batch, top) for ``fixed``: player index -> list of strategies, one per graph."""
+    idx = compile_tables(game)
+    tables = [_stacked(game, fixed[p]) if p in fixed else None for p in range(len(game.players))]
+    rows = [np.arange(len(fixed[p])) if p in fixed else None for p in range(len(game.players))]
+    return _kernels.closed_walk_exists(idx.delta, idx.prio, tables, rows, idx.initial,
+                                       idx.n_actions, np.asarray(wants))
+
+
+def _graph_game(succ, prio):
+    """Two players, one topology, states 0..n-1: the free player 1 picks successor
+    ``succ[s][a]`` with action ``a`` whatever player 0 plays; ``prio`` is one
+    row of priorities per player."""
+    states = tuple(str(s) for s in range(len(succ)))
+    transition = {("t", s, (a0, a1)): str(succ[int(s)][int(a1)])
+                  for s in states for a0 in "01" for a1 in "01"}
+    priority = {("t", p, s): prio[i][int(s)] for i, p in enumerate(("p0", "p1")) for s in states}
+    return Mtg(players=("p0", "p1"), states=states, initial="0", actions=("0", "1"),
+               topologies=("t",), transition=transition, priority=priority)
+
+
+class TestClosedWalk:
+    def test_matches_residual_solver_on_random_games(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 3),
+                              n_topologies=rng.randint(1, 3), max_priority=rng.randint(1, 5))
+            n_pla = len(game.players)
+            memory = [rng.randint(1, 3) for _ in game.players]
+            batch = rng.randint(1, 4)
+            strategies = [[random_strategy(rng, game, m) for _ in range(batch)] for m in memory]
+            for dev in range(n_pla):
+                wants = np.full((len(game.topologies), n_pla), -1)
+                wants[:, dev] = 0
+                got = _closed_walks(game, {p: strategies[p] for p in range(n_pla) if p != dev},
+                                    wants)
+                for b in range(batch):
+                    profile = Profile(tuple(strategies[p][b] for p in range(n_pla)))
+                    for ti, t in enumerate(game.topologies):
+                        want, _ = can_deviator_win_set(game, profile, game.players[dev],
+                                                       frozenset({t}))
+                        assert got[b, ti] == want, (dev, b, t)
+
+    def test_graph_over_64_nodes(self):
+        rng = random.Random(62)
+        game = random_mtg(rng, n_players=3, n_states=8, n_topologies=2, max_priority=4)
+        strategies = [random_strategy(rng, game, 3) for _ in game.players]
+        profile = Profile(tuple(strategies))
+        wants = np.full((2, 3), -1)
+        wants[:, 0] = 0
+        got = _closed_walks(game, {1: [strategies[1]], 2: [strategies[2]]}, wants)
+        assert 3 * 3 * 8 > 64
+        for ti, t in enumerate(game.topologies):
+            assert got[0, ti] == can_deviator_win_set(game, profile, "p0", frozenset({t}))[0]
+
+    def test_several_wanted_rows_match_brute_force(self):
+        rng = random.Random(63)
+        for _ in range(60):
+            game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 3),
+                              n_topologies=rng.randint(1, 2), max_priority=rng.randint(1, 4))
+            n_pla = len(game.players)
+            fixed = rng.sample(range(n_pla), rng.randint(1, n_pla - 1))
+            memory = {p: rng.randint(1, 3 if len(fixed) == 1 else 2) for p in fixed}
+            strategies = {p: [random_strategy(rng, game, memory[p]) for _ in range(2)]
+                          for p in fixed}
+            wants = np.array([[rng.choice((-1, 0, 1)) for _ in range(n_pla)]
+                              for _ in game.topologies])
+            got = _closed_walks(game, strategies, wants)
+            for b in range(2):
+                for ti, t in enumerate(game.topologies):
+                    want = residual_closed_walk(
+                        game, {p: strategies[p][b] for p in fixed}, t,
+                        {q: int(w) for q, w in enumerate(wants[ti]) if w >= 0})
+                    assert got[b, ti] == want, (b, t, wants[ti])
+
+    @staticmethod
+    def _decide(succ, prio, wants):
+        game = _graph_game(succ, prio)
+        return bool(_closed_walks(game, {0: [constant_strategy(game, "0")]}, [wants])[0, 0])
+
+    def test_long_cycle_needs_the_whole_closure(self):
+        # 0 -> 1 -> ... -> 6 -> 0: the only closed walk has length 7
+        ring = [(s + 1) % 7 for s in range(7)]
+        succ = [(r, r) for r in ring]
+        assert self._decide(succ, [[0] + [1] * 6, [1] * 7], [0, -1])
+        assert self._decide(succ, [[1] * 6 + [0], [1] * 7], [0, -1])
+
+    def test_minimum_must_hold_on_the_whole_walk(self):
+        # 0 <-> 1 and 1 -> 1: every closed walk sees priority 1
+        succ = [(1, 1), (0, 1)]
+        assert not self._decide(succ, [[2, 1], [0, 0]], [0, -1])
+        # 0 <-> 1 and 0 -> 0: the walk 0, 0, ... has minimum 2
+        succ = [(1, 0), (0, 0)]
+        assert self._decide(succ, [[2, 1], [0, 0]], [0, -1])
+
+    def test_good_cycle_must_be_reachable(self):
+        # start 0 loops on priority 1; node 1 loops on 0 but cannot be reached
+        succ = [(0, 0), (1, 0)]
+        assert not self._decide(succ, [[1, 0], [0, 0]], [0, -1])
+        assert self._decide(succ, [[1, 0], [0, 0]], [1, -1])
+
+    def test_wanted_rows_need_one_common_cycle(self):
+        # 0 -> 1 or 2; node 1 loops, even for p0 only; node 2 loops, even for p1 only
+        prio = [[1, 0, 1], [1, 1, 0]]
+        succ = [(1, 2), (1, 1), (2, 2)]
+        assert self._decide(succ, prio, [0, 1])
+        assert self._decide(succ, prio, [1, 0])
+        assert not self._decide(succ, prio, [0, 0])
+        # joined 1 <-> 2, one cycle through both is even for both
+        succ = [(1, 2), (1, 2), (1, 2)]
+        assert self._decide(succ, prio, [0, 0])
+
+    def test_arguments_are_checked(self):
+        game = random_mtg(random.Random(64), n_players=2)
+        idx = compile_tables(game)
+        tables = StrategyBlock(game, 1).decode(np.arange(3))
+        wants = np.zeros((2, 2), dtype=int)
+        for pairs, rows in (([None, None], [None, None]),
+                            ([tables, tables], [np.arange(3), np.arange(2)]),
+                            ([tables], [np.arange(3)])):
+            with pytest.raises(ValueError):
+                _kernels.closed_walk_exists(idx.delta, idx.prio, pairs, rows, idx.initial,
+                                            idx.n_actions, wants)

@@ -2,14 +2,15 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mtgames import io
+from mtgames import io, search
 from mtgames.core import InputError
 from mtgames.equilibria import check_cne, check_gne
-from mtgames.generate import random_mtg
+from mtgames.generate import random_mtg, random_profile
 from mtgames.search import find_cne, find_gne, find_profile_with_wintop
-from mtgames.strategy import wintop
+from mtgames.strategy import wintop, wintop_map
 
 
 class TestFindGne:
@@ -103,6 +104,31 @@ class TestSearchMechanics:
         assert base.examined == multi.examined
         assert find_gne(fig3, 2, jobs=1).examined == find_gne(fig3, 2, jobs=4).examined
 
+    def test_early_stop_starts_few_tasks(self, router, monkeypatch):
+        started = []
+        masks = search._wintop_masks
+
+        def spy(*args):
+            started.append(1)
+            return masks(*args)
+        monkeypatch.setattr(search, "_wintop_masks", spy)
+        result = find_gne(router, 2, jobs=2)
+        assert result.status == "found" and result.examined <= 64  # the (1, 1) chunk
+        assert len(started) <= 2 * 2
+
+    def test_ordered_map_keeps_order_and_bounds_work_in_flight(self):
+        pulled = []
+
+        def tasks():
+            for i in range(100):
+                pulled.append(i)
+                yield i
+        stream = search._ordered_map(lambda i: i * i, tasks(), 3)
+        assert [next(stream) for _ in range(5)] == [i * i for i in range(5)]
+        stream.close()
+        assert len(pulled) <= 5 + 2 * 3
+        assert list(search._ordered_map(lambda i: -i, range(7), 2)) == [-i for i in range(7)]
+
     def test_monotone_in_memory_bound(self, router):
         first = find_gne(router, 1)
         assert first.status == "found"
@@ -125,6 +151,92 @@ class TestSearchMechanics:
             if result.status == "found":
                 assert check_cne(game, result.profile).verdict
         assert found > 0
+
+
+def _reference_scan(game, kind, bound, budget=None, targets=None):
+    """Every row in ``_candidate_chunks`` order, each decided on its own, with no screen."""
+    examined = 0
+    for chunk in search._candidate_chunks(game, bound):
+        for b in range(chunk.batch):
+            if examined == budget:
+                return "budget-exhausted", examined, None
+            examined += 1
+            profile = search._materialize(game, chunk, b)
+            if (wintop_map(game, profile) == targets if kind == "target"
+                    else check_gne(game, profile).verdict):
+                return "found", examined, profile
+    return "exhausted-space", examined, None
+
+
+class TestScreenedSearchEqualsReference:
+    """The closed-walk screen changes no status, count or profile, across many tiles."""
+
+    @staticmethod
+    def _run(game, kind, bound, budget=None, targets=None):
+        if kind == "target":
+            result = find_profile_with_wintop(game, targets, bound, budget=budget)
+        else:
+            result = find_gne(game, bound, budget=budget)
+        return result.status, result.examined, result.profile
+
+    @pytest.mark.parametrize("n_players, n_states, bound", [(2, 2, 2), (2, 3, 1), (3, 3, 1)])
+    def test_random_games(self, n_players, n_states, bound, monkeypatch):
+        monkeypatch.setattr(search, "CHUNK_CAP", 16)  # four strategies per player a tile
+        rng = random.Random(10 * n_players + n_states)
+        for _ in range(8):
+            game = random_mtg(rng, n_players=n_players, n_states=n_states,
+                              n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
+            aimed = {p: frozenset(rng.sample(game.topologies, rng.randint(0, 2)))
+                     for p in game.players}
+            reachable = wintop_map(game, random_profile(rng, game, bound))
+            for kind, targets in (("gne", None), ("target", aimed), ("target", reachable)):
+                want = _reference_scan(game, kind, bound, budget=3000, targets=targets)
+                assert self._run(game, kind, bound, 3000, targets) == want
+
+    @pytest.mark.parametrize("n_players, n_states", [(2, 3), (3, 2)])
+    def test_gne_screen_keeps_exactly_the_equilibria(self, n_players, n_states):
+        rng = random.Random(90 + n_players)
+        kept = 0
+        for _ in range(4):
+            game = random_mtg(rng, n_players=n_players, n_states=n_states,
+                              n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
+            idx_game = search.compile_tables(game)
+            for chunk in search._candidate_chunks(game, 1):
+                rows, masks = search._wintop_masks(idx_game, chunk)
+                screen = np.ones(len(rows), dtype=bool)
+                for p in range(n_players):
+                    screen &= masks[:, p] == search._alone_masks(idx_game, chunk, rows, p)
+                for b in rows:
+                    profile = search._materialize(game, chunk, int(b))
+                    assert screen[b] == check_gne(game, profile).verdict
+                kept += int(screen.sum())
+        assert 0 < kept
+
+    def test_budget_ends_inside_a_tile_with_pruned_rows(self, monkeypatch):
+        monkeypatch.setattr(search, "CHUNK_CAP", 16)
+        rng = random.Random(75)
+        for _ in range(20):
+            game = random_mtg(rng, n_players=2, n_states=2, n_topologies=2)
+            targets = wintop_map(game, random_profile(rng, game, 2))
+            wants = np.array([[int(t not in targets[p]) for p in game.players]
+                              for t in game.topologies])
+            idx_game = search.compile_tables(game)
+            examined = 0
+            for chunk in search._candidate_chunks(game, 2):
+                # rows with a strategy that fails the targets against every
+                # co-play are pruned; the others are simulated
+                ok = [search._walk_masks(idx_game, chunk, [p], wants) == 3 for p in range(2)]
+                if not ok[0].all() and ok[0].any() and ok[1].any():
+                    break
+                examined += chunk.batch
+            else:
+                continue
+            budget = examined + chunk.batch // 2
+            want = _reference_scan(game, "target", 2, budget=budget, targets=targets)
+            assert self._run(game, "target", 2, budget, targets) == want
+            if want[0] == "budget-exhausted":
+                return
+        pytest.fail("no search ended inside a tile with both pruned and simulated rows")
 
 
 GOLDEN_SEARCHES = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "search.json"
