@@ -8,13 +8,15 @@ search both ride on it.
 
 There is one simulation walk, in ``simulate_min_even``. The sweep
 ``sweep_block``, which varies one player's strategy over an index range, only
-filters that range for canonical strategies and hands the kept rows to it.
-The walk follows a functional graph: per candidate row the strategy tables
-fold into one next-position table over product positions (players' memories,
-then the game state); the walkers of all rows and topologies sit side by side
-in one flat array, and each step is one ``np.take``. Callers pass each
-player's distinct tables once, with per-row indices into them, and the key
-shares of each distinct table are computed once. Rows go in sub-batches of
+filters that range with ``canonical_range``, the one canonicity test, and
+hands the kept rows to it. The walk follows a functional graph: per candidate
+row the strategy tables fold into one next-position table over product
+positions (players' memories, then the game state); the walkers of all rows
+and topologies sit side by side in one flat array, and each step is one
+``np.take`` of the next positions plus one ``np.take`` and one ``np.minimum``
+that fold every player's priority at once. Callers pass each player's
+distinct tables once, with per-row indices into them, and the key shares of
+each distinct table are computed once. Rows go in sub-batches of
 ``SUB_BATCH`` so the arrays stay cache-sized. A sub-batch walks in rounds of
 doubling length and stops once every walker's lasso has closed (Brent, "An
 improved Monte Carlo factorization algorithm", BIT 20, 1980); with
@@ -37,7 +39,6 @@ import math
 
 import numpy as np
 
-_INT_MAX = np.int32(2147483647)
 SUB_BATCH = 1 << 13
 
 
@@ -65,10 +66,9 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
 
     Each distinct table's share of the step keys is computed once; a row's
     keys are then one gather per indexed table. The walk takes ``SUB_BATCH``
-    rows at a time, as the module docstring describes. Each walker ORs in
-    every player's priority one-hot over its cycle, one bit field per player,
-    so a field's lowest set bit is that player's cycle minimum; fields wider
-    than 63 bits in total fall back to a running minimum per player.
+    rows at a time, as the module docstring describes, and folds every
+    player's minimum at once over one table of priorities, a row per flat
+    walker position and a column per player.
     """
     n_top, n_pla, n_states = prio.shape
     if len(tables) != n_pla or (rows is not None and len(rows) != n_pla):
@@ -115,18 +115,13 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
             else:
                 indexed.append((share, index))
 
-    low = int(prio.min())
-    width = int(prio.max()) - low + 1
-    if n_pla * width <= 63:
-        even = sum(1 << v for v in range(width) if (v + low) % 2 == 0)
-        shift = (np.arange(n_pla) * width)[None, :, None] + (prio - low)
-        per_state = [np.bitwise_or.reduce(np.left_shift(1, shift, dtype=np.int64), axis=1)]
-        op, fill = np.bitwise_or, 0
-    else:
-        per_state, op, fill = list(prio.transpose(1, 0, 2)), np.minimum, _INT_MAX
-    # accumulator tables over the flat indices of a full sub-batch; a shorter one uses a prefix
-    full = (min(batch, SUB_BATCH), window, n_top)
-    per_index = [np.broadcast_to(table[:, states_at].T, full).ravel() for table in per_state]
+    # each walker's priorities, one column per player, over the flat indices
+    # of a full sub-batch; a shorter one uses a prefix
+    narrow = np.promote_types(np.min_scalar_type(int(prio.min())),
+                              np.min_scalar_type(int(prio.max())))
+    per_walker = prio[:, :, states_at].transpose(2, 0, 1).astype(narrow)
+    full = (min(batch, SUB_BATCH), *per_walker.shape)
+    table = np.broadcast_to(per_walker, full).reshape(-1, n_pla)
 
     wins = np.empty((batch, n_top, n_pla), dtype=bool)
     for lo in range(0, batch, SUB_BATCH):
@@ -137,60 +132,52 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
         offsets = np.arange(hi - lo, dtype=itype)[:, None] * (window * n_top)
         nxt = (np.take(lookup, key, axis=0).reshape(hi - lo, -1) + offsets).ravel()
         start = (offsets + (s0 * n_top + np.arange(n_top, dtype=itype))).ravel()
-        accs, _ = _fold_cycles(nxt, start, per_index, op, fill, window)
-        out = wins[lo:hi].reshape(-1, n_pla)
-        for p in range(n_pla):
-            if op is np.minimum:
-                out[:, p] = accs[p] % 2 == 0
-            else:
-                field = accs[0] >> (p * width)  # p's field is never empty, so no mask
-                out[:, p] = (field & -field & even) != 0
+        minima, _ = _fold_cycles(nxt, start, table, window)
+        wins[lo:hi] = (minima % 2 == 0).reshape(hi - lo, n_top, n_pla)
     return wins
 
 
-def _fold_cycles(nxt: np.ndarray, pos: np.ndarray, tables: list[np.ndarray], op, fill,
-                 window: int) -> tuple[list[np.ndarray], int]:
-    """Fold ``op`` over ``table[v]`` for the nodes ``v`` on each walker's cycle.
+def _fold_cycles(nxt: np.ndarray, pos: np.ndarray, table: np.ndarray,
+                 window: int) -> tuple[np.ndarray, int]:
+    """Per walker, the column-wise minimum of ``table[v]`` over the nodes ``v`` on its cycle.
 
     ``nxt`` is a functional graph whose every walk from ``pos`` closes its
-    lasso (tail plus cycle) within ``window`` nodes. Returns one accumulator
-    per table and the number of steps walked, at most ``2 * window``.
+    lasso (tail plus cycle) within ``window`` nodes, and ``table`` has one
+    row per node. Returns the ``(walkers, columns)`` minima and the number of
+    steps walked, at most ``2 * window``.
 
     The walk goes in rounds of 1, 2, 4, ... steps (Brent's cycle detection).
-    A round starts from a mark, each walker's position then, with fresh
-    accumulators; a walker that steps onto its mark again has its mark on its
-    cycle, and a round that long has covered that cycle. Such a walker closes
-    again in every later, longer round. The walk stops after the first round
-    in which every walker closed. Once the rounds would pass ``window``
+    A round starts from a mark, each walker's position then, and folds its
+    minima afresh; a walker that steps onto its mark again has its mark on
+    its cycle, and a round that long has covered that cycle. Such a walker
+    closes again in every later, longer round. The walk stops after the first
+    round in which every walker closed. Once the rounds would pass ``window``
     steps, the walkers still open go on alone: after ``window`` steps they
     are on their cycles, and the next ``window`` steps cover them.
     """
     walked, length = 0, 1
     while walked + length <= window:
         mark = pos
-        accs = [np.full(pos.shape, fill, dtype=table.dtype) for table in tables]
         closed = np.zeros(pos.shape, dtype=bool)
-        for _ in range(length):
+        for step in range(length):
             pos = np.take(nxt, pos)
             closed |= pos == mark
-            for table, acc in zip(tables, accs):
-                op(acc, np.take(table, pos), out=acc)
+            here = np.take(table, pos, axis=0)
+            minima = here if step == 0 else np.minimum(minima, here, out=minima)
         walked += length
         if closed.all():
-            return accs, walked
+            return minima, walked
         length *= 2
     still = np.nonzero(~closed)[0]
     pos = pos[still]
     for _ in range(window - walked):
         pos = np.take(nxt, pos)
-    still_accs = [np.full(pos.shape, fill, dtype=table.dtype) for table in tables]
-    for _ in range(window):
+    for step in range(window):
         pos = np.take(nxt, pos)
-        for table, acc in zip(tables, still_accs):
-            op(acc, np.take(table, pos), out=acc)
-    for acc, still_acc in zip(accs, still_accs):
-        acc[still] = still_acc
-    return accs, 2 * window
+        here = np.take(table, pos, axis=0)
+        still_minima = here if step == 0 else np.minimum(still_minima, here, out=still_minima)
+    minima[still] = still_minima
+    return minima, 2 * window
 
 
 def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
@@ -357,6 +344,41 @@ def canonical_mask(upd_digits: np.ndarray, act_digits: np.ndarray, m: int,
     return keep
 
 
+def canonical_range(lo: int, hi: int, m: int, n_states: int,
+                    n_actions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical strategies among the indices ``[lo, hi)`` of the ``m``-memory block.
+
+    Returns ``(keep, upd, row)``: ``keep[i]`` flags index ``lo + i`` as
+    :func:`canonical_mask` does, ``upd`` holds the range's distinct update
+    tables as digit rows, and ``row[i]`` is the one index ``lo + i`` plays.
+    Consecutive indices share one update table per block of act tables, so
+    the renaming test runs on the distinct update tables, and act digits are
+    decoded only for the indices that tie on theirs.
+    """
+    cells = m * n_states
+    n_act_tables = n_actions ** cells
+    indices = np.arange(lo, hi, dtype=np.int64)
+    distinct = np.arange(lo // n_act_tables, (hi - 1) // n_act_tables + 1, dtype=np.int64)
+    upd = decode_tables(distinct, cells, m)
+    row = indices // n_act_tables - lo // n_act_tables
+    keep = np.ones(hi - lo, dtype=bool)
+    if m <= 2:
+        return keep, upd, row
+    phis, _ = renaming_perms(m)
+    for phi in phis:
+        # digit c of a table moves to cell phi[c // n_states] * n_states + c % n_states
+        moved = phi[np.arange(cells) // n_states] * n_states + np.arange(cells) % n_states
+        rel_u = (phi.astype(np.int64)[upd] * m ** (cells - 1 - moved)).sum(axis=1)
+        keep &= (rel_u >= distinct)[row]
+        ties = np.nonzero((rel_u == distinct)[row] & keep)[0]
+        if len(ties):
+            a_idx = indices[ties] % n_act_tables
+            rel_a = (decode_tables(a_idx, cells, n_actions)
+                     * n_actions ** (cells - 1 - moved)).sum(axis=1)
+            keep[ties[rel_a < a_idx]] = False
+    return keep, upd, row
+
+
 def sweep_block(delta: np.ndarray, prio: np.ndarray,
                 fixed_tables: list[tuple[np.ndarray, np.ndarray] | None],
                 var_player: int, m_var: int, lo: int, hi: int,
@@ -371,59 +393,27 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
     simulation result. This is the hot path of the bounded searches and the
     brute-force deviation oracle.
 
-    Canonicity depends only on the update/act tables; consecutive indices share
-    one update table per ``n_act_tables`` block, so the renaming test runs on
-    the distinct update tables and act digits are only decoded for ties. The
-    range's distinct update tables and act tables, each decoded once, take the
-    ``var_player`` slot of one :func:`simulate_min_even` call, with every kept
-    row's update and act index; each fixed co-strategy is one shared table,
-    and the bitmask is read off that player's column.
+    :func:`canonical_range` filters the range and hands back its distinct
+    update tables; with the range's act tables they take the ``var_player``
+    slot of one :func:`simulate_min_even` call, indexed by the kept rows.
     """
     n_top, _, n_states = prio.shape
     n_act_tables = n_actions ** (m_var * n_states)
-    count = hi - lo
-    cells = m_var * n_states
-    indices = np.arange(lo, hi, dtype=np.int64)
-    u_idx = indices // n_act_tables
-    a_idx = indices % n_act_tables
-
-    keep = np.ones(count, dtype=bool)
-    u_lo = lo // n_act_tables
-    u_hi = (hi - 1) // n_act_tables
-    distinct = np.arange(u_lo, u_hi + 1, dtype=np.int64)
-    ud = decode_tables(distinct, cells, m_var)
-    row_of = u_idx - u_lo
-    if m_var > 2:
-        phis, invs = renaming_perms(m_var)
-        for phi, inv in zip(phis, invs):
-            phi64 = phi.astype(np.int64)
-            pow_u = np.array([m_var ** (cells - 1 - (int(phi[c // n_states]) * n_states
-                                                     + c % n_states))
-                              for c in range(cells)], dtype=np.int64)
-            rel_u = (phi64[ud] * pow_u).sum(axis=1)
-            keep &= (rel_u >= distinct)[row_of]
-            ties = np.nonzero((rel_u == distinct)[row_of] & keep)[0]
-            if len(ties):
-                pow_a = np.array([n_actions ** (cells - 1 - (int(phi[c // n_states])
-                                                             * n_states + c % n_states))
-                                  for c in range(cells)], dtype=np.int64)
-                ad_t = decode_tables(a_idx[ties], cells, n_actions)
-                rel_a = (ad_t * pow_a).sum(axis=1)
-                keep[ties[rel_a < a_idx[ties]]] = False
-
-    bits = np.zeros(count, dtype=np.int64)
+    keep, ud, row_of = canonical_range(lo, hi, m_var, n_states, n_actions)
+    bits = np.zeros(hi - lo, dtype=np.int64)
     kept = np.nonzero(keep)[0]
     if len(kept) == 0:
         return keep.astype(np.uint8), bits
 
-    first = lo % n_act_tables
-    ad = decode_tables((first + np.arange(min(count, n_act_tables))) % n_act_tables,
-                       cells, n_actions)
+    # act table j of the range is the one of index lo + j, so kept row i plays
+    # act table i mod n_act_tables
+    ad = decode_tables((lo + np.arange(min(hi - lo, n_act_tables))) % n_act_tables,
+                       m_var * n_states, n_actions)
     shape = (-1, m_var, n_states)
     tables = list(fixed_tables)
     tables[var_player] = (ud.reshape(shape), ad.reshape(shape))
     rows: list = [None] * len(tables)
-    rows[var_player] = (row_of[kept], (a_idx[kept] - first) % n_act_tables)
+    rows[var_player] = (row_of[kept], kept % n_act_tables)
     wins = simulate_min_even(delta, prio, tables, s0, n_actions, rows=rows)
     bits[kept] = (wins[:, :, var_player] << np.arange(n_top, dtype=np.int64)).sum(axis=1)
     return keep.astype(np.uint8), bits

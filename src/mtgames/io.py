@@ -65,6 +65,21 @@ def _require_list(doc: dict, key: str, where: str) -> list:
     return value
 
 
+def _name(value, what: str, where: str) -> str:
+    """``value`` if it is a string: every identifier in the files is a name."""
+    if not isinstance(value, str):
+        raise InputError(f"{where}: {what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _require_name(doc: dict, key: str, where: str) -> str:
+    return _name(_require(doc, key, where), key, where)
+
+
+def _require_names(doc: dict, key: str, where: str) -> tuple[str, ...]:
+    return tuple(_name(v, f"{key} entry", where) for v in _require_list(doc, key, where))
+
+
 # ---------------------------------------------------------------------------
 # games
 
@@ -89,10 +104,10 @@ def game_to_dict(game: Mtg) -> dict:
 def game_from_dict(doc: dict, where: str = "game") -> Mtg:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object at the top level")
-    players = tuple(_require_list(doc, "players", where))
-    actions = tuple(_require_list(doc, "actions", where))
-    states = tuple(_require_list(doc, "states", where))
-    initial = _require(doc, "initial", where)
+    players = _require_names(doc, "players", where)
+    actions = _require_names(doc, "actions", where)
+    states = _require_names(doc, "states", where)
+    initial = _require_name(doc, "initial", where)
     tops = _require(doc, "topologies", where)
     prios = _require(doc, "priorities", where)
     if not isinstance(tops, list) or not all(isinstance(b, dict) for b in tops):
@@ -102,12 +117,12 @@ def game_from_dict(doc: dict, where: str = "game") -> Mtg:
     transition = {}
     names = []
     for block in tops:
-        name = _require(block, "name", f"{where}.topologies")
+        name = _require_name(block, "name", f"{where}.topologies")
         names.append(name)
-        for row in _require(block, "transitions", f"{where}.topologies[{name}]"):
-            prof = tuple(_require(row, "profile", f"{where} transition row"))
-            transition[(name, _require(row, "from", "transition row"), prof)] = \
-                _require(row, "to", "transition row")
+        for row in _require_list(block, "transitions", f"{where}.topologies[{name}]"):
+            at = f"{where}.topologies[{name}] transition row"
+            prof = _require_names(row, "profile", at)
+            transition[(name, _require_name(row, "from", at), prof)] = _require_name(row, "to", at)
     priority = {}
     for t, by_player in prios.items():
         if not isinstance(by_player, dict) or not all(isinstance(x, dict)
@@ -155,13 +170,14 @@ def _table_rows(doc: dict, key: str, value: str, where: str) -> dict:
         if not isinstance(row, dict) or any(f not in row for f in fields):
             raise InputError(f"{where}: {key} row {i} must be an object with keys "
                              + ", ".join(map(repr, fields)))
-        table[(row["memory"], row["state"])] = row[value]
+        table[(_name(row["memory"], f"{key} row {i} memory", where),
+               _name(row["state"], f"{key} row {i} state", where))] = row[value]
     return table
 
 
 def strategy_from_dict(doc: dict, game: Mtg, where: str = "strategy") -> MooreStrategy:
-    memory = tuple(_require_list(doc, "memory", where))
-    init = _require(doc, "init", where)
+    memory = _require_names(doc, "memory", where)
+    init = _require_name(doc, "init", where)
     update = _table_rows(doc, "update", "next", where)
     act = _table_rows(doc, "act", "action", where)
     strat = MooreStrategy(memory=memory, init=init, update=update, act=act)
@@ -176,6 +192,8 @@ def profile_to_dict(profile: Profile, game: Mtg) -> dict:
 
 def profile_from_dict(doc: dict, game: Mtg, where: str = "profile") -> Profile:
     per_player = _require(doc, "players", where)
+    if not isinstance(per_player, dict):
+        raise InputError(f"{where}: players must map players to strategies")
     strats = []
     for p in game.players:
         if p not in per_player:

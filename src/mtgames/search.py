@@ -8,16 +8,19 @@ changes slowest, and within a tile profiles are in lexicographic order of
 the per-player strategy indices, first player most significant. In router's
 (2, 2) block, for example, (blue 1, red 0) comes before (blue 0, red 362).
 
-Candidates are screened in batches. The multi-player questions of the GNE
-and the target search are one-player residual questions that depend on the
-other players' strategies alone, so ``_kernels.closed_walk_exists`` decides
-them once per distinct strategy: a target row is simulated only if no
-player's strategy rules it out, and a GNE candidate survives iff every
-player's winning set equals the set she can win alone, which is exact. The
-CNE search keeps a memoryless-deviation prefilter, a necessary condition.
-Whatever the search returns has passed the full equilibrium check, so a
-found profile re-verifies; absence after exhausting the space is NOT a proof
-of non-existence beyond the memory bound, and the result says so.
+Candidates are screened in chunks, all through one result loop. A
+one-player game's chunks are the kept strategies of index ranges that
+``_kernels.sweep_block`` filters and simulates in one call. The multi-player
+questions of the GNE and the target search are one-player residual
+questions that depend on the other players' strategies alone, so
+``_kernels.closed_walk_exists`` decides them once per distinct strategy: a
+target row is simulated only if no player's strategy rules it out, and a
+GNE candidate survives iff every player's winning set equals the set she
+can win alone, which is exact. The CNE search keeps a memoryless-deviation
+prefilter, a necessary condition. No multi-player row past the budget is
+simulated. Whatever the search returns has passed the full equilibrium
+check, so a found profile re-verifies; absence after exhausting the space is
+NOT a proof of non-existence beyond the memory bound, and the result says so.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 
 CHUNK_CAP = 1 << 17
 _SMALL_BLOCK = 1 << 20
+_SWEEP_RANGE = 1 << 16  # block indices per one-player sweep task
 
 EXHAUSTED_NOTE = ("no profile within the memory bound; absence at this bound "
                   "is not a proof of non-existence")
@@ -63,14 +67,16 @@ def _size_vectors(n_players: int, bound: int):
 class _PlayerChunk:
     """One player's canonical strategies in a chunk: block indices and (B, M, S) tables.
 
-    ``walks`` keeps the closed-walk screen of these strategies as the one
-    fixed player (see ``_walk_masks``), so a cached inner chunk computes it
-    once for every outer chunk it meets.
+    The one-player sweep's chunks carry no tables: their strategies were
+    simulated inside ``_kernels.sweep_block``. ``walks`` keeps the
+    closed-walk screen of these strategies as the one fixed player (see
+    ``_walk_masks``), so a cached inner chunk computes it once for every
+    outer chunk it meets.
     """
 
     indices: np.ndarray
-    upd: np.ndarray
-    act: np.ndarray
+    upd: np.ndarray | None
+    act: np.ndarray | None
     walks: np.ndarray | None = None
 
 
@@ -142,14 +148,15 @@ def _topology_bits(flags: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _wintop_masks(idx_game, chunk: _Chunk,
-                  picks: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _wintop_masks(idx_game, chunk: _Chunk, picks: list[np.ndarray] | None = None,
+                  limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``chunk`` and their (rows, players) bitmasks over topologies.
 
     Each player's chunk tables go to the simulation kernel once, with every
     row's positions in them. With ``picks``, one array of chunk positions per
     player, only the rows that play picked strategies alone are simulated,
-    against the picked tables; they are returned in ascending order.
+    against the picked tables. Rows are returned in ascending order; with
+    ``limit``, none from ``limit`` on is simulated.
     """
     if picks is None:
         rows = np.arange(chunk.batch)
@@ -160,6 +167,9 @@ def _wintop_masks(idx_game, chunk: _Chunk,
         index = list(np.unravel_index(np.arange(math.prod(sub)), sub))
         rows = np.ravel_multi_index([k[i] for k, i in zip(picks, index)], chunk.lens)
         tables = [(pc.upd[k], pc.act[k]) for pc, k in zip(chunk.per_player, picks)]
+    if limit is not None:
+        n = np.searchsorted(rows, limit)
+        rows, index = rows[:n], [i[:n] for i in index]
     if not len(rows):
         return rows, np.zeros((0, len(tables)), dtype=np.int64)
     wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
@@ -298,70 +308,56 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
         return report if report.verdict else None
 
     if n_players == 1:
-        # fused enumerate-and-simulate sweep; no cross products needed. Each
-        # chunk is one task for the thread pool; the simulation walks it in
-        # sub-batches of _kernels.SUB_BATCH rows.
-        sweep_chunk = 1 << 16
+        # fused enumerate-and-simulate sweep over index ranges of each block;
+        # the kept strategies of a range form a one-player chunk
         def tasks():
             for m in range(1, memory_bound + 1):
-                block = StrategyBlock(game, m)
-                for lo in range(0, block.total, sweep_chunk):
-                    yield m, lo, min(lo + sweep_chunk, block.total)
+                total = StrategyBlock(game, m).total
+                for lo in range(0, total, _SWEEP_RANGE):
+                    yield m, lo, min(lo + _SWEEP_RANGE, total)
 
-        def evaluate_sweep(task):
+        def evaluate(task):
             m, lo, hi = task
-            keep, bits = _kernels.sweep_block(idx_game.delta, idx_game.prio, [None],
-                                              0, m, lo, hi, idx_game.initial,
-                                              idx_game.n_actions)
-            return task, keep, bits
+            return (m, lo, *_kernels.sweep_block(idx_game.delta, idx_game.prio, [None], 0, m,
+                                                 lo, hi, idx_game.initial, idx_game.n_actions))
 
-        examined = 0
-        with closing(_ordered_map(evaluate_sweep, tasks(), jobs)) as stream:
-            for (m, lo, _), keep, bits in stream:
-                kept = np.nonzero(keep)[0]
-                hit_budget = budget is not None and examined + len(kept) >= budget
-                if budget is not None:
-                    kept = kept[: budget - examined]
-                w = bits[kept]
-                ok = w == target_masks[0] if kind == "target" else single_table[w]
-                block = StrategyBlock(game, m)
-                for pos in np.nonzero(ok)[0]:
-                    profile = Profile((block.strategy_at(int(lo + kept[pos])),))
-                    report = finalize(profile)
-                    if report is not None:
-                        return SearchResult("found", profile, report,
-                                            examined + int(pos) + 1, memory_bound)
-                examined += len(kept)
-                if hit_budget:
-                    return SearchResult("budget-exhausted", None, None,
-                                        examined, memory_bound)
-        return SearchResult("exhausted-space", None, None, examined, memory_bound,
-                            note=EXHAUSTED_NOTE)
+        def receive(m, lo, keep, bits):
+            kept = np.nonzero(keep)[0]
+            chunk = _Chunk(sizes=(m,), per_player=[_PlayerChunk(lo + kept, None, None)])
+            return chunk, np.arange(len(kept)), bits[kept, None]
+    else:
+        if kind == "target":
+            # the parity each player's minimum must have in each topology
+            target_wants = np.array([[int(t not in targets[p]) for p in game.players]
+                                     for t in game.topologies])
 
-    if kind == "target":
-        # the parity each player's minimum must have in each topology
-        target_wants = np.array([[int(t not in targets[p]) for p in game.players]
-                                 for t in game.topologies])
+        def tasks():
+            # runs in the consuming thread, like survivors_of, so the screen
+            # results kept on the chunks need no lock
+            planned = 0
+            for chunk in _candidate_chunks(game, memory_bound):
+                picks = None
+                if kind == "target":
+                    # a strategy that fails a topology against every play of the
+                    # other players rules out each row that contains it
+                    picks = [np.nonzero(_walk_masks(idx_game, chunk, [p], target_wants)
+                                        == all_mask)[0] for p in range(n_players)]
+                if budget is not None and planned + chunk.batch >= budget:
+                    # the budget ends in this chunk: simulate no row past it
+                    yield chunk, picks, budget - planned
+                    return
+                planned += chunk.batch
+                yield chunk, picks, chunk.batch
 
-    def chunk_tasks():
-        # runs in the consuming thread, like survivors_of, so the screen
-        # results kept on the chunks need no lock
-        for chunk in _candidate_chunks(game, memory_bound):
-            picks = None
-            if kind == "target":
-                # a strategy that fails a topology against every play of the
-                # other players rules out each row that contains it
-                picks = [np.nonzero(_walk_masks(idx_game, chunk, [p], target_wants)
-                                    == all_mask)[0] for p in range(n_players)]
-            yield chunk, picks
-
-    def evaluate(task):
-        chunk, picks = task
-        return (chunk, *_wintop_masks(idx_game, chunk, picks))
+        def evaluate(task):
+            chunk, picks, limit = task
+            return (chunk, *_wintop_masks(idx_game, chunk, picks, limit))
 
     def survivors_of(chunk: _Chunk, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
         if kind == "target":
             return np.nonzero((masks == target_masks).all(axis=1))[0]
+        if single_table is not None:
+            return np.nonzero(single_table[masks[:, 0]])[0]
         ok = np.ones(len(rows), dtype=bool)
         for p in range(n_players):
             w = masks[:, p]
@@ -380,13 +376,12 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
         return np.nonzero(ok)[0]
 
     examined = 0
-    with closing(_ordered_map(evaluate, chunk_tasks(), jobs)) as stream:
-        for chunk, rows, masks in stream:
+    with closing(_ordered_map(evaluate, tasks(), jobs)) as stream:
+        for result in stream:
+            chunk, rows, masks = receive(*result) if n_players == 1 else result
             batch = chunk.batch
             if budget is not None and examined + batch > budget:
                 batch = budget - examined
-                if batch == 0:
-                    return SearchResult("budget-exhausted", None, None, examined, memory_bound)
                 n = np.searchsorted(rows, batch)
                 rows, masks = rows[:n], masks[:n]
             for i in survivors_of(chunk, rows, masks):

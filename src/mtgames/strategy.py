@@ -191,15 +191,22 @@ class StrategyBlock:
         return (upd.reshape(b, self.m, self.n_states), act.reshape(b, self.m, self.n_states))
 
     def canonical_chunks(self, chunk_size: int = 1 << 15):
-        """Yield (indices, update_tables, act_tables) for canonical strategies, in order."""
+        """Yield (indices, update_tables, act_tables) for canonical strategies, in order.
+
+        Only the kept indices' act tables are decoded; their update tables
+        come from the distinct ones ``_kernels.canonical_range`` decoded.
+        """
+        shape = (-1, self.m, self.n_states)
         for lo in range(0, self.total, chunk_size):
-            indices = np.arange(lo, min(lo + chunk_size, self.total), dtype=np.int64)
-            upd, act = self.decode(indices)
-            keep = _kernels.canonical_mask(
-                upd.reshape(len(indices), -1), act.reshape(len(indices), -1),
-                self.m, self.n_actions)
-            if keep.any():
-                yield indices[keep], upd[keep], act[keep]
+            hi = min(lo + chunk_size, self.total)
+            keep, upd, row = _kernels.canonical_range(lo, hi, self.m, self.n_states,
+                                                      self.n_actions)
+            kept = np.nonzero(keep)[0]
+            if len(kept):
+                indices = lo + kept
+                act = _kernels.decode_tables(indices % self.n_act_tables, self.cells,
+                                             self.n_actions)
+                yield indices, upd[row[kept]].reshape(shape), act.reshape(shape)
 
     def strategy_at(self, index: int) -> MooreStrategy:
         """Materialize the strategy with the given block index."""

@@ -298,6 +298,46 @@ class TestMalformedInput:
         line = assert_one_error_line(["validate", str(path)], capsys)
         assert str(path) in line and "players" in line
 
+    @pytest.mark.parametrize("place", ["player", "topology name", "from", "to", "profile entry",
+                                       "profile string", "transitions"])
+    def test_game_names_must_be_strings(self, tmp_path, capsys, place):
+        doc = json.loads(data_path("router.game").read_text())
+        row = doc["topologies"][0]["transitions"][0]
+        if place == "player":
+            doc["players"][0] = ["blue"]
+        elif place == "topology name":
+            doc["topologies"][0]["name"] = ["A"]
+        elif place in ("from", "to"):
+            row[place] = [row[place]]
+        elif place == "profile entry":
+            row["profile"][0] = ["0"]
+        elif place == "profile string":
+            row["profile"] = "".join(row["profile"])  # "00" would read as ("0", "0")
+        else:
+            doc["topologies"][0]["transitions"] = 3
+        path = tmp_path / "bad.game"
+        path.write_text(json.dumps(doc))
+        for args in (["validate", str(path)],
+                     ["wintop", str(path), str(data_path("turn-taking.profile"))]):
+            line = assert_one_error_line(args, capsys)
+            assert str(path) in line and "must be" in line
+
+    @pytest.mark.parametrize("place", ["memory entry", "row memory", "players"])
+    def test_profile_names_must_be_strings(self, tmp_path, capsys, place):
+        doc = json.loads(data_path("turn-taking.profile").read_text())
+        blue = doc["players"]["blue"]
+        if place == "memory entry":
+            blue["memory"][1] = [blue["memory"][1]]
+        elif place == "row memory":
+            blue["act"][2]["memory"] = [blue["act"][2]["memory"]]
+        else:
+            doc["players"] = 3
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
+                                     capsys)
+        assert str(path) in line and "must" in line
+
     def test_target_set_given_as_string(self, tmp_path, capsys, router):
         path = tmp_path / "bad.tt"
         path.write_text(json.dumps({"blue": "A", "red": ["A", "B"]}))

@@ -47,6 +47,22 @@ class TestCodecs:
                     minimal = False
             assert keep[row] == minimal
 
+    def test_canonical_range_equals_mask(self):
+        rng = random.Random(19)
+        for m, n_states, n_actions in ((1, 3, 2), (2, 2, 3), (3, 2, 2), (3, 1, 3), (4, 1, 2)):
+            cells = m * n_states
+            n_act = n_actions ** cells
+            total = m ** cells * n_act
+            for _ in range(4):
+                lo = rng.randrange(total - 1)
+                hi = min(total, lo + rng.randint(1, 3 * n_act + 5))
+                keep, upd, row = _kernels.canonical_range(lo, hi, m, n_states, n_actions)
+                idx = np.arange(lo, hi, dtype=np.int64)
+                want_upd = _kernels.decode_tables(idx // n_act, cells, m)
+                act = _kernels.decode_tables(idx % n_act, cells, n_actions)
+                assert np.array_equal(upd[row], want_upd)
+                assert np.array_equal(keep, _kernels.canonical_mask(want_upd, act, m, n_actions))
+
 
 class TestSimulate:
     def test_matches_lasso_wintop(self):
@@ -157,7 +173,7 @@ class TestProductWalk:
         priority[("t1", "p2", "s4")] = 22
         game = dataclasses.replace(game, priority=priority, initial="s3")
         idx = compile_tables(game)
-        assert 3 * (int(idx.prio.max()) - int(idx.prio.min()) + 1) > 63
+        assert int(idx.prio.max()) - int(idx.prio.min()) == 22
         strategies = []
         for _ in game.players:
             memory = rng.randint(1, 2)
@@ -239,12 +255,12 @@ class TestSweepBlock:
         game = random_mtg(rng, n_players=3, n_states=3, n_topologies=2, max_priority=22)
         priority = dict(game.priority)
         priority[("t0", "p1", "s1")] = 0
-        # the varying player's field would sit past bit 63 in topology t1
+        # the varying player's priorities reach 22 in topology t1
         priority.update({("t1", "p2", "s0"): 20, ("t1", "p2", "s1"): 21,
                          ("t1", "p2", "s2"): 22})
         game = dataclasses.replace(game, priority=priority, initial="s1")
         idx = compile_tables(game)
-        assert 3 * (int(idx.prio.max()) - int(idx.prio.min()) + 1) > 63
+        assert int(idx.prio.max()) - int(idx.prio.min()) == 22
         co = [random_strategy(rng, game, memory) for memory in (3, 1, 2)]
         for m in (1, 2, 3):
             block = StrategyBlock(game, m)
@@ -292,27 +308,27 @@ def _fold_spy(monkeypatch):
     fold = _kernels._fold_cycles
 
     def spy(*args):
-        accs, walked = fold(*args)
+        minima, walked = fold(*args)
         steps.append(walked)
-        return accs, walked
+        return minima, walked
     monkeypatch.setattr(_kernels, "_fold_cycles", spy)
     return steps
 
 
 class TestLassoClosure:
     def test_fold_stops_once_every_lasso_closes(self):
-        # node v's value is bit v, so an accumulator is the node set it folded over
+        # column v is 0 at node v and 1 elsewhere, so a walker's zero columns
+        # are the node set it folded over
         nxt = np.arange(27)
         nxt[[0, 1, 2, 3]] = [0, 2, 3, 2]  # 0 loops; 1 -> (2 3)
         nxt[4:13] = np.arange(5, 14)  # 4 .. 12 -> (13): tail 9, cycle 1
         nxt[14:24] = np.roll(np.arange(14, 24), -1)  # (14 .. 23): tail 0, cycle 10
         nxt[24:27] = [25, 26, 24]  # (24 25 26)
-        bits = np.left_shift(1, np.arange(27), dtype=np.int64)
+        table = 1 - np.eye(27, dtype=np.int8)
 
         def fold(starts):
-            accs, steps = _kernels._fold_cycles(nxt, np.array(starts), [bits], np.bitwise_or,
-                                                0, 10)
-            nodes = [{v for v in range(27) if acc >> v & 1} for acc in accs[0]]
+            minima, steps = _kernels._fold_cycles(nxt, np.array(starts), table, 10)
+            nodes = [{v for v in range(27) if row[v] == 0} for row in minima]
             return nodes, steps
 
         short_cycles = [{0}, {2, 3}]
@@ -320,6 +336,8 @@ class TestLassoClosure:
         assert fold([0, 1]) == (short_cycles, 3)
         # a 3-cycle returns to its mark before the end of the round of 4
         assert fold([0, 1, 24]) == (short_cycles + [{24, 25, 26}], 7)
+        # 11 -> 12 -> (13) closes in the round of 4; the earlier rounds' 12 is no cycle node
+        assert fold([0, 1, 11]) == (short_cycles + [{13}], 7)
         # lassos of the full window never close in a round: 2 * window steps
         assert fold([0, 1, 4, 14]) == (short_cycles + [{13}, set(range(14, 24))], 20)
 

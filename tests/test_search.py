@@ -103,6 +103,8 @@ class TestSearchMechanics:
         assert base.profile == multi.profile
         assert base.examined == multi.examined
         assert find_gne(fig3, 2, jobs=1).examined == find_gne(fig3, 2, jobs=4).examined
+        budgeted = [find_gne(fig3, 3, budget=500, jobs=jobs) for jobs in (1, 2)]
+        assert len({(r.status, r.examined, r.profile) for r in budgeted}) == 1
 
     def test_early_stop_starts_few_tasks(self, router, monkeypatch):
         started = []
@@ -115,6 +117,18 @@ class TestSearchMechanics:
         result = find_gne(router, 2, jobs=2)
         assert result.status == "found" and result.examined <= 64  # the (1, 1) chunk
         assert len(started) <= 2 * 2
+
+    def test_budget_bounds_the_rows_simulated(self, xor, monkeypatch):
+        simulated = []
+        simulate = search._kernels.simulate_min_even
+
+        def spy(*args, rows):
+            simulated.append(len(rows[0]))
+            return simulate(*args, rows=rows)
+        monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
+        result = find_gne(xor, 2, budget=150000)
+        assert result.status == "budget-exhausted" and result.examined == 150000
+        assert len(simulated) > 1 and sum(simulated) <= 150000
 
     def test_ordered_map_keeps_order_and_bounds_work_in_flight(self):
         pulled = []
@@ -155,16 +169,17 @@ class TestSearchMechanics:
 
 def _reference_scan(game, kind, bound, budget=None, targets=None):
     """Every row in ``_candidate_chunks`` order, each decided on its own, with no screen."""
+    check = {"gne": check_gne, "cne": check_cne}.get(kind)
     examined = 0
     for chunk in search._candidate_chunks(game, bound):
         for b in range(chunk.batch):
-            if examined == budget:
-                return "budget-exhausted", examined, None
             examined += 1
             profile = search._materialize(game, chunk, b)
             if (wintop_map(game, profile) == targets if kind == "target"
-                    else check_gne(game, profile).verdict):
+                    else check(game, profile).verdict):
                 return "found", examined, profile
+            if examined == budget:  # a budget of the whole space still reads as spent
+                return "budget-exhausted", examined, None
     return "exhausted-space", examined, None
 
 
@@ -172,11 +187,12 @@ class TestScreenedSearchEqualsReference:
     """The closed-walk screen changes no status, count or profile, across many tiles."""
 
     @staticmethod
-    def _run(game, kind, bound, budget=None, targets=None):
+    def _run(game, kind, bound, budget=None, targets=None, jobs=1):
         if kind == "target":
-            result = find_profile_with_wintop(game, targets, bound, budget=budget)
+            result = find_profile_with_wintop(game, targets, bound, budget=budget, jobs=jobs)
         else:
-            result = find_gne(game, bound, budget=budget)
+            result = (find_gne if kind == "gne" else find_cne)(game, bound, budget=budget,
+                                                               jobs=jobs)
         return result.status, result.examined, result.profile
 
     @pytest.mark.parametrize("n_players, n_states, bound", [(2, 2, 2), (2, 3, 1), (3, 3, 1)])
@@ -211,6 +227,28 @@ class TestScreenedSearchEqualsReference:
                     assert screen[b] == check_gne(game, profile).verdict
                 kept += int(screen.sum())
         assert 0 < kept
+
+    @pytest.mark.parametrize("n_states, bound", [(2, 2), (1, 3)])
+    def test_one_player_games(self, n_states, bound, monkeypatch):
+        monkeypatch.setattr(search, "_SWEEP_RANGE", 24)  # several ranges a block
+        rng = random.Random(60 + n_states)
+        statuses = set()
+        for _ in range(6):
+            game = random_mtg(rng, n_players=1, n_states=n_states,
+                              n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
+            count = sum(chunk.batch for chunk in search._candidate_chunks(game, bound))
+            aimed = {"p0": frozenset(rng.sample(game.topologies, rng.randint(0, 2)))}
+            reachable = wintop_map(game, random_profile(rng, game, bound))
+            for kind, targets in (("gne", None), ("cne", None), ("target", aimed),
+                                  ("target", reachable)):
+                for budget in (None, rng.randrange(1, count), count):
+                    want = _reference_scan(game, kind, bound, budget=budget, targets=targets)
+                    assert self._run(game, kind, bound, budget, targets) == want
+                    assert self._run(game, kind, bound, budget, targets, jobs=2) == want
+                    statuses.add(want[0])
+                    if budget == count:
+                        assert want[0] in ("found", "budget-exhausted")
+        assert statuses == {"found", "budget-exhausted", "exhausted-space"}
 
     def test_budget_ends_inside_a_tile_with_pruned_rows(self, monkeypatch):
         monkeypatch.setattr(search, "CHUNK_CAP", 16)
