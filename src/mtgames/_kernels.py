@@ -382,7 +382,7 @@ def canonical_range(lo: int, hi: int, m: int, n_states: int,
 def sweep_block(delta: np.ndarray, prio: np.ndarray,
                 fixed_tables: list[tuple[np.ndarray, np.ndarray] | None],
                 var_player: int, m_var: int, lo: int, hi: int,
-                s0: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+                s0: int, n_actions: int, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate-and-simulate a contiguous index range of one player's strategy block.
 
     All players except ``var_player`` play the fixed strategies; the varying
@@ -390,8 +390,8 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
     ``(keep, bits)``: ``keep[i]`` flags canonical representatives and
     ``bits[i]`` holds the varying player's winning-topology bitmask. Entries
     with ``keep[i] == 0`` are renamings of earlier strategies and carry no
-    simulation result. This is the hot path of the bounded searches and the
-    brute-force deviation oracle.
+    simulation result, nor do kept entries past the first ``limit``. This is
+    the hot path of the bounded searches and the brute-force deviation oracle.
 
     :func:`canonical_range` filters the range and hands back its distinct
     update tables; with the range's act tables they take the ``var_player``
@@ -401,7 +401,7 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
     n_act_tables = n_actions ** (m_var * n_states)
     keep, ud, row_of = canonical_range(lo, hi, m_var, n_states, n_actions)
     bits = np.zeros(hi - lo, dtype=np.int64)
-    kept = np.nonzero(keep)[0]
+    kept = np.nonzero(keep)[0][:limit]
     if len(kept) == 0:
         return keep.astype(np.uint8), bits
 

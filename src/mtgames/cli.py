@@ -135,15 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     if args.command == "validate":
-        game_doc = mio.load_json(args.game)
-        try:
-            game = mio.game_from_dict(game_doc, where=args.game)
-            defects: list[str] = []
-        except InputError as exc:
-            text = str(exc)
-            if "invalid game" not in text:
-                raise
-            defects = [line.strip() for line in text.splitlines()[1:]]
+        defects = validate(mio.parse_game(mio.load_json(args.game), where=args.game))
         _emit({"command": "validate", "defects": defects, "ok": not defects})
         _info("ok" if not defects else f"{len(defects)} defect(s)")
         return EXIT_OK

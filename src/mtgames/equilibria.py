@@ -20,6 +20,10 @@ memories. Because a deviating strategy is one function of the state history,
 topologies with identical observed histories must receive identical deviator
 actions; the knowledge set captures exactly that, so verification is exact for
 deviating strategies of unbounded memory.
+
+Public functions check their profile, deviator and targets once; ``_``-prefixed
+helpers assume checked input. A check validates its profile in ``wintop_map``
+only; each witness a helper builds is checked once, then replayed.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import partial
 from .arena import SEEKER, SPOILER, Arena, ArenaLasso
 from .core import InputError, Mtg
 from .solvers import WitnessMachine, solve_conjunction, solve_one_player
-from .strategy import MooreStrategy, Profile, winners, wintop_map
+from .strategy import MooreStrategy, Profile, _winners, wintop_map
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,19 @@ class EquilibriumReport:
     topology: str | None = None
 
 
+def _question(game: Mtg, profile: Profile, deviator: str, targets) -> frozenset[str]:
+    """``targets`` as a frozenset, once ``profile``, ``deviator`` and ``targets`` are checked."""
+    targets = frozenset(targets)
+    if deviator not in game.players:
+        raise InputError(f"unknown player {deviator!r}")
+    if not targets:
+        raise InputError("target topology set must be nonempty")
+    if not targets <= set(game.topologies):
+        raise InputError(f"unknown topologies in targets: {sorted(targets - set(game.topologies))}")
+    profile.check(game)
+    return targets
+
+
 def _co_players(game: Mtg, deviator: str) -> list[int]:
     di = game.players.index(deviator)
     return [i for i in range(len(game.players)) if i != di]
@@ -90,14 +107,11 @@ def build_knowledge_arena(game: Mtg, profile: Profile, deviator: str,
     once it drops out: a dropped topology follows a different branch, where
     its own condition is evaluated.
     """
-    if deviator not in game.players:
-        raise InputError(f"unknown player {deviator!r}")
-    targets = frozenset(targets)
-    if not targets:
-        raise InputError("target topology set must be nonempty")
-    if not targets <= set(game.topologies):
-        raise InputError(f"unknown topologies in targets: {sorted(targets - set(game.topologies))}")
-    profile.check(game)
+    return _knowledge_arena(game, profile, deviator, _question(game, profile, deviator, targets))
+
+
+def _knowledge_arena(game: Mtg, profile: Profile, deviator: str,
+                     targets: frozenset[str]) -> Arena:
     di = game.players.index(deviator)
     co = _co_players(game, deviator)
     co_strats = [profile.by_player[i] for i in co]
@@ -159,10 +173,8 @@ def build_knowledge_arena(game: Mtg, profile: Profile, deviator: str,
                     priorities.append(vector(child))
                 succ[vi].append(index[child])
                 labels[vi].append(None)
-    arena = Arena(nodes=nodes, owner=owner, succ=succ, labels=labels,
-                  priorities=priorities, initial=0, k=len(tlist))
-    arena.check()
-    return arena
+    return Arena(nodes=nodes, owner=owner, succ=succ, labels=labels,
+                 priorities=priorities, initial=0, k=len(tlist))
 
 
 def knowledge_active_mask(arena: Arena, targets_in_order: list[str]) -> list[tuple[bool, ...]]:
@@ -242,11 +254,11 @@ def _machine_to_moore(game: Mtg, arena: Arena, machine: WitnessMachine,
 def build_residual_arena(game: Mtg, profile: Profile, deviator: str,
                          topology: str) -> Arena:
     """One-player game the deviator faces in a fixed topology with co-strategies fixed."""
-    if deviator not in game.players:
-        raise InputError(f"unknown player {deviator!r}")
-    if topology not in game.topologies:
-        raise InputError(f"unknown topology {topology!r}")
-    profile.check(game)
+    _question(game, profile, deviator, {topology})
+    return _residual_arena(game, profile, deviator, topology)
+
+
+def _residual_arena(game: Mtg, profile: Profile, deviator: str, topology: str) -> Arena:
     di = game.players.index(deviator)
     co = _co_players(game, deviator)
     co_strats = [profile.by_player[i] for i in co]
@@ -318,23 +330,28 @@ def can_deviator_win_set(game: Mtg, profile: Profile, deviator: str,
     exactly when it wins the single game t: one target is decided on the
     one-player residual game, with a lasso-following witness. Two or more are
     decided on the knowledge arena by the conjunction solver. On success the
-    witness is replayed in each target topology and must win there, otherwise
-    an internal error is raised.
+    witness is checked well formed and replayed in each target topology, where
+    it must win, otherwise an internal error is raised.
     """
-    targets = frozenset(targets)
-    arena = deviation_arena(game, profile, deviator, targets)
+    return _can_win_set(game, profile, deviator, _question(game, profile, deviator, targets))
+
+
+def _can_win_set(game: Mtg, profile: Profile, deviator: str,
+                 targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
     if len(targets) == 1:
-        ok, lasso = solve_one_player(arena, 0)
+        ok, lasso = solve_one_player(_residual_arena(game, profile, deviator, *targets), 0)
         strat = _lasso_to_moore(game, lasso) if ok else None
     else:
+        arena = _knowledge_arena(game, profile, deviator, targets)
         tlist = [t for t in game.topologies if t in targets]
         res = solve_conjunction(arena, knowledge_active_mask(arena, tlist))
         strat = _machine_to_moore(game, arena, res.witness, deviator) if res.winner else None
     if strat is None:
         return False, None
+    strat.check(game, "deviation witness")
     deviated = profile.substitute(game.players.index(deviator), strat)
     for t in targets:
-        if deviator not in winners(game, t, deviated):
+        if deviator not in _winners(game, t, deviated):
             raise AssertionError(f"deviation witness failed replay: wanted "
                                  f"{sorted(targets)}, lost {t}")
     return True, strat
@@ -354,14 +371,16 @@ class DeviationOracle:
 
     def can_win(self, profile: Profile, deviator: str,
                 targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
-        if deviator not in self.game.players:
-            raise InputError(f"unknown player {deviator!r}")
+        return self._ask(profile, deviator, _question(self.game, profile, deviator, targets))
+
+    def _ask(self, profile: Profile, deviator: str,
+             targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
         di = self.game.players.index(deviator)
         co_key = tuple(profile.by_player[i].encoding(self.game)
                        for i in range(len(self.game.players)) if i != di)
-        key = (deviator, co_key, frozenset(targets))
+        key = (deviator, co_key, targets)
         if key not in self._cache:
-            self._cache[key] = can_deviator_win_set(self.game, profile, deviator, targets)
+            self._cache[key] = _can_win_set(self.game, profile, deviator, targets)
         return self._cache[key]
 
 
@@ -384,7 +403,7 @@ def deviation_questions(game: Mtg, kind: str, wt: dict[str, frozenset[str]],
 def _check(kind: str, game: Mtg, profile: Profile, ask,
            topology: str | None = None) -> EquilibriumReport:
     """Ask ``kind``'s deviation questions in order; the first yes refutes the profile."""
-    wt = wintop_map(game, profile)  # validates the profile, once per topology
+    wt = wintop_map(game, profile)  # checks the profile; ``ask`` takes it unchecked
     for p, targets in deviation_questions(game, kind, wt, topology):
         ok, strat = ask(profile, p, targets)
         if ok:
@@ -402,16 +421,16 @@ def check_ne(game: Mtg, topology: str, profile: Profile) -> EquilibriumReport:
     """
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
-    return _check("ne", game, profile, partial(can_deviator_win_set, game), topology)
+    return _check("ne", game, profile, partial(_can_win_set, game), topology)
 
 
 def check_gne(game: Mtg, profile: Profile,
               oracle: DeviationOracle | None = None) -> EquilibriumReport:
     """Greedy equilibrium: no player can deviate and win a currently-losing topology."""
-    return _check("gne", game, profile, (oracle or DeviationOracle(game)).can_win)
+    return _check("gne", game, profile, (oracle or DeviationOracle(game))._ask)
 
 
 def check_cne(game: Mtg, profile: Profile,
               oracle: DeviationOracle | None = None) -> EquilibriumReport:
     """Conservative equilibrium: no deviation yields a strict superset of winning topologies."""
-    return _check("cne", game, profile, (oracle or DeviationOracle(game)).can_win)
+    return _check("cne", game, profile, (oracle or DeviationOracle(game))._ask)

@@ -102,6 +102,15 @@ def game_to_dict(game: Mtg) -> dict:
 
 
 def game_from_dict(doc: dict, where: str = "game") -> Mtg:
+    game = parse_game(doc, where)
+    defects = validate(game)
+    if defects:
+        raise InputError(f"{where}: invalid game: " + "; ".join(defects))
+    return game
+
+
+def parse_game(doc: dict, where: str = "game") -> Mtg:
+    """The game ``doc`` describes, checked for its JSON shape only."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object at the top level")
     players = _require_names(doc, "players", where)
@@ -133,12 +142,8 @@ def game_from_dict(doc: dict, where: str = "game") -> Mtg:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InputError(f"{where}: priority of ({t}, {p}, {s}) is not an integer")
                 priority[(t, p, s)] = v
-    game = Mtg(players=players, states=states, initial=initial, actions=actions,
+    return Mtg(players=players, states=states, initial=initial, actions=actions,
                topologies=tuple(names), transition=transition, priority=priority)
-    defects = validate(game)
-    if defects:
-        raise InputError(f"{where}: invalid game:\n  " + "\n  ".join(defects))
-    return game
 
 
 def load_game(path) -> Mtg:
@@ -199,6 +204,8 @@ def profile_from_dict(doc: dict, game: Mtg, where: str = "profile") -> Profile:
         if p not in per_player:
             raise InputError(f"{where}: missing strategy for player {p!r}")
         strats.append(strategy_from_dict(per_player[p], game, where=f"{where}.{p}"))
+    if not set(per_player) <= set(game.players):
+        raise InputError(f"{where}: unknown players {sorted(set(per_player) - set(game.players))}")
     return Profile(tuple(strats))
 
 

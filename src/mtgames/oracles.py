@@ -181,6 +181,7 @@ def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
         raise InputError(f"unknown player {deviator!r}")
     if memory_bound < 1:
         raise InputError(f"memory bound must be >= 1, got {memory_bound}")
+    profile.check(game)
     idx = compile_tables(game)
     di = game.players.index(deviator)
     fixed: list = [strat.tables(game) for strat in profile.by_player]

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .core import InputError, Lasso, Mtg
-from .strategy import MooreStrategy, Profile, outcome
+from .strategy import MooreStrategy, Profile, _outcome
 
 START = "start"
 
@@ -367,7 +367,9 @@ def gamma_roundtrip(game: Mtg, h: PartialInfoGame, profile: Profile,
     deviating strategy substituted, always; and when the deviator obeys the
     coalition it must also equal the outcome of the unmodified profile.
     """
-    rho = simulate_h(h, profile, deviation, resolved)
+    if game != h.game:
+        raise InputError("the challenge game was built from another game")
+    rho = simulate_h(h, profile, deviation, resolved)  # checks the profile and deviation
     interior = [q for q in list(rho.prefix) + list(rho.cycle) if q != START]
     t = interior[0].t
     obey = all(q.b for q in interior)
@@ -375,13 +377,13 @@ def gamma_roundtrip(game: Mtg, h: PartialInfoGame, profile: Profile,
     proj_cycle = [q.s for q in rho.cycle]
 
     di = game.players.index(deviation.player)
-    deviated = outcome(game, t, profile.substitute(di, deviation.strategy))
+    deviated = _outcome(game, t, profile.substitute(di, deviation.strategy))
     ok_dev, idx_dev = _up_equal(proj_prefix, proj_cycle,
                                 list(deviated.prefix), list(deviated.cycle))
     ok_sug: bool | None = None
     idx_sug: int | None = None
     if obey:
-        suggested = outcome(game, t, profile)
+        suggested = _outcome(game, t, profile)
         ok_sug, idx_sug = _up_equal(proj_prefix, proj_cycle,
                                     list(suggested.prefix), list(suggested.cycle))
     return RoundtripReport(obey=obey, proj_matches_deviated=ok_dev,

@@ -318,8 +318,10 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
 
         def evaluate(task):
             m, lo, hi = task
+            # only the range the budget ends in can keep more than ``budget`` rows
             return (m, lo, *_kernels.sweep_block(idx_game.delta, idx_game.prio, [None], 0, m,
-                                                 lo, hi, idx_game.initial, idx_game.n_actions))
+                                                 lo, hi, idx_game.initial, idx_game.n_actions,
+                                                 limit=budget))
 
         def receive(m, lo, keep, bits):
             kept = np.nonzero(keep)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import InputError, Lasso, Mtg, check_lasso
+from .core import InputError, Lasso, Mtg
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +120,10 @@ def outcome(game: Mtg, topology: str, profile: Profile) -> Lasso:
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
     profile.check(game)
+    return _outcome(game, topology, profile)
+
+
+def _outcome(game: Mtg, topology: str, profile: Profile) -> Lasso:
     s = game.initial
     mems = tuple(strat.init for strat in profile.by_player)
     seen: dict[tuple, int] = {(s, mems): 0}
@@ -134,22 +138,25 @@ def outcome(game: Mtg, topology: str, profile: Profile) -> Lasso:
         seq.append(s)
 
 
-def _lasso_winners(game: Mtg, lasso: Lasso) -> frozenset[str]:
-    """Players whose parity objective holds on ``lasso``, which is checked legal once."""
-    t = lasso.topology
-    check_lasso(game, t, lasso)
-    return frozenset([p for p in game.players
-                      if min([game.priority[(t, p, s)] for s in lasso.cycle]) % 2 == 0])
-
-
 def winners(game: Mtg, topology: str, profile: Profile) -> frozenset[str]:
     """Players whose parity objective holds on the outcome in ``topology``."""
-    return _lasso_winners(game, outcome(game, topology, profile))
+    if topology not in game.topologies:
+        raise InputError(f"unknown topology {topology!r}")
+    profile.check(game)
+    return _winners(game, topology, profile)
+
+
+def _winners(game: Mtg, topology: str, profile: Profile) -> frozenset[str]:
+    """:func:`winners` on the lasso ``_outcome`` builds: a legal play, so not re-checked."""
+    cycle = _outcome(game, topology, profile).cycle
+    return frozenset([p for p in game.players
+                      if min([game.priority[(topology, p, s)] for s in cycle]) % 2 == 0])
 
 
 def wintop_map(game: Mtg, profile: Profile) -> dict[str, frozenset[str]]:
     """Every player's set of winning topologies: one outcome per topology serves all players."""
-    won = {t: _lasso_winners(game, outcome(game, t, profile)) for t in game.topologies}
+    profile.check(game)
+    won = {t: _winners(game, t, profile) for t in game.topologies}
     return {p: frozenset([t for t in game.topologies if p in won[t]]) for p in game.players}
 
 

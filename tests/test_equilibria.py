@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -112,6 +113,31 @@ class TestCanDeviatorWinSet:
             monkeypatch.undo()
             knowledge_targets.clear()
         assert positives and negatives and gne_verdicts == {True, False}
+
+    def test_checks_build_knowledge_arenas_for_two_or_more_targets_only(self, monkeypatch):
+        """The checks reach the arena builders through the unchecked helpers."""
+        rng = random.Random(21)
+        built = []
+        real = equilibria._knowledge_arena
+
+        def spy(game, profile, deviator, targets):
+            built.append(targets)
+            return real(game, profile, deviator, targets)
+
+        monkeypatch.setattr(equilibria, "_knowledge_arena", spy)
+        cne_built = 0
+        for _ in range(30):
+            game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 4),
+                              n_topologies=rng.randint(2, 3))
+            profile = Profile(tuple(random_strategy(rng, game, rng.randint(1, 3))
+                                    for _ in game.players))
+            built.clear()
+            check_gne(game, profile)
+            assert not built, "check_gne built a knowledge arena"
+            check_cne(game, profile)
+            assert all(len(ts) >= 2 for ts in built)
+            cne_built += len(built)
+        assert cne_built
 
     def test_antitone_in_targets(self, router):
         profile = Profile((constant_strategy(router, "0"), constant_strategy(router, "1")))
@@ -251,6 +277,20 @@ class TestOracleCache:
         n_after_first = len(oracle._cache)
         oracle.can_win(p2, "blue", frozenset({"A"}))
         assert len(oracle._cache) == n_after_first
+
+    @pytest.mark.parametrize("defect", ["missing update cell", "unknown action"])
+    def test_malformed_co_strategy_is_an_input_error(self, xor, defect):
+        red = constant_strategy(xor, "0")
+        update, act = dict(red.update), dict(red.act)
+        if defect == "missing update cell":
+            del update[("m0", "s0")]
+        else:
+            act[("m0", "s0")] = "zz"
+        profile = Profile((constant_strategy(xor, "0"), replace(red, update=update, act=act)))
+        for ask in (DeviationOracle(xor).can_win,
+                    lambda *args: can_deviator_win_set(xor, *args)):
+            with pytest.raises(InputError, match="profile.red"):
+                ask(profile, "blue", frozenset({"t1"}))
 
     def test_unknown_deviator_is_an_input_error(self, router, turn_taking):
         targets = frozenset({"A"})

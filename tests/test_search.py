@@ -130,6 +130,19 @@ class TestSearchMechanics:
         assert result.status == "budget-exhausted" and result.examined == 150000
         assert len(simulated) > 1 and sum(simulated) <= 150000
 
+    def test_budget_bounds_the_rows_swept(self, fig3, monkeypatch):
+        simulated = []
+        simulate = search._kernels.simulate_min_even
+
+        def spy(*args, rows):
+            simulated.append(len(rows[0][0]))  # the one player's (update, act) rows
+            return simulate(*args, rows=rows)
+        monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
+        result = find_gne(fig3, 3, budget=5000)
+        assert result.status == "budget-exhausted" and result.examined == 5000
+        # memory 1 and 2 in full, then the first 5,000 kept rows of memory 3
+        assert sum(simulated) <= 8 + 4096 + 5000
+
     def test_ordered_map_keeps_order_and_bounds_work_in_flight(self):
         pulled = []
 

@@ -139,14 +139,14 @@ class TestWintopMap:
         game = random_mtg(rng, n_players=2, n_states=rng.randint(2, 4),
                           n_topologies=rng.randint(1, 3))
         profile = random_profile(rng, game, memory=2)
-        real = strategy.outcome
+        real = strategy._outcome
         calls = []
 
         def spy(game, topology, prof):
             calls.append((topology, prof))
             return real(game, topology, prof)
 
-        monkeypatch.setattr(strategy, "outcome", spy)
+        monkeypatch.setattr(strategy, "_outcome", spy)
         checks = [lambda: equilibria.check_gne(game, profile),
                   lambda: equilibria.check_cne(game, profile)]
         checks += [lambda t=t: equilibria.check_ne(game, t, profile) for t in game.topologies]
