@@ -10,7 +10,7 @@ from .reductions import (DeviationChoice, HLasso, HState, PartialInfoGame,
                          build_cne_game, build_gne_game, gamma_roundtrip,
                          semantic_objective)
 from .search import SearchResult, find_cne, find_gne, find_profile_with_wintop
-from .solvers import solve_conjunction, solve_one_player, solve_parity
+from .solvers import solve_conjunction, solve_one_player
 from .strategy import (MooreStrategy, Profile, enumerate_strategies, outcome,
                        winners, wintop, wintop_map)
 
@@ -24,6 +24,6 @@ __all__ = [
     "build_knowledge_arena", "can_deviator_win_set", "check_cne", "check_gne",
     "check_ne", "compile_tables", "enumerate_strategies", "find_cne", "find_gne",
     "find_profile_with_wintop", "gamma_roundtrip", "outcome", "parity_satisfied",
-    "semantic_objective", "solve_conjunction", "solve_one_player", "solve_parity",
-    "step", "symmetrize", "validate", "winners", "wintop", "wintop_map",
+    "semantic_objective", "solve_conjunction", "solve_one_player", "step",
+    "symmetrize", "validate", "winners", "wintop", "wintop_map",
 ]

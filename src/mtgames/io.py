@@ -276,14 +276,17 @@ def report_to_dict(report: EquilibriumReport, game: Mtg) -> dict:
 
 
 def report_from_dict(doc: dict, game: Mtg, where: str = "report") -> EquilibriumReport:
+    kind = _require(doc, "kind", where)
     witness = None
     if doc.get("witness") is not None:
-        w = doc["witness"]
-        witness = DeviationWitness(player=w["player"], targets=frozenset(w["targets"]),
-                                   strategy=strategy_from_dict(w["strategy"], game, where))
-    return EquilibriumReport(kind=_require(doc, "kind", where),
-                             verdict=_require(doc, "verdict", where),
-                             wintop={p: frozenset(ts) for p, ts in doc["wintop"].items()},
+        w, at = doc["witness"], f"{where}.witness"
+        witness = DeviationWitness(player=_require(w, "player", at),
+                                   targets=frozenset(_require(w, "targets", at)),
+                                   strategy=strategy_from_dict(_require(w, "strategy", at),
+                                                               game, where))
+    return EquilibriumReport(kind=kind, verdict=_require(doc, "verdict", where),
+                             wintop={p: frozenset(ts)
+                                     for p, ts in _require(doc, "wintop", where).items()},
                              witness=witness, topology=doc.get("topology"))
 
 
@@ -346,29 +349,42 @@ def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
     by_id: dict[str, object] = {}
     rank = {}
     states = []
-    for entry in _require(doc, "states", where):
-        if entry["id"] == START:
+    for i, entry in enumerate(_require_list(doc, "states", where)):
+        at = f"{where}.states[{i}]"
+        sid = _require_name(entry, "id", at)
+        if sid == START:
             q = START
         else:
             T = frozenset(entry["T"]) if "T" in entry else None
-            q = HState(s=entry["s"], p=entry["p"], T=T, t=entry["t"], b=entry["b"])
-        by_id[entry["id"]] = q
-        rank[q] = entry["rank"]
+            q = HState(s=_require(entry, "s", at), p=_require(entry, "p", at), T=T,
+                       t=_require(entry, "t", at), b=_require(entry, "b", at))
+        by_id[sid] = q
+        rank[q] = _require(entry, "rank", at)
         states.append(q)
+
+    def state(sid, at: str):
+        if _name(sid, "state id", at) not in by_id:
+            raise InputError(f"{at}: unknown state id {sid!r}")
+        return by_id[sid]
+
     transitions = {}
-    for entry in _require(doc, "transitions", where):
-        q2 = by_id[entry["to"]]
-        if entry["from"] == START:
-            dev = entry["deviator"]
+    for i, entry in enumerate(_require_list(doc, "transitions", where)):
+        at = f"{where}.transitions[{i}]"
+        q2 = state(_require(entry, "to", at), at)
+        source = _require(entry, "from", at)
+        dev = _require(entry, "deviator", at)
+        if source == START:
             if kind == "cne":
-                action = (dev["player"], frozenset(dev["challenge"]), entry["resolver"])
+                action = (_require(dev, "player", at), frozenset(_require(dev, "challenge", at)),
+                          _require(entry, "resolver", at))
             else:
-                action = (dev["player"], dev["topology"])
+                action = (_require(dev, "player", at), _require(dev, "topology", at))
             transitions[(START, action)] = q2
         else:
-            q = by_id[entry["from"]]
-            transitions[(q, (tuple(entry["coalition"]), entry["deviator"]))] = q2
-    observations = {p: [frozenset(by_id[i] for i in cls) for cls in obs]
+            q = state(source, at)
+            transitions[(q, (tuple(_require(entry, "coalition", at)), dev))] = q2
+    observations = {p: [frozenset(state(i, f"{where}.observations") for i in cls)
+                        for cls in obs]
                     for p, obs in _require(doc, "observations", where).items()}
     targets = targets_from_dict(_require(doc, "targets", where), game, where)
     players = tuple(_require(doc, "players", where))

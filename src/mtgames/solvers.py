@@ -1,17 +1,15 @@
 """Graph-game solving backends.
 
-Three solvers over :class:`~mtgames.arena.Arena`:
+Two solvers over :class:`~mtgames.arena.Arena`:
 
 * ``solve_one_player``: non-emptiness of a single parity condition when every
   node belongs to Seeker, by even-value/SCC search, with a witness lasso.
-* ``solve_parity``: full two-player parity solving by the classic recursive
-  region decomposition (recursing on the minimum priority), with memoryless
-  witnesses for both sides, verified by re-simulation.
 * ``solve_conjunction``: Seeker must satisfy every active coordinate at once.
   The conjunction is rewritten as one request/response condition (for each odd
   value ``c`` of a coordinate: seeing ``c`` infinitely often requires seeing
   something smaller infinitely often), tracked with an index-appearance-record
-  memory so a single parity condition remains, and solved recursively. Seeker
+  memory so a single parity condition remains, and solved by the classic
+  recursive region decomposition (recursing on the minimum priority). Seeker
   witnesses carry the record as finite memory and are verified against every
   Spoiler response via cycle analysis of the strategy-restricted product.
 
@@ -24,7 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .arena import SEEKER, SPOILER, Arena, ArenaLasso
+from .arena import SEEKER, Arena, ArenaLasso
 from .core import InputError
 
 _MIN_RECURSION = 200_000
@@ -262,68 +260,12 @@ def _zielonka(sub: set[int], owner: list[int], succ: list[list[int]],
     return win_opp, regions_b[1], strat_opp, strat_side_b
 
 
-@dataclass
-class ParityResult:
-    seeker_region: frozenset[int]
-    spoiler_region: frozenset[int]
-    seeker_strategy: dict[int, int]
-    spoiler_strategy: dict[int, int]
-    seeker_wins_initial: bool
-
-
 def _predecessors(succ: list[list[int]]) -> dict[int, list[int]]:
     pred: dict[int, list[int]] = {v: [] for v in range(len(succ))}
     for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
     return pred
-
-
-def _verify_memoryless(arena: Arena, coordinate: int, region: set[int],
-                       strategy: dict[int, int], side: int) -> None:
-    """Check a claimed memoryless winning strategy by cycle analysis.
-
-    Restricts the winner's nodes to the strategy edge and checks that no cycle
-    of the wrong parity is reachable within the region; raises on failure.
-    """
-    sub: dict[int, list[int]] = {}
-    for v in region:
-        if arena.owner[v] == side:
-            w = strategy.get(v)
-            if w is None or w not in region:
-                raise AssertionError(f"strategy missing or escaping region at node {v}")
-            sub[v] = [w]
-        else:
-            outs = [w for w in arena.succ[v] if w in region]
-            if len(outs) != len(arena.succ[v]):
-                raise AssertionError(f"opponent can escape region at node {v}")
-            sub[v] = outs
-    # a cycle with min parity of the opponent would refute the region
-    shift = 0 if side == 1 else 1
-    prio = {v: arena.priorities[v][coordinate] + shift for v in region}
-    bad = find_even_min_cycle(sorted(region), sub, prio, sorted(region))
-    if bad is not None:
-        raise AssertionError(f"strategy verification failed: bad cycle {bad[1]}")
-
-
-def solve_parity(arena: Arena, coordinate: int = 0) -> ParityResult:
-    """Solve the two-player parity game on ``coordinate``; regions partition the arena."""
-    arena.check()
-    if not 0 <= coordinate < arena.k:
-        raise InputError(f"coordinate {coordinate} out of range for k={arena.k}")
-    _ensure_recursion_room()
-    prio = {v: arena.priorities[v][coordinate] for v in range(len(arena.nodes))}
-    pred = _predecessors(arena.succ)
-    w0, w1, s0, s1 = _zielonka(set(range(len(arena.nodes))), arena.owner,
-                               arena.succ, prio, pred)
-    if w0:
-        _verify_memoryless(arena, coordinate, w0, s0, SEEKER)
-    if w1:
-        _verify_memoryless(arena, coordinate, w1, s1, SPOILER)
-    seeker_edges = {v: arena.succ[v].index(w) for v, w in s0.items() if arena.owner[v] == SEEKER}
-    spoiler_edges = {v: arena.succ[v].index(w) for v, w in s1.items() if arena.owner[v] == SPOILER}
-    return ParityResult(frozenset(w0), frozenset(w1), seeker_edges, spoiler_edges,
-                        arena.initial in w0)
 
 
 def solve_one_player(arena: Arena, coordinate: int = 0) -> tuple[bool, ArenaLasso | None]:

@@ -89,6 +89,10 @@ class TestReportSerialization:
         back = mio.report_from_dict(doc, router)
         assert back.verdict and back.witness is None and back.topology == "A"
 
+    def test_report_without_wintop_rejected(self, fig3):
+        with pytest.raises(InputError, match=r"^r\.json: missing required key 'wintop'"):
+            mio.report_from_dict({"kind": "gne", "verdict": True}, fig3, where="r.json")
+
 
 class TestReductionFiles:
     def test_cne_round_trip(self, tmp_path, router):
@@ -112,6 +116,33 @@ class TestReductionFiles:
         h2 = mio.load_h(path)
         assert h2.transitions == h.transitions
         assert h2.rank == h.rank
+
+    @staticmethod
+    def _router_h_doc(router):
+        targets = {"blue": frozenset({"A", "B"}), "red": frozenset({"A", "B"})}
+        return mio.h_to_dict(build_gne_game(router, targets))
+
+    def test_state_without_id_rejected(self, router):
+        doc = self._router_h_doc(router)
+        del doc["states"][1]["id"]
+        with pytest.raises(InputError, match=r"^h\.json\.states\[1\]: missing required key 'id'"):
+            mio.h_from_dict(doc, where="h.json")
+
+    def test_transition_without_target_rejected(self, router):
+        doc = self._router_h_doc(router)
+        del doc["transitions"][0]["to"]
+        with pytest.raises(InputError,
+                           match=r"^h\.json\.transitions\[0\]: missing required key 'to'"):
+            mio.h_from_dict(doc, where="h.json")
+
+    @pytest.mark.parametrize("key", ["to", "from"])
+    def test_unknown_state_id_rejected(self, router, key):
+        doc = self._router_h_doc(router)
+        i = next(i for i, e in enumerate(doc["transitions"]) if e["from"] != "start")
+        doc["transitions"][i][key] = "nowhere"
+        with pytest.raises(InputError,
+                           match=rf"^h\.json\.transitions\[{i}\]: unknown state id 'nowhere'"):
+            mio.h_from_dict(doc, where="h.json")
 
 
 def run_cli(args, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtgames import io, search
-from mtgames.core import InputError
+from mtgames.core import InputError, Mtg
 from mtgames.equilibria import check_cne, check_gne
 from mtgames.generate import random_mtg, random_profile
 from mtgames.search import find_cne, find_gne, find_profile_with_wintop
@@ -28,7 +28,6 @@ class TestFindGne:
         assert "not a proof" in result.note
 
     def test_single_topology_collapse_finds_equilibrium(self, fig3):
-        from mtgames.core import Mtg
         single = Mtg(players=fig3.players, states=fig3.states, initial=fig3.initial,
                      actions=fig3.actions, topologies=("t1",),
                      transition={k: v for k, v in fig3.transition.items() if k[0] == "t1"},
@@ -130,7 +129,7 @@ class TestSearchMechanics:
         assert result.status == "budget-exhausted" and result.examined == 150000
         assert len(simulated) > 1 and sum(simulated) <= 150000
 
-    def test_budget_bounds_the_rows_swept(self, fig3, monkeypatch):
+    def test_budget_bounds_the_rows_swept(self, monkeypatch):
         simulated = []
         simulate = search._kernels.simulate_min_even
 
@@ -138,10 +137,29 @@ class TestSearchMechanics:
             simulated.append(len(rows[0][0]))  # the one player's (update, act) rows
             return simulate(*args, rows=rows)
         monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
-        result = find_gne(fig3, 3, budget=5000)
+        # the stable set {t1, t2, t3} can be won, but not within memory 2
+        result = find_gne(_rotation_game(3), 2, budget=5000)
         assert result.status == "budget-exhausted" and result.examined == 5000
-        # memory 1 and 2 in full, then the first 5,000 kept rows of memory 3
-        assert sum(simulated) <= 8 + 4096 + 5000
+        # memory 1 in full, then at most the first 5,000 kept rows of memory 2
+        assert 81 < sum(simulated) <= 81 + 5000
+
+    def test_unwinnable_allowed_sets_simulate_nothing(self, fig3, monkeypatch):
+        called = []
+
+        def spy(*args, **kwargs):
+            called.append(1)
+        monkeypatch.setattr(search._kernels, "sweep_block", spy)
+        monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
+        total = 5043816
+        both = {"solo": frozenset({"t1", "t2"})}  # the only stable set, which no strategy wins
+        for budget, want in ((None, ("exhausted-space", total)), (500, ("budget-exhausted", 500)),
+                             (total, ("budget-exhausted", total)),
+                             (total + 1, ("exhausted-space", total))):
+            for jobs in (1, 2):
+                for result in (find_gne(fig3, 3, budget=budget, jobs=jobs),
+                               find_profile_with_wintop(fig3, both, 3, budget=budget, jobs=jobs)):
+                    assert (result.status, result.examined, result.profile) == (*want, None)
+        assert not called
 
     def test_ordered_map_keeps_order_and_bounds_work_in_flight(self):
         pulled = []
@@ -178,6 +196,22 @@ class TestSearchMechanics:
             if result.status == "found":
                 assert check_cne(game, result.profile).verdict
         assert found > 0
+
+
+def _rotation_game(k):
+    """One player, who wins topology ``ti`` iff the play visits ``xi`` infinitely often.
+
+    From ``c`` action ``i`` leads to ``xi``, and every ``xi`` leads back to
+    ``c``, so winning all ``k`` topologies takes ``k`` memory states.
+    """
+    states = ("c",) + tuple(f"x{i}" for i in range(1, k + 1))
+    actions = tuple(str(i) for i in range(1, k + 1))
+    tops = tuple(f"t{i}" for i in range(1, k + 1))
+    transition = {(t, s, (a,)): f"x{a}" if s == "c" else "c"
+                  for t in tops for s in states for a in actions}
+    priority = {(t, "p0", s): int(s != f"x{t[1:]}") for t in tops for s in states}
+    return Mtg(players=("p0",), states=states, initial="c", actions=actions,
+               topologies=tops, transition=transition, priority=priority)
 
 
 def _reference_scan(game, kind, bound, budget=None, targets=None):
@@ -244,8 +278,16 @@ class TestScreenedSearchEqualsReference:
     @pytest.mark.parametrize("n_states, bound", [(2, 2), (1, 3)])
     def test_one_player_games(self, n_states, bound, monkeypatch):
         monkeypatch.setattr(search, "_SWEEP_RANGE", 24)  # several ranges a block
+        calls = []
+        sweep = search._kernels.sweep_block
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+        monkeypatch.setattr(search._kernels, "sweep_block", spy)
         rng = random.Random(60 + n_states)
         statuses = set()
+        swept = set()  # whether a search simulated, or no allowed set could be won
         for _ in range(6):
             game = random_mtg(rng, n_players=1, n_states=n_states,
                               n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
@@ -256,12 +298,15 @@ class TestScreenedSearchEqualsReference:
                                   ("target", reachable)):
                 for budget in (None, rng.randrange(1, count), count):
                     want = _reference_scan(game, kind, bound, budget=budget, targets=targets)
+                    before = len(calls)
                     assert self._run(game, kind, bound, budget, targets) == want
+                    swept.add(len(calls) > before)
                     assert self._run(game, kind, bound, budget, targets, jobs=2) == want
                     statuses.add(want[0])
                     if budget == count:
                         assert want[0] in ("found", "budget-exhausted")
         assert statuses == {"found", "budget-exhausted", "exhausted-space"}
+        assert swept == {True, False}
 
     def test_budget_ends_inside_a_tile_with_pruned_rows(self, monkeypatch):
         monkeypatch.setattr(search, "CHUNK_CAP", 16)

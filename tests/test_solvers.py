@@ -1,11 +1,73 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from brute import brute_conjunction_exists, brute_parity_regions
 from mtgames.arena import SEEKER, SPOILER, Arena
 from mtgames.core import InputError
-from mtgames.solvers import solve_conjunction, solve_one_player, solve_parity
+from mtgames.solvers import (_ensure_recursion_room, _predecessors, _zielonka,
+                             find_even_min_cycle, solve_conjunction, solve_one_player)
+
+# Full two-player parity solving on the recursive region decomposition that
+# solve_conjunction runs, with memoryless witnesses for both sides verified by
+# re-simulation: the oracle for the other two solvers.
+
+
+@dataclass
+class ParityResult:
+    seeker_region: frozenset[int]
+    spoiler_region: frozenset[int]
+    seeker_strategy: dict[int, int]
+    spoiler_strategy: dict[int, int]
+    seeker_wins_initial: bool
+
+
+def _verify_memoryless(arena: Arena, coordinate: int, region: set[int],
+                       strategy: dict[int, int], side: int) -> None:
+    """Check a claimed memoryless winning strategy by cycle analysis.
+
+    Restricts the winner's nodes to the strategy edge and checks that no cycle
+    of the wrong parity is reachable within the region; raises on failure.
+    """
+    sub: dict[int, list[int]] = {}
+    for v in region:
+        if arena.owner[v] == side:
+            w = strategy.get(v)
+            if w is None or w not in region:
+                raise AssertionError(f"strategy missing or escaping region at node {v}")
+            sub[v] = [w]
+        else:
+            outs = [w for w in arena.succ[v] if w in region]
+            if len(outs) != len(arena.succ[v]):
+                raise AssertionError(f"opponent can escape region at node {v}")
+            sub[v] = outs
+    # a cycle with min parity of the opponent would refute the region
+    shift = 0 if side == 1 else 1
+    prio = {v: arena.priorities[v][coordinate] + shift for v in region}
+    bad = find_even_min_cycle(sorted(region), sub, prio, sorted(region))
+    if bad is not None:
+        raise AssertionError(f"strategy verification failed: bad cycle {bad[1]}")
+
+
+def solve_parity(arena: Arena, coordinate: int = 0) -> ParityResult:
+    """Solve the two-player parity game on ``coordinate``; regions partition the arena."""
+    arena.check()
+    if not 0 <= coordinate < arena.k:
+        raise InputError(f"coordinate {coordinate} out of range for k={arena.k}")
+    _ensure_recursion_room()
+    prio = {v: arena.priorities[v][coordinate] for v in range(len(arena.nodes))}
+    pred = _predecessors(arena.succ)
+    w0, w1, s0, s1 = _zielonka(set(range(len(arena.nodes))), arena.owner,
+                               arena.succ, prio, pred)
+    if w0:
+        _verify_memoryless(arena, coordinate, w0, s0, SEEKER)
+    if w1:
+        _verify_memoryless(arena, coordinate, w1, s1, SPOILER)
+    seeker_edges = {v: arena.succ[v].index(w) for v, w in s0.items() if arena.owner[v] == SEEKER}
+    spoiler_edges = {v: arena.succ[v].index(w) for v, w in s1.items() if arena.owner[v] == SPOILER}
+    return ParityResult(frozenset(w0), frozenset(w1), seeker_edges, spoiler_edges,
+                        arena.initial in w0)
 
 
 def random_arena(rng: random.Random, n_nodes: int = 8, k: int = 1,
