@@ -19,7 +19,9 @@ topologies still consistent with the observed history, and the co-players'
 memories. Because a deviating strategy is one function of the state history,
 topologies with identical observed histories must receive identical deviator
 actions; the knowledge set captures exactly that, so verification is exact for
-deviating strategies of unbounded memory.
+deviating strategies of unbounded memory. The knowledge set shrinks strictly
+wherever the play splits, so each level of the arena is a one-player graph and
+the conjunction solver decides it in polynomial time.
 
 Public functions check their profile, deviator and targets once; ``_``-prefixed
 helpers assume checked input. A check validates its profile in ``wintop_map``
@@ -191,7 +193,7 @@ def _machine_to_moore(game: Mtg, arena: Arena, machine: WitnessMachine,
     """Transport a winning arena strategy into a Moore strategy over game states.
 
     The Moore memory packs the previous knowledge node, the action taken there
-    and the record memory; observing the next state resolves the Spoiler
+    and the plan position; observing the next state resolves the Spoiler
     branch deterministically. Histories that cannot arise fall into an
     absorbing dead memory with a fixed default action, keeping tables total.
     """

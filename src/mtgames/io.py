@@ -80,6 +80,27 @@ def _require_names(doc: dict, key: str, where: str) -> tuple[str, ...]:
     return tuple(_name(v, f"{key} entry", where) for v in _require_list(doc, key, where))
 
 
+def _member(value, names, what: str, where: str) -> str:
+    """``value`` if it is one of ``names``."""
+    if _name(value, what, where) not in names:
+        raise InputError(f"{where}: unknown {what} {value!r}")
+    return value
+
+
+def _members(value, names, what: str, where: str) -> frozenset[str]:
+    """The list ``value`` of ``names``, as a set."""
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list of {what} names, got {type(value).__name__}")
+    return frozenset(_member(v, names, what, where) for v in value)
+
+
+def _typed(value, kind: type, what: str, where: str):
+    """``value`` if it is a ``kind``; a bool does not pass as an int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{where}: {what} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # games
 
@@ -228,23 +249,14 @@ def targets_to_dict(targets: dict[str, frozenset[str]], game: Mtg) -> dict:
 def targets_from_dict(doc: dict, game: Mtg, where: str = "targets") -> dict[str, frozenset[str]]:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object mapping players to topology lists")
-    out = {}
     for p in game.players:
         if p not in doc:
             raise InputError(f"{where}: missing target set for player {p!r}")
-        if not isinstance(doc[p], list):
-            raise InputError(f"{where}: target set for {p!r} must be a list of topologies, "
-                             f"got {type(doc[p]).__name__}")
-        if not all(isinstance(t, str) for t in doc[p]):
-            raise InputError(f"{where}: target set for {p!r} must list topology names")
-        ts = frozenset(doc[p])
-        if not ts <= set(game.topologies):
-            raise InputError(f"{where}: unknown topologies for {p}: {sorted(ts)}")
-        out[p] = ts
     for p in doc:
         if p not in game.players:
             raise InputError(f"{where}: unknown player {p!r}")
-    return out
+    return {p: _members(doc[p], game.topologies, "topology", f"{where}: target set for {p!r}")
+            for p in game.players}
 
 
 def load_targets(path, game: Mtg) -> dict[str, frozenset[str]]:
@@ -276,18 +288,20 @@ def report_to_dict(report: EquilibriumReport, game: Mtg) -> dict:
 
 
 def report_from_dict(doc: dict, game: Mtg, where: str = "report") -> EquilibriumReport:
-    kind = _require(doc, "kind", where)
-    witness = None
-    if doc.get("witness") is not None:
-        w, at = doc["witness"], f"{where}.witness"
-        witness = DeviationWitness(player=_require(w, "player", at),
-                                   targets=frozenset(_require(w, "targets", at)),
-                                   strategy=strategy_from_dict(_require(w, "strategy", at),
-                                                               game, where))
-    return EquilibriumReport(kind=kind, verdict=_require(doc, "verdict", where),
-                             wintop={p: frozenset(ts)
-                                     for p, ts in _require(doc, "wintop", where).items()},
-                             witness=witness, topology=doc.get("topology"))
+    kind = _member(_require(doc, "kind", where), ("ne", "gne", "cne"), "report kind", where)
+    verdict = _typed(_require(doc, "verdict", where), bool, "verdict", where)
+    wintop = targets_from_dict(_require(doc, "wintop", where), game, f"{where}.wintop")
+    topology = None
+    if kind == "ne":
+        topology = _member(_require(doc, "topology", where), game.topologies, "topology", where)
+    w, at = _require(doc, "witness", where), f"{where}.witness"
+    if (w is None) != verdict:
+        raise InputError(f"{where}: a report has a witness exactly when its verdict is false")
+    witness = None if w is None else DeviationWitness(
+        player=_member(_require(w, "player", at), game.players, "player", at),
+        targets=_members(_require(w, "targets", at), game.topologies, "topology", at),
+        strategy=strategy_from_dict(_require(w, "strategy", at), game, at))
+    return EquilibriumReport(kind, verdict, wintop, witness, topology)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +359,12 @@ def h_to_dict(h: PartialInfoGame) -> dict:
 
 def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
     game = game_from_dict(_require(doc, "game", where), where=f"{where}.game")
-    kind = _require(doc, "kind", where)
+    kind = _member(_require(doc, "kind", where), ("gne", "cne"), "reduction kind", where)
+    players = _require_names(doc, "players", where)
+    expected = (COALITION, DEVIATOR, RESOLVER) if kind == "cne" else (COALITION, DEVIATOR)
+    if players != expected:
+        raise InputError(f"{where}: unexpected player roles {players}")
+    tops = game.topologies
     by_id: dict[str, object] = {}
     rank = {}
     states = []
@@ -355,12 +374,16 @@ def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
         if sid == START:
             q = START
         else:
-            T = frozenset(entry["T"]) if "T" in entry else None
-            q = HState(s=_require(entry, "s", at), p=_require(entry, "p", at), T=T,
-                       t=_require(entry, "t", at), b=_require(entry, "b", at))
+            T = _members(_require(entry, "T", at), tops, "topology", at) if kind == "cne" else None
+            q = HState(s=_member(_require(entry, "s", at), game.states, "state", at),
+                       p=_member(_require(entry, "p", at), game.players, "player", at), T=T,
+                       t=_member(_require(entry, "t", at), tops, "topology", at),
+                       b=_typed(_require(entry, "b", at), bool, "b", at))
         by_id[sid] = q
-        rank[q] = _require(entry, "rank", at)
+        rank[q] = _typed(_require(entry, "rank", at), int, "rank", at)
         states.append(q)
+    if START not in by_id:
+        raise InputError(f"{where}: no state has id {START!r}")
 
     def state(sid, at: str):
         if _name(sid, "state id", at) not in by_id:
@@ -374,23 +397,28 @@ def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
         source = _require(entry, "from", at)
         dev = _require(entry, "deviator", at)
         if source == START:
+            p = _member(_require(dev, "player", at), game.players, "player", at)
             if kind == "cne":
-                action = (_require(dev, "player", at), frozenset(_require(dev, "challenge", at)),
-                          _require(entry, "resolver", at))
+                action = (p, _members(_require(dev, "challenge", at), tops, "topology", at),
+                          _member(_require(entry, "resolver", at), tops, "topology", at))
             else:
-                action = (_require(dev, "player", at), _require(dev, "topology", at))
+                action = (p, _member(_require(dev, "topology", at), tops, "topology", at))
             transitions[(START, action)] = q2
         else:
-            q = state(source, at)
-            transitions[(q, (tuple(_require(entry, "coalition", at)), dev))] = q2
-    observations = {p: [frozenset(state(i, f"{where}.observations") for i in cls)
-                        for cls in obs]
-                    for p, obs in _require(doc, "observations", where).items()}
+            prof = _require_list(entry, "coalition", at)
+            if len(prof) != len(game.players):
+                raise InputError(f"{at}: coalition must give one action per player")
+            prof = tuple(_member(a, game.actions, "action", at) for a in prof)
+            transitions[(state(source, at), (prof, _member(dev, game.actions, "action", at)))] = q2
+    obs, at = _require(doc, "observations", where), f"{where}.observations"
+    if not isinstance(obs, dict) or set(obs) != set(players):
+        raise InputError(f"{at}: expected an object keyed by exactly the roles {list(players)}")
+    observations = {}
+    for p in players:
+        if not isinstance(obs[p], list) or not all(isinstance(c, list) for c in obs[p]):
+            raise InputError(f"{at}: classes of {p} must be lists of state ids")
+        observations[p] = [frozenset(state(i, at) for i in cls) for cls in obs[p]]
     targets = targets_from_dict(_require(doc, "targets", where), game, where)
-    players = tuple(_require(doc, "players", where))
-    expected = (COALITION, DEVIATOR, RESOLVER) if kind == "cne" else (COALITION, DEVIATOR)
-    if players != expected:
-        raise InputError(f"{where}: unexpected player roles {players}")
     return PartialInfoGame(kind=kind, players=players, states=states, initial=START,
                            transitions=transitions, rank=rank,
                            observations=observations, game=game, targets=targets)

@@ -81,7 +81,8 @@ def target_tuple(game: Mtg, targets: dict[str, set[str] | frozenset[str]]
                  ) -> dict[str, frozenset[str]]:
     """Validate and normalize an intended winning-topology set per player."""
     if set(targets) != set(game.players):
-        raise InputError("targets must name exactly the game's players")
+        raise InputError(f"targets must name exactly the game's players "
+                         f"{list(game.players)}, not {sorted(targets)}")
     out = {}
     for p, ts in targets.items():
         ts = frozenset(ts)

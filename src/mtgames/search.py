@@ -47,6 +47,7 @@ from . import _kernels
 from .core import InputError, Mtg, compile_tables
 from .equilibria import (DeviationOracle, EquilibriumReport, check_cne, check_gne,
                          deviation_questions)
+from .reductions import target_tuple
 from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 
 CHUNK_CAP = 1 << 17
@@ -439,7 +440,5 @@ def find_profile_with_wintop(game: Mtg, targets: dict[str, frozenset[str]],
                              memory_bound: int, budget: int | None = None,
                              jobs: int = 1) -> SearchResult:
     """First profile whose winning-topology sets match the targets exactly."""
-    for p in game.players:
-        if p not in targets:
-            raise InputError(f"missing target set for player {p!r}")
-    return _search(game, memory_bound, "target", budget, jobs, targets=targets)
+    return _search(game, memory_bound, "target", budget, jobs,
+                   targets=target_tuple(game, targets))

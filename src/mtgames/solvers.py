@@ -4,14 +4,12 @@ Two solvers over :class:`~mtgames.arena.Arena`:
 
 * ``solve_one_player``: non-emptiness of a single parity condition when every
   node belongs to Seeker, by even-value/SCC search, with a witness lasso.
-* ``solve_conjunction``: Seeker must satisfy every active coordinate at once.
-  The conjunction is rewritten as one request/response condition (for each odd
-  value ``c`` of a coordinate: seeing ``c`` infinitely often requires seeing
-  something smaller infinitely often), tracked with an index-appearance-record
-  memory so a single parity condition remains, and solved by the classic
-  recursive region decomposition (recursing on the minimum priority). Seeker
-  witnesses carry the record as finite memory and are verified against every
-  Spoiler response via cycle analysis of the strategy-restricted product.
+* ``solve_conjunction``: Seeker must satisfy every active coordinate at once,
+  on a leveled arena, where no Spoiler node that branches lies on a cycle (in
+  a knowledge arena such a branch strictly shrinks the consistent set). Every
+  play ends in a part Seeker controls alone, so she wins exactly on her
+  attractor of the nodes that lie on a closed walk whose minimum is even in
+  every coordinate, found by the Emerson-Lei SCC test for generalized parity.
 
 All solvers are deterministic: node order is arena order and every choice
 breaks ties by smallest index.
@@ -19,18 +17,10 @@ breaks ties by smallest index.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .arena import SEEKER, Arena, ArenaLasso
 from .core import InputError
-
-_MIN_RECURSION = 200_000
-
-
-def _ensure_recursion_room() -> None:
-    if sys.getrecursionlimit() < _MIN_RECURSION:
-        sys.setrecursionlimit(_MIN_RECURSION)
 
 
 # ---------------------------------------------------------------------------
@@ -191,81 +181,7 @@ def bfs_path_multi(sources: list[int], goal: int, succ: dict[int, list[int]]) ->
 
 
 # ---------------------------------------------------------------------------
-# two-player parity
-
-
-def _attractor(player: int, targets: set[int], sub: set[int],
-               owner: list[int], succ: list[list[int]],
-               pred: dict[int, list[int]]) -> tuple[set[int], dict[int, int]]:
-    """Attractor of ``targets`` for ``player`` inside ``sub``, plus pull strategy."""
-    attr = set(targets)
-    strategy: dict[int, int] = {}
-    out_count = {v: sum(1 for w in succ[v] if w in sub) for v in sub}
-    frontier = list(sorted(targets))
-    while frontier:
-        v = frontier.pop(0)
-        for u in pred.get(v, ()):
-            if u not in sub or u in attr:
-                continue
-            if owner[u] == player:
-                attr.add(u)
-                strategy[u] = v
-                frontier.append(u)
-            else:
-                out_count[u] -= 1
-                if out_count[u] == 0:
-                    attr.add(u)
-                    frontier.append(u)
-    return attr, strategy
-
-
-def _zielonka(sub: set[int], owner: list[int], succ: list[list[int]],
-              prio: dict[int, int], pred: dict[int, list[int]]
-              ) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
-    """Winning regions and memoryless strategies for min-even parity.
-
-    Strategies map owned nodes of the winner's region to a chosen successor
-    node inside the region.
-    """
-    if not sub:
-        return set(), set(), {}, {}
-    p = min(prio[v] for v in sub)
-    side = p % 2
-    carriers = {v for v in sub if prio[v] == p}
-    attr, pull = _attractor(side, carriers, sub, owner, succ, pred)
-    w0, w1, s0, s1 = _zielonka(sub - attr, owner, succ, prio, pred)
-    regions = (w0, w1)
-    strats = (s0, s1)
-    opp = 1 - side
-    if not regions[opp]:
-        strat_side = dict(strats[side])
-        strat_side.update(pull)
-        for v in sorted(carriers):
-            if owner[v] == side and v not in strat_side:
-                strat_side[v] = next(w for w in succ[v] if w in sub)
-        if side == 0:
-            return set(sub), set(), strat_side, {}
-        return set(), set(sub), {}, strat_side
-    block, pull_opp = _attractor(opp, regions[opp], sub, owner, succ, pred)
-    w0b, w1b, s0b, s1b = _zielonka(sub - block, owner, succ, prio, pred)
-    regions_b = (w0b, w1b)
-    strats_b = (s0b, s1b)
-    win_opp = regions_b[opp] | block
-    strat_opp = dict(strats[opp])
-    strat_opp.update(pull_opp)
-    strat_opp.update(strats_b[opp])
-    strat_side_b = dict(strats_b[side])
-    if side == 0:
-        return regions_b[0], win_opp, strat_side_b, strat_opp
-    return win_opp, regions_b[1], strat_opp, strat_side_b
-
-
-def _predecessors(succ: list[list[int]]) -> dict[int, list[int]]:
-    pred: dict[int, list[int]] = {v: [] for v in range(len(succ))}
-    for v, ws in enumerate(succ):
-        for w in ws:
-            pred[w].append(v)
-    return pred
+# one-player parity
 
 
 def solve_one_player(arena: Arena, coordinate: int = 0) -> tuple[bool, ArenaLasso | None]:
@@ -296,42 +212,32 @@ def solve_one_player(arena: Arena, coordinate: int = 0) -> tuple[bool, ArenaLass
 
 @dataclass
 class WitnessMachine:
-    """Finite-memory Seeker strategy: memory is an ordering of request indices.
+    """Finite-memory Seeker strategy whose memory is a plan position ``r`` below k.
 
-    The machine is read as: on visiting arena node ``v`` with memory ``perm``,
-    if ``v`` is a Seeker node take edge ``choice[(perm, v)]``; then update the
-    memory with :meth:`step`. ``f_hits[v]`` lists the request/response pairs
-    whose response set contains ``v``; those move to the front of the record.
+    On visiting arena node ``v`` with record ``r``, a Seeker node takes edge
+    ``choice[(r, v)]``; then :meth:`step` updates the record. ``moves`` lists
+    where the plan advances: where ``v`` carries its good component's minimum
+    of coordinate ``r``.
     """
 
-    init: tuple[int, ...]
-    f_hits: list[frozenset[int]]
-    choice: dict[tuple[tuple[int, ...], int], int]
-    memory_used: int
+    init: int
+    moves: dict[tuple[int, int], int]
+    choice: dict[tuple[int, int], int]
 
-    def step(self, perm: tuple[int, ...], node: int) -> tuple[int, ...]:
-        hits = self.f_hits[node]
-        if not hits:
-            return perm
-        front = tuple(j for j in perm if j in hits)
-        rest = tuple(j for j in perm if j not in hits)
-        return front + rest
+    def step(self, record: int, node: int) -> int:
+        return self.moves.get((record, node), record)
 
 
 @dataclass
 class ConjunctionResult:
     winner: bool
     witness: WitnessMachine | None
-    memory_used: int
 
 
 def effective_priorities(arena: Arena, active: list[tuple[bool, ...]]) -> list[tuple[int, ...]]:
     """Priority vectors with inactive coordinates rewritten to 0 (satisfied)."""
-    out = []
-    for v in range(len(arena.nodes)):
-        out.append(tuple(arena.priorities[v][i] if active[v][i] else 0
-                         for i in range(arena.k)))
-    return out
+    return [tuple(p if on else 0 for p, on in zip(arena.priorities[v], active[v]))
+            for v in range(len(arena.nodes))]
 
 
 def _check_mask(arena: Arena, active: list[tuple[bool, ...]]) -> None:
@@ -347,45 +253,23 @@ def _check_mask(arena: Arena, active: list[tuple[bool, ...]]) -> None:
                         f"active mask not monotone on edge {v}->{w} coordinate {i}")
 
 
-def _build_pairs(arena: Arena, eff: list[tuple[int, ...]]
-                 ) -> tuple[int, list[frozenset[int]], list[frozenset[int]]]:
-    """Request/response pairs: for every coordinate and odd value c present,
-    requests are the nodes valued exactly c and responses the nodes valued
-    below c in that coordinate."""
-    pairs: list[tuple[int, int]] = []
-    for i in range(arena.k):
-        odd_values = sorted({eff[v][i] for v in range(len(arena.nodes))
-                             if eff[v][i] % 2 == 1})
-        pairs.extend((i, c) for c in odd_values)
-    e_hits = []
-    f_hits = []
-    for v in range(len(arena.nodes)):
-        e_hits.append(frozenset(j for j, (i, c) in enumerate(pairs) if eff[v][i] == c))
-        f_hits.append(frozenset(j for j, (i, c) in enumerate(pairs) if eff[v][i] < c))
-    return len(pairs), e_hits, f_hits
+def _attract(targets: list[int], pred: dict[int, list[int]],
+             need: dict[int, int]) -> dict[int, int | None]:
+    """Nodes forced into ``targets``, each mapped to a successor attracted earlier.
 
-
-def _record_priority(perm: tuple[int, ...], e_hit: frozenset[int],
-                     f_hit: frozenset[int], m: int) -> int:
-    """Priority emitted on entering a node with record ``perm`` (min-even form).
-
-    With 1-based positions in the record, ``f`` is the deepest position whose
-    pair got a response here and ``e`` the deepest position with a request.
-    A request deeper than every response is bad; everything else is good at
-    the response depth. The max-even value ``2f`` (or odd ``2e-1``) is flipped
-    to the min-even convention by subtracting from ``2m``.
+    ``need[u]`` counts the successors of ``u`` that must be attracted before
+    ``u`` is; only the edges listed in ``pred`` count. Targets map to None.
     """
-    pos = {j: idx + 1 for idx, j in enumerate(perm)}
-    f = max((pos[j] for j in f_hit), default=0)
-    e = max((pos[j] for j in e_hit), default=0)
-    max_style = 2 * e - 1 if e > f else 2 * f
-    return 2 * m - max_style
-
-
-def _move_to_front(perm: tuple[int, ...], hits: frozenset[int]) -> tuple[int, ...]:
-    if not hits:
-        return perm
-    return tuple(j for j in perm if j in hits) + tuple(j for j in perm if j not in hits)
+    towards: dict[int, int | None] = dict.fromkeys(targets)
+    queue = list(targets)
+    for w in queue:
+        for u in pred[w]:
+            if u not in towards:
+                need[u] -= 1
+                if not need[u]:
+                    towards[u] = w
+                    queue.append(u)
+    return towards
 
 
 def solve_conjunction(arena: Arena, active: list[tuple[bool, ...]] | None = None
@@ -393,77 +277,63 @@ def solve_conjunction(arena: Arena, active: list[tuple[bool, ...]] | None = None
     """Decide whether Seeker can satisfy every active coordinate from the initial node.
 
     Inactive coordinates count as satisfied; the mask must be monotone
-    non-increasing along edges. When Seeker wins, the returned witness is
-    verified against every Spoiler response (any memory) by checking that the
-    strategy-restricted record graph has no reachable cycle violating a
-    coordinate; an unverifiable answer raises instead of being returned.
+    non-increasing along edges. A Spoiler node with two or more successors
+    must lie on no cycle (else :class:`InputError`), so every play ends in a
+    part Seeker controls alone. ``Good`` holds the nodes on a closed walk whose
+    minimum is even in every coordinate: in a cyclic SCC whose minimum is odd
+    in some coordinate, no such walk meets the nodes carrying it, so they are
+    deleted and the rest re-split. Seeker wins exactly on her attractor of
+    ``Good``. Her witness follows the attractor, then, inside its component,
+    walks to a node carrying the minimum of coordinate ``r``, which advances ``r``.
     """
     arena.check()
     if active is None:
         active = [tuple(True for _ in range(arena.k)) for _ in arena.nodes]
     _check_mask(arena, active)
     eff = effective_priorities(arena, active)
-    m, e_hits, f_hits = _build_pairs(arena, eff)
+    n, k, succ = len(arena.nodes), arena.k, arena.succ
+    pred: dict[int, list[int]] = {v: [] for v in range(n)}
+    for v in range(n):
+        for w in succ[v]:
+            pred[w].append(v)
 
-    init_perm = tuple(range(m))
-    start = (arena.initial, init_perm)
-    index: dict[tuple[int, tuple[int, ...]], int] = {start: 0}
-    items: list[tuple[int, tuple[int, ...]]] = [start]
-    succ: list[list[int]] = []
-    prio: dict[int, int] = {}
-    frontier = 0
-    while frontier < len(items):
-        v, perm = items[frontier]
-        prio[frontier] = _record_priority(perm, e_hits[v], f_hits[v], m)
-        nxt_perm = _move_to_front(perm, f_hits[v])
-        row = []
-        for w in arena.succ[v]:
-            key = (w, nxt_perm)
-            if key not in index:
-                index[key] = len(items)
-                items.append(key)
-        for w in arena.succ[v]:
-            row.append(index[(w, nxt_perm)])
-        succ.append(row)
-        frontier += 1
-
-    owner = [arena.owner[v] for v, _ in items]
-    _ensure_recursion_room()
-    pred = _predecessors(succ)
-    w0, w1, s0, _ = _zielonka(set(range(len(items))), owner, succ, prio, pred)
-    if 0 not in w0:
-        return ConjunctionResult(False, None, 0)
-
-    choice: dict[tuple[tuple[int, ...], int], int] = {}
-    for idx in sorted(w0):
-        v, perm = items[idx]
-        if owner[idx] == SEEKER:
-            target = s0.get(idx)
-            if target is None:
+    good: list[tuple[list[int], tuple[int, ...]]] = []  # component, its minimum
+    work = [list(range(n))]
+    while work:
+        part = work.pop()
+        inside = set(part)
+        sub = {v: [w for w in succ[v] if w in inside] for v in part}
+        for comp in tarjan_scc(part, sub):
+            if len(comp) == 1 and comp[0] not in sub[comp[0]]:
                 continue
-            choice[(perm, v)] = succ[idx].index(target)
+            branching = [v for v in comp if arena.owner[v] != SEEKER and len(succ[v]) > 1]
+            if branching:
+                raise InputError(f"solve_conjunction: Spoiler node {branching[0]} branches on a cycle")
+            low = tuple(min(eff[v][i] for v in comp) for i in range(k))
+            odd = [i for i in range(k) if low[i] % 2]
+            if odd:
+                work.append([v for v in comp if eff[v][odd[0]] != low[odd[0]]])
+            else:
+                good.append((comp, low))
 
-    # verification: restrict Seeker to the chosen edges, keep every Spoiler
-    # move, and demand that no reachable cycle has an odd minimum in any
-    # coordinate of the effective priorities
-    restricted: dict[int, list[int]] = {}
-    for idx in range(len(items)):
-        v, perm = items[idx]
-        if owner[idx] == SEEKER and (perm, v) in choice:
-            restricted[idx] = [succ[idx][choice[(perm, v)]]]
-        else:
-            restricted[idx] = list(succ[idx])
-    reach = reachable_from([0], restricted)
-    for i in range(arena.k):
-        shifted = {idx: eff[items[idx][0]][i] + 1 for idx in reach}
-        bad = find_even_min_cycle(sorted(reach),
-                                  {idx: [w for w in restricted[idx] if w in reach]
-                                   for idx in reach},
-                                  shifted, [0])
-        if bad is not None:
-            raise AssertionError(
-                f"conjunction witness failed verification on coordinate {i}: cycle {bad[1]}")
-    memory_used = len({perm for idx in reach for _, perm in [items[idx]]})
-    machine = WitnessMachine(init=init_perm, f_hits=list(f_hits),
-                             choice=choice, memory_used=memory_used)
-    return ConjunctionResult(True, machine, memory_used)
+    need = {v: 1 if arena.owner[v] == SEEKER else len(succ[v]) for v in range(n)}
+    win = _attract([v for comp, _ in good for v in comp], pred, need)
+    if arena.initial not in win:
+        return ConjunctionResult(False, None)
+    # outside Good the record stays at 0; inside, the play never leaves its component
+    choice = {(0, v): succ[v].index(w) for v, w in win.items()
+              if w is not None and arena.owner[v] == SEEKER}
+    moves: dict[tuple[int, int], int] = {}
+    for comp, low in good:
+        inside = set(comp)
+        comp_pred = {w: [u for u in pred[w] if u in inside] for w in comp}
+        for r in range(k):
+            carriers = [v for v in comp if eff[v][r] == low[r]]
+            walk = _attract(carriers, comp_pred, dict.fromkeys(comp, 1))
+            for v in carriers:
+                moves[(r, v)] = (r + 1) % k
+                walk[v] = next(w for w in succ[v] if w in inside)
+            for v in comp:
+                if arena.owner[v] == SEEKER:
+                    choice[(r, v)] = succ[v].index(walk[v])
+    return ConjunctionResult(True, WitnessMachine(init=0, moves=moves, choice=choice))

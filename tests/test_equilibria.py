@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,12 @@ from mtgames.equilibria import (DeviationOracle, KnowledgeNode, build_knowledge_
 from mtgames.generate import random_mtg, random_strategy
 from mtgames.solvers import solve_conjunction
 from mtgames.strategy import Profile, constant_strategy, enumerate_strategies, wintop
+
+
+def multi_target_refutation():
+    """A random game and memoryless profile that ``check_cne`` refutes with two targets."""
+    game = random_mtg(random.Random(1), n_players=2, n_states=3, n_topologies=2)
+    return game, Profile(tuple(constant_strategy(game, "0") for _ in game.players))
 
 
 def knowledge_nodes(arena):
@@ -232,6 +242,35 @@ class TestCheckCne:
         report = check_cne(router, turn_taking)
         assert report.verdict
         assert report.wintop == {"blue": {"A", "B"}, "red": {"A", "B"}}
+
+    def test_multi_target_refutation_keeps_the_recursion_limit(self):
+        game, profile = multi_target_refutation()
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            report = check_cne(game, profile)
+            assert len(report.witness.targets) == 2
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(before)
+        src = Path(equilibria.__file__).parent
+        assert not [p.name for p in src.glob("*.py") if "setrecursionlimit" in p.read_text()]
+
+    def test_multi_target_witness_does_not_depend_on_the_hash_seed(self):
+        script = ("from test_equilibria import multi_target_refutation\n"
+                  "from mtgames.equilibria import check_cne\n"
+                  "game, profile = multi_target_refutation()\n"
+                  "print(check_cne(game, profile).witness.strategy.encoding(game))\n")
+        paths = [str(Path(equilibria.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1] and outs[0].strip()
 
 
 class TestBruteForceAgreement:

@@ -1,4 +1,4 @@
-"""Fuzz the CLI's file inputs: a mutated bundled file is rejected in one line, or read as before.
+"""Fuzz the file inputs: a mutated document is rejected in one line, or read as before.
 
 Each example mutates one of the bundled router files: it deletes a key,
 changes a value's JSON type, puts an unknown identifier in place of a name or
@@ -9,6 +9,11 @@ stderr and no traceback, or print the same stdout with the same exit code as
 on the unmutated files. ``validate`` has one more documented outcome: a game
 that parses but breaks an invariant is reported as ``"ok": false`` with its
 defects, and every other command then rejects that game.
+
+The two library-only loaders, ``io.report_from_dict`` (a ``check`` report)
+and ``io.h_from_dict`` (the ``reduce --out`` JSON), get the same mutations of
+documents written from the router game: each must raise ``InputError`` or
+return what it returns on the unmutated document.
 """
 
 import contextlib
@@ -23,7 +28,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mtgames import cli
+from mtgames import io as mio
+from mtgames.core import InputError
+from mtgames.equilibria import check_cne, check_ne
 from mtgames.io import data_path
+from mtgames.reductions import build_cne_game, build_gne_game
+from mtgames.strategy import Profile, constant_strategy
 
 UNKNOWN = "zz-unknown"
 FILES = {"game": "router.game", "profile": "turn-taking.profile", "tt": "router-all.tt"}
@@ -70,7 +80,24 @@ def _at(doc, path):
     return doc
 
 
-NODES = {kind: list(_nodes(doc)) for kind, doc in DOCS.items()}
+ROUTER = mio.load_game(data_path("router.game"))
+_TARGETS = {"blue": frozenset({"A"}), "red": frozenset({"A", "B"})}
+_ZERO = Profile(tuple(constant_strategy(ROUTER, "0") for _ in ROUTER.players))
+_TURN_TAKING = mio.load_profile(data_path("turn-taking.profile"), ROUTER)
+LOADERS = {
+    "ne-report": functools.partial(mio.report_from_dict, game=ROUTER),
+    "cne-report": functools.partial(mio.report_from_dict, game=ROUTER),
+    "gne-h": mio.h_from_dict,
+    "cne-h": mio.h_from_dict,
+}
+LOADER_DOCS = {
+    # a refutation with a witness and a topology; a verdict with neither
+    "ne-report": mio.report_to_dict(check_ne(ROUTER, "B", _ZERO), ROUTER),
+    "cne-report": mio.report_to_dict(check_cne(ROUTER, _TURN_TAKING), ROUTER),
+    "gne-h": mio.h_to_dict(build_gne_game(ROUTER, _TARGETS)),
+    "cne-h": mio.h_to_dict(build_cne_game(ROUTER, _TARGETS)),
+}
+NODES = {kind: list(_nodes(doc)) for kind, doc in {**DOCS, **LOADER_DOCS}.items()}
 
 
 @functools.cache
@@ -80,16 +107,16 @@ def _baseline(kind: str) -> list[tuple[int, str, str]]:
 
 
 @st.composite
-def mutations(draw):
-    """(file kind, mutated document, what was done)."""
-    kind = draw(st.sampled_from(sorted(FILES)))
-    doc = copy.deepcopy(DOCS[kind])
+def mutations(draw, docs=DOCS):
+    """(document kind, mutated document, what was done), for a document of ``docs``."""
+    kind = draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[kind])
     nodes = NODES[kind]
     how = draw(st.sampled_from(["delete key", "retype", "unknown name", "unknown key"]
-                               + (["wrong length"] if kind != "tt" else [])))
+                               + (["wrong length"] if kind in ("game", "profile") else [])))
     if how == "delete key":
         path, _ = draw(st.sampled_from([(p, v) for p, v in nodes
-                                        if p and isinstance(_at(DOCS[kind], p[:-1]), dict)]))
+                                        if p and isinstance(_at(docs[kind], p[:-1]), dict)]))
         del _at(doc, path[:-1])[path[-1]]
     elif how == "retype":
         path, value = draw(st.sampled_from(nodes))
@@ -151,3 +178,16 @@ def test_mutated_inputs_fail_in_one_line_or_read_the_same(case):
                 defective = True
             else:
                 assert not defective and (code, out) == before[:2], (what, args, out, err)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutations(LOADER_DOCS))
+def test_mutated_library_documents_are_rejected_or_read_the_same(case):
+    kind, doc, what = case
+    load = LOADERS[kind]
+    try:
+        got = load(doc)
+    except InputError:
+        return
+    assert got == load(LOADER_DOCS[kind]), what

@@ -82,6 +82,15 @@ class TestFindTarget:
         with pytest.raises(InputError):
             find_profile_with_wintop(router, {"blue": frozenset()}, 1)
 
+    def test_unknown_topology_rejected(self, fig3):
+        with pytest.raises(InputError, match="t9"):
+            find_profile_with_wintop(fig3, {"solo": frozenset({"t9"})}, 1)
+
+    def test_unknown_player_rejected(self, fig3):
+        targets = {"solo": frozenset({"t1"}), "ghost": frozenset()}
+        with pytest.raises(InputError, match="ghost"):
+            find_profile_with_wintop(fig3, targets, 1)
+
 
 class TestSearchMechanics:
     def test_budget_aborts_distinctly(self, fig3):

@@ -6,12 +6,91 @@ import pytest
 from brute import brute_conjunction_exists, brute_parity_regions
 from mtgames.arena import SEEKER, SPOILER, Arena
 from mtgames.core import InputError
-from mtgames.solvers import (_ensure_recursion_room, _predecessors, _zielonka,
-                             find_even_min_cycle, solve_conjunction, solve_one_player)
+from mtgames.equilibria import _knowledge_arena, _machine_to_moore, knowledge_active_mask
+from mtgames.generate import random_mtg, random_strategy
+from mtgames.solvers import (_check_mask, effective_priorities, find_even_min_cycle,
+                             reachable_from, solve_conjunction, solve_one_player, tarjan_scc)
+from mtgames.strategy import Profile, _winners
 
-# Full two-player parity solving on the recursive region decomposition that
-# solve_conjunction runs, with memoryless witnesses for both sides verified by
-# re-simulation: the oracle for the other two solvers.
+# Reference solvers for arenas of any shape: full two-player parity solving by
+# recursive region decomposition (Zielonka), with memoryless witnesses for both
+# sides verified by re-simulation, and the conjunction of parity coordinates
+# reduced to one parity condition on an index-appearance-record product and
+# solved the same way. They are the oracles for the library's two solvers.
+
+
+def _attractor(player: int, targets: set[int], sub: set[int],
+               owner: list[int], succ: list[list[int]],
+               pred: dict[int, list[int]]) -> tuple[set[int], dict[int, int]]:
+    """Attractor of ``targets`` for ``player`` inside ``sub``, plus pull strategy."""
+    attr = set(targets)
+    strategy: dict[int, int] = {}
+    out_count = {v: sum(1 for w in succ[v] if w in sub) for v in sub}
+    frontier = list(sorted(targets))
+    while frontier:
+        v = frontier.pop(0)
+        for u in pred.get(v, ()):
+            if u not in sub or u in attr:
+                continue
+            if owner[u] == player:
+                attr.add(u)
+                strategy[u] = v
+                frontier.append(u)
+            else:
+                out_count[u] -= 1
+                if out_count[u] == 0:
+                    attr.add(u)
+                    frontier.append(u)
+    return attr, strategy
+
+
+def _zielonka(sub: set[int], owner: list[int], succ: list[list[int]],
+              prio: dict[int, int], pred: dict[int, list[int]]
+              ) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
+    """Winning regions and memoryless strategies for min-even parity.
+
+    Strategies map owned nodes of the winner's region to a chosen successor
+    node inside the region.
+    """
+    if not sub:
+        return set(), set(), {}, {}
+    p = min(prio[v] for v in sub)
+    side = p % 2
+    carriers = {v for v in sub if prio[v] == p}
+    attr, pull = _attractor(side, carriers, sub, owner, succ, pred)
+    w0, w1, s0, s1 = _zielonka(sub - attr, owner, succ, prio, pred)
+    regions = (w0, w1)
+    strats = (s0, s1)
+    opp = 1 - side
+    if not regions[opp]:
+        strat_side = dict(strats[side])
+        strat_side.update(pull)
+        for v in sorted(carriers):
+            if owner[v] == side and v not in strat_side:
+                strat_side[v] = next(w for w in succ[v] if w in sub)
+        if side == 0:
+            return set(sub), set(), strat_side, {}
+        return set(), set(sub), {}, strat_side
+    block, pull_opp = _attractor(opp, regions[opp], sub, owner, succ, pred)
+    w0b, w1b, s0b, s1b = _zielonka(sub - block, owner, succ, prio, pred)
+    regions_b = (w0b, w1b)
+    strats_b = (s0b, s1b)
+    win_opp = regions_b[opp] | block
+    strat_opp = dict(strats[opp])
+    strat_opp.update(pull_opp)
+    strat_opp.update(strats_b[opp])
+    strat_side_b = dict(strats_b[side])
+    if side == 0:
+        return regions_b[0], win_opp, strat_side_b, strat_opp
+    return win_opp, regions_b[1], strat_opp, strat_side_b
+
+
+def _predecessors(succ: list[list[int]]) -> dict[int, list[int]]:
+    pred: dict[int, list[int]] = {v: [] for v in range(len(succ))}
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    return pred
 
 
 @dataclass
@@ -55,7 +134,6 @@ def solve_parity(arena: Arena, coordinate: int = 0) -> ParityResult:
     arena.check()
     if not 0 <= coordinate < arena.k:
         raise InputError(f"coordinate {coordinate} out of range for k={arena.k}")
-    _ensure_recursion_room()
     prio = {v: arena.priorities[v][coordinate] for v in range(len(arena.nodes))}
     pred = _predecessors(arena.succ)
     w0, w1, s0, s1 = _zielonka(set(range(len(arena.nodes))), arena.owner,
@@ -68,6 +146,108 @@ def solve_parity(arena: Arena, coordinate: int = 0) -> ParityResult:
     spoiler_edges = {v: arena.succ[v].index(w) for v, w in s1.items() if arena.owner[v] == SPOILER}
     return ParityResult(frozenset(w0), frozenset(w1), seeker_edges, spoiler_edges,
                         arena.initial in w0)
+
+
+@dataclass
+class ReferenceConjunction:
+    winner: bool
+    choice: dict[tuple[tuple[int, ...], int], int] | None
+    memory_used: int
+
+
+def _build_pairs(arena: Arena, eff: list[tuple[int, ...]]
+                 ) -> tuple[int, list[frozenset[int]], list[frozenset[int]]]:
+    """Request/response pairs: for every coordinate and odd value c present,
+    requests are the nodes valued exactly c and responses the nodes valued
+    below c in that coordinate."""
+    pairs: list[tuple[int, int]] = []
+    for i in range(arena.k):
+        odd_values = sorted({eff[v][i] for v in range(len(arena.nodes))
+                             if eff[v][i] % 2 == 1})
+        pairs.extend((i, c) for c in odd_values)
+    e_hits = []
+    f_hits = []
+    for v in range(len(arena.nodes)):
+        e_hits.append(frozenset(j for j, (i, c) in enumerate(pairs) if eff[v][i] == c))
+        f_hits.append(frozenset(j for j, (i, c) in enumerate(pairs) if eff[v][i] < c))
+    return len(pairs), e_hits, f_hits
+
+
+def _record_priority(perm: tuple[int, ...], e_hit: frozenset[int],
+                     f_hit: frozenset[int], m: int) -> int:
+    """Priority emitted on entering a node with record ``perm`` (min-even form).
+
+    With 1-based positions in the record, ``f`` is the deepest position whose
+    pair got a response here and ``e`` the deepest position with a request.
+    A request deeper than every response is bad; everything else is good at
+    the response depth. The max-even value ``2f`` (or odd ``2e-1``) is flipped
+    to the min-even convention by subtracting from ``2m``.
+    """
+    pos = {j: idx + 1 for idx, j in enumerate(perm)}
+    f = max((pos[j] for j in f_hit), default=0)
+    e = max((pos[j] for j in e_hit), default=0)
+    max_style = 2 * e - 1 if e > f else 2 * f
+    return 2 * m - max_style
+
+
+def _move_to_front(perm: tuple[int, ...], hits: frozenset[int]) -> tuple[int, ...]:
+    if not hits:
+        return perm
+    return tuple(j for j in perm if j in hits) + tuple(j for j in perm if j not in hits)
+
+
+def reference_conjunction(arena: Arena, active: list[tuple[bool, ...]] | None = None
+                          ) -> ReferenceConjunction:
+    """The conjunction of the active coordinates on an arena of any shape.
+
+    Each odd value ``c`` of a coordinate becomes a request/response pair
+    (seeing ``c`` infinitely often requires seeing something smaller infinitely
+    often), tracked by an index-appearance record so one parity condition
+    remains; Zielonka's algorithm solves the product. A Seeker win is verified
+    against every Spoiler response by cycle analysis of the strategy-restricted
+    product, and ``choice`` maps (record, node) to the edge taken.
+    """
+    arena.check()
+    if active is None:
+        active = [tuple(True for _ in range(arena.k)) for _ in arena.nodes]
+    _check_mask(arena, active)
+    eff = effective_priorities(arena, active)
+    m, e_hits, f_hits = _build_pairs(arena, eff)
+
+    init_perm = tuple(range(m))
+    start = (arena.initial, init_perm)
+    index: dict[tuple[int, tuple[int, ...]], int] = {start: 0}
+    items: list[tuple[int, tuple[int, ...]]] = [start]
+    succ: list[list[int]] = []
+    prio: dict[int, int] = {}
+    frontier = 0
+    while frontier < len(items):
+        v, perm = items[frontier]
+        prio[frontier] = _record_priority(perm, e_hits[v], f_hits[v], m)
+        nxt_perm = _move_to_front(perm, f_hits[v])
+        for w in arena.succ[v]:
+            if (w, nxt_perm) not in index:
+                index[(w, nxt_perm)] = len(items)
+                items.append((w, nxt_perm))
+        succ.append([index[(w, nxt_perm)] for w in arena.succ[v]])
+        frontier += 1
+
+    owner = [arena.owner[v] for v, _ in items]
+    w0, _, s0, _ = _zielonka(set(range(len(items))), owner, succ, prio, _predecessors(succ))
+    if 0 not in w0:
+        return ReferenceConjunction(False, None, 0)
+    choice = {(perm, v): succ[idx].index(s0[idx])
+              for idx, (v, perm) in enumerate(items)
+              if idx in w0 and owner[idx] == SEEKER and idx in s0}
+    restricted = {idx: [succ[idx][choice[(perm, v)]]] if (perm, v) in choice else succ[idx]
+                  for idx, (v, perm) in enumerate(items)}
+    reach = reachable_from([0], restricted)
+    for i in range(arena.k):
+        shifted = {idx: eff[items[idx][0]][i] + 1 for idx in reach}
+        bad = find_even_min_cycle(sorted(reach), {idx: [w for w in restricted[idx] if w in reach]
+                                                  for idx in reach}, shifted, [0])
+        assert bad is None, f"reference witness fails coordinate {i}: cycle {bad[1]}"
+    return ReferenceConjunction(True, choice, len({items[idx][1] for idx in reach}))
 
 
 def random_arena(rng: random.Random, n_nodes: int = 8, k: int = 1,
@@ -194,11 +374,15 @@ def conjunction_mask(arena: Arena, rng: random.Random, extra_closed: int = 0):
 
 
 class TestSolveConjunction:
+    """General arenas, where Spoiler may branch on a cycle, are outside
+    ``solve_conjunction``'s input; these tests run the reference solver there,
+    and both solvers where the arena is leveled."""
+
     def test_single_coordinate_equals_parity(self):
         rng = random.Random(6)
         for _ in range(25):
             arena = random_arena(rng, n_nodes=6)
-            res = solve_conjunction(arena)
+            res = reference_conjunction(arena)
             assert res.winner == solve_parity(arena).seeker_wins_initial
 
     def test_duplicate_coordinate_idempotent(self):
@@ -209,22 +393,24 @@ class TestSolveConjunction:
                             labels=arena.labels,
                             priorities=[(p[0], p[0]) for p in arena.priorities],
                             initial=0, k=2)
-            assert solve_conjunction(doubled).winner == \
+            assert reference_conjunction(doubled).winner == \
                 solve_parity(arena).seeker_wins_initial
 
     def test_rejects_non_monotone_mask(self):
         arena = Arena(nodes=["a", "b"], owner=[SEEKER, SEEKER],
                       succ=[[1], [1]], labels=[[None], [None]],
                       priorities=[(0,), (0,)], initial=0, k=1)
-        with pytest.raises(InputError):
-            solve_conjunction(arena, [(False,), (True,)])
+        for solve in (solve_conjunction, reference_conjunction):
+            with pytest.raises(InputError):
+                solve(arena, [(False,), (True,)])
 
     def test_inactive_coordinates_count_as_satisfied(self):
         # an always-odd coordinate is forgiven exactly where deactivated
         arena = Arena(nodes=["a"], owner=[SEEKER], succ=[[0]], labels=[[None]],
                       priorities=[(1,)], initial=0, k=1)
-        assert not solve_conjunction(arena).winner
-        assert solve_conjunction(arena, [(False,)]).winner
+        for solve in (solve_conjunction, reference_conjunction):
+            assert not solve(arena).winner
+            assert solve(arena, [(False,)]).winner
 
     def test_matches_bounded_brute_force(self):
         rng = random.Random(8)
@@ -242,7 +428,7 @@ class TestSolveConjunction:
             else:
                 mask = conjunction_mask(arena, rng)
             arenas += 1
-            res = solve_conjunction(arena, mask)
+            res = reference_conjunction(arena, mask)
             brute = brute_conjunction_exists(arena, mask, memory_bound=2,
                                              m3_samples=300, rng=random.Random(arenas))
             solver_wins += res.winner
@@ -250,7 +436,7 @@ class TestSolveConjunction:
             if brute:
                 assert res.winner, "bounded brute force found a win the solver denied"
             if res.winner:
-                assert res.witness is not None
+                assert res.choice is not None
                 assert res.memory_used >= 1
         # the sample must exercise both verdicts to mean anything
         assert solver_wins > 0 and solver_losses > 0
@@ -267,14 +453,96 @@ class TestSolveConjunction:
                            for v in range(len(arena.nodes))]
             active_fewer = [tuple(v not in off_more[i] for i in range(arena.k))
                             for v in range(len(arena.nodes))]
-            if solve_conjunction(arena, active_more).winner:
-                assert solve_conjunction(arena, active_fewer).winner
+            if reference_conjunction(arena, active_more).winner:
+                assert reference_conjunction(arena, active_fewer).winner
 
     def test_deterministic(self):
         rng = random.Random(12)
         arena = random_arena(rng, n_nodes=6, k=2)
-        r1 = solve_conjunction(arena)
-        r2 = solve_conjunction(arena)
+        r1 = reference_conjunction(arena)
+        r2 = reference_conjunction(arena)
         assert r1.winner == r2.winner
         if r1.winner:
-            assert r1.witness.choice == r2.witness.choice
+            assert r1.choice == r2.choice
+
+
+def leveled(arena: Arena) -> Arena:
+    """``arena`` with Seeker owning every Spoiler node that branches on a cycle."""
+    succ = {v: arena.succ[v] for v in range(len(arena.nodes))}
+    for comp in tarjan_scc(sorted(succ), succ):
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            for v in comp:
+                if len(succ[v]) > 1:
+                    arena.owner[v] = SEEKER
+    return arena
+
+
+def knowledge_questions(seed: int, count: int):
+    """Random knowledge arenas with their masks and targets, from games of
+    2-3 players, 2-4 topologies, priorities up to 8 and strategies of memory 1-3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 5),
+                          n_topologies=rng.randint(2, 4), max_priority=8)
+        profile = Profile(tuple(random_strategy(rng, game, rng.randint(1, 3))
+                                for _ in game.players))
+        deviator = rng.choice(game.players)
+        tlist = sorted(rng.sample(game.topologies, rng.randint(2, len(game.topologies))),
+                       key=game.topologies.index)
+        arena = _knowledge_arena(game, profile, deviator, frozenset(tlist))
+        yield game, profile, deviator, tlist, arena, knowledge_active_mask(arena, tlist)
+
+
+class TestLeveledConjunction:
+    """``solve_conjunction`` on leveled arenas, against the reference solver."""
+
+    def test_equals_reference_on_knowledge_arenas(self):
+        verdicts = []
+        for _, _, _, _, arena, mask in knowledge_questions(31, 120):
+            want = reference_conjunction(arena, mask).winner
+            assert solve_conjunction(arena, mask).winner == want
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    def test_equals_reference_on_random_leveled_arenas(self):
+        rng = random.Random(32)
+        verdicts = []
+        for _ in range(150):
+            arena = leveled(random_arena(rng, n_nodes=rng.randint(3, 8), k=rng.randint(1, 3),
+                                         max_priority=rng.randint(2, 6), max_succ=3))
+            mask = conjunction_mask(arena, rng) if rng.random() < 0.3 else None
+            want = reference_conjunction(arena, mask).winner
+            assert solve_conjunction(arena, mask).winner == want
+            if arena.k == 1 and mask is None:
+                assert want == solve_parity(arena).seeker_wins_initial
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    def test_witnesses_replay_in_every_target_topology(self):
+        wins = 0
+        for game, profile, deviator, tlist, arena, mask in knowledge_questions(33, 80):
+            res = solve_conjunction(arena, mask)
+            if not res.winner:
+                continue
+            wins += 1
+            strat = _machine_to_moore(game, arena, res.witness, deviator)
+            strat.check(game, "witness")
+            deviated = profile.substitute(game.players.index(deviator), strat)
+            for t in tlist:
+                assert deviator in _winners(game, t, deviated), (t, tlist)
+        assert wins >= 10
+
+    def test_branching_spoiler_on_a_cycle_is_rejected(self):
+        # Spoiler at node 0 picks the even loop at node 1 or the odd one at node 2
+        arena = Arena(nodes=["s", "even", "odd"], owner=[SPOILER, SEEKER, SEEKER],
+                      succ=[[1, 2], [1], [2]], labels=[[None, None], [None], [None]],
+                      priorities=[(0,), (0,), (1,)], initial=0, k=1)
+        assert not solve_conjunction(arena).winner
+        arena.succ[1] = [0]  # now node 0 lies on the cycle 0 -> 1 -> 0
+        with pytest.raises(InputError, match="Spoiler node 0 branches"):
+            solve_conjunction(arena)
+
+    def test_deterministic(self):
+        for _, _, _, _, arena, mask in knowledge_questions(34, 10):
+            r1, r2 = solve_conjunction(arena, mask), solve_conjunction(arena, mask)
+            assert r1 == r2
