@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import InputError
+
 SEEKER = 0
 SPOILER = 1
 
@@ -35,16 +37,25 @@ class Arena:
     k: int = field(default=1)
 
     def check(self) -> None:
+        """Raise InputError unless the arena is well formed and total."""
         n = len(self.nodes)
-        assert len(self.owner) == len(self.succ) == len(self.labels) == len(self.priorities) == n
-        assert 0 <= self.initial < n
-        for v in range(n):
-            if not self.succ[v]:
-                raise ValueError(f"arena node {v} has no successors; arenas must be total")
-            if len(self.priorities[v]) != self.k:
-                raise ValueError(f"priority vector of node {v} has wrong length")
-            if len(self.labels[v]) != len(self.succ[v]):
-                raise ValueError(f"labels of node {v} do not match its successor list")
+        if not len(self.owner) == len(self.succ) == len(self.labels) == len(self.priorities) == n:
+            raise InputError("arena owner, successor, label and priority lists must "
+                             f"each have one entry per node ({n})")
+        if not 0 <= self.initial < n:
+            raise InputError(f"arena initial node {self.initial} out of range")
+        for v, (o, ws, labs, prio) in enumerate(zip(self.owner, self.succ, self.labels,
+                                                     self.priorities)):
+            if o != SEEKER and o != SPOILER:
+                raise InputError(f"arena node {v} has owner {o!r}, neither SEEKER nor SPOILER")
+            if not ws:
+                raise InputError(f"arena node {v} has no successors; arenas must be total")
+            if min(ws) < 0 or max(ws) >= n:
+                raise InputError(f"arena node {v} has a successor out of range")
+            if len(prio) != self.k:
+                raise InputError(f"priority vector of node {v} has wrong length")
+            if len(labs) != len(ws):
+                raise InputError(f"labels of node {v} do not match its successor list")
 
     def dump(self) -> str:
         """Debug listing: one line per node with ownership, priorities and edges."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import io as mio
 from .core import InputError, symmetrize, validate
-from .equilibria import (check_cne, check_gne, check_ne, deviation_arena,
+from .equilibria import (build_knowledge_arena, check_cne, check_gne, check_ne,
                          deviation_questions)
 from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
 from .reductions import build_cne_game, build_gne_game
@@ -54,7 +54,7 @@ def _emit_check_arenas(report, game, profile, out_dir: str) -> None:
     except OSError as exc:
         raise InputError(f"cannot create arena directory {out_dir}: {exc}") from exc
     for p, targets in deviation_questions(game, report.kind, report.wintop, report.topology):
-        arena = deviation_arena(game, profile, p, targets)
+        arena = build_knowledge_arena(game, profile, p, targets)
         name = f"{report.kind}-{p}-" + "+".join(sorted(targets)) + ".arena.txt"
         mio.write_text(directory / name, arena.dump() + "\n")
 

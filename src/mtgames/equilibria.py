@@ -10,18 +10,18 @@ Three solution concepts are checked for a given profile:
 Every check asks the same kind of question, in the order of
 :func:`deviation_questions`: can this player, against the fixed co-strategies,
 win every topology of this target set? :func:`can_deviator_win_set` answers
-it. A single target (every NE and GNE question, and a CNE question when the
-deviator wins nothing yet) is decided on the one-player residual game:
-strategies observe states only, so a deviation wins topology t of the game
-exactly when it wins the single game t. Two or more targets (CNE only) are
-decided on a knowledge arena whose nodes track the current state, the set of
-topologies still consistent with the observed history, and the co-players'
-memories. Because a deviating strategy is one function of the state history,
-topologies with identical observed histories must receive identical deviator
-actions; the knowledge set captures exactly that, so verification is exact for
-deviating strategies of unbounded memory. The knowledge set shrinks strictly
-wherever the play splits, so each level of the arena is a one-player graph and
-the conjunction solver decides it in polynomial time.
+every such question one way, on the knowledge arena of the question: its
+nodes track the current state, the set of target topologies still consistent
+with the observed history, and the co-players' memories. Because a deviating
+strategy is one function of the state history, topologies with identical
+observed histories must receive identical deviator actions; the knowledge set
+captures exactly that, so verification is exact for deviating strategies of
+unbounded memory. The set shrinks strictly wherever the play splits, so each
+level of the arena is a one-player graph and the conjunction solver decides
+it in polynomial time. A single target (every NE and GNE question, and a CNE
+question when the deviator wins nothing yet) never splits: its arena is the
+one-player residual game, and a deviation wins topology t of the game exactly
+when it wins the single game t.
 
 Public functions check their profile, deviator and targets once; ``_``-prefixed
 helpers assume checked input. A check validates its profile in ``wintop_map``
@@ -32,16 +32,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
-from .arena import SEEKER, SPOILER, Arena, ArenaLasso
+from .arena import SEEKER, SPOILER, Arena
 from .core import InputError, Mtg
-from .solvers import WitnessMachine, solve_conjunction, solve_one_player
+from .solvers import WitnessMachine, _solve_conjunction
 from .strategy import MooreStrategy, Profile, _winners, wintop_map
 
 
-@dataclass(frozen=True)
-class KnowledgeNode:
-    """Deviator's information state: game state, consistent topologies, co-memories."""
+_tuple_new = tuple.__new__  # builds a NamedTuple from a tuple without a Python-level call
+
+
+class KnowledgeNode(NamedTuple):
+    """Deviator's information state: game state, consistent targets, co-memories."""
 
     state: str
     consistent: frozenset[str]
@@ -52,9 +55,8 @@ class KnowledgeNode:
         return f"K({self.state}, {tops}, mem={list(self.memories)})"
 
 
-@dataclass(frozen=True)
-class _ChoiceNode:
-    """Midpoint after the deviator committed an action; Spoiler resolves the branch."""
+class _ChoiceNode(NamedTuple):
+    """Midpoint where the deviator's action splits the consistent targets; Spoiler picks one."""
 
     base: KnowledgeNode
     action: str
@@ -92,264 +94,158 @@ def _question(game: Mtg, profile: Profile, deviator: str, targets) -> frozenset[
     return targets
 
 
-def _co_players(game: Mtg, deviator: str) -> list[int]:
-    di = game.players.index(deviator)
-    return [i for i in range(len(game.players)) if i != di]
-
-
 def build_knowledge_arena(game: Mtg, profile: Profile, deviator: str,
                           targets: frozenset[str]) -> Arena:
     """Arena for the question: can ``deviator`` win all of ``targets`` at once?
 
-    Seeker nodes are knowledge nodes where the deviator picks an action;
-    Spoiler midpoints then split the consistent topologies by successor state
-    and pick which observation branch the play follows. The priority vector
-    has one coordinate per target topology, valued with the deviator's
-    priority while the topology is consistent and forced to 0 (satisfied)
-    once it drops out: a dropped topology follows a different branch, where
-    its own condition is evaluated.
+    Seeker nodes are knowledge nodes, where the deviator picks an action. The
+    consistent set holds the targets whose play agrees with the states seen so
+    far; a topology outside the targets has no coordinate, so it is not
+    tracked. An action whose successor state is the same in every consistent
+    target leads straight to the next knowledge node. An action that splits
+    them leads to a Spoiler midpoint, which picks the observation branch the
+    play follows. The priority vector has one coordinate per target, valued
+    with the deviator's priority while the topology is consistent and forced
+    to 0 (satisfied) once it drops out: a dropped topology follows a different
+    branch, where its own condition is evaluated. With one target the set
+    never splits, and the arena is the one-player residual game.
     """
     return _knowledge_arena(game, profile, deviator, _question(game, profile, deviator, targets))
+
+
+def build_residual_arena(game: Mtg, profile: Profile, deviator: str,
+                         topology: str) -> Arena:
+    """The one-player game the deviator faces in ``topology``: its knowledge arena."""
+    return build_knowledge_arena(game, profile, deviator, frozenset({topology}))
 
 
 def _knowledge_arena(game: Mtg, profile: Profile, deviator: str,
                      targets: frozenset[str]) -> Arena:
     di = game.players.index(deviator)
-    co = _co_players(game, deviator)
-    co_strats = [profile.by_player[i] for i in co]
-    tlist = [t for t in game.topologies if t in targets]
-    top_pos = {t: i for i, t in enumerate(game.topologies)}
+    co = [*range(di), *range(di + 1, len(game.players))]
+    co_strats = profile.by_player[:di] + profile.by_player[di + 1:]
+    tlist = sorted(targets, key=game.topologies.index)
+    actions, transition, priority = game.actions, game.transition, game.priority
+    nodes: list = []
+    index: dict[KnowledgeNode, int] = {}
+    owner: list[int] = []
+    succ: list[list[int]] = []
+    labels: list[list] = []
+    bases: list[KnowledgeNode] = []  # the knowledge node whose priorities each node carries
 
-    def vector(k: KnowledgeNode) -> tuple[int, ...]:
-        return tuple(game.priority[(t, deviator, k.state)] if t in k.consistent else 0
-                     for t in tlist)
+    def knowledge(key: tuple) -> int:
+        """Append the knowledge node ``key`` = (state, consistent, memories); return its index."""
+        node = _tuple_new(KnowledgeNode, key)
+        vi = index[node] = len(nodes)
+        nodes.append(node)
+        owner.append(SEEKER)
+        succ.append([])
+        labels.append(list(actions))
+        bases.append(node)
+        return vi
 
-    init = KnowledgeNode(game.initial, frozenset(game.topologies),
-                         tuple(s.init for s in co_strats))
-    nodes: list = [init]
-    index: dict = {init: 0}
-    owner = [SEEKER]
-    succ: list[list[int]] = [[]]
-    labels: list[list] = [[]]
-    priorities: list[tuple[int, ...]] = [vector(init)]
-    queue = 0
-    while queue < len(nodes):
-        vi = queue
-        queue += 1
-        node = nodes[vi]
-        if isinstance(node, KnowledgeNode):
-            for a in game.actions:
-                ch = _ChoiceNode(node, a)
-                if ch not in index:
-                    index[ch] = len(nodes)
-                    nodes.append(ch)
-                    owner.append(SPOILER)
-                    succ.append([])
-                    labels.append([])
-                    priorities.append(priorities[vi])
-                succ[vi].append(index[ch])
-                labels[vi].append(a)
-        else:
-            k = node.base
-            s = k.state
-            prof = [""] * len(game.players)
-            for ci, strat, mem in zip(co, co_strats, k.memories):
-                prof[ci] = strat.action(mem, s)
-            prof[di] = node.action
+    knowledge((game.initial, frozenset(tlist), tuple([s.init for s in co_strats])))
+    prof = [""] * len(game.players)
+    for vi, node in enumerate(nodes):
+        if owner[vi] == SPOILER:
+            continue
+        s, consistent, mems = node
+        first, *rest = consistent
+        for ci, strat, mem in zip(co, co_strats, mems):
+            prof[ci] = strat.act[(mem, s)]
+        new_mems = tuple([strat.update[(mem, s)] for strat, mem in zip(co_strats, mems)])
+        row = succ[vi]
+        for a in actions:
+            prof[di] = a
             prof_t = tuple(prof)
-            new_mems = tuple(strat.advance(mem, s)
-                             for strat, mem in zip(co_strats, k.memories))
-            groups: dict[str, set[str]] = {}
-            for t in sorted(k.consistent, key=top_pos.get):
-                groups.setdefault(game.transition[(t, s, prof_t)], set()).add(t)
-            for s2 in game.states:
-                if s2 not in groups:
-                    continue
-                child = KnowledgeNode(s2, frozenset(groups[s2]), new_mems)
-                if child not in index:
-                    index[child] = len(nodes)
-                    nodes.append(child)
-                    owner.append(SEEKER)
-                    succ.append([])
-                    labels.append([])
-                    priorities.append(vector(child))
-                succ[vi].append(index[child])
-                labels[vi].append(None)
+            s2 = transition[(first, s, prof_t)]
+            for t in rest:
+                if transition[(t, s, prof_t)] != s2:
+                    break
+            else:  # every consistent target moves to s2
+                key = (s2, consistent, new_mems)
+                w = index.get(key)
+                row.append(knowledge(key) if w is None else w)
+                continue
+            groups: dict[str, list[str]] = {}
+            for t in consistent:
+                groups.setdefault(transition[(t, s, prof_t)], []).append(t)
+            mid = len(nodes)
+            row.append(mid)
+            nodes.append(_ChoiceNode(node, a))
+            owner.append(SPOILER)
+            succ.append([])
+            labels.append([None] * len(groups))
+            bases.append(node)
+            for s2 in sorted(groups, key=game.states.index):
+                key = (s2, frozenset(groups[s2]), new_mems)
+                succ[mid].append(index[key] if key in index else knowledge(key))
+    if len(tlist) == 1:  # a lone target never drops out
+        priorities = [(priority[(tlist[0], deviator, s)],) for s, _, _ in bases]
+    else:
+        columns = [[priority[(t, deviator, s)] if t in consistent else 0
+                    for s, consistent, _ in bases] for t in tlist]
+        priorities = list(zip(*columns))
     return Arena(nodes=nodes, owner=owner, succ=succ, labels=labels,
                  priorities=priorities, initial=0, k=len(tlist))
 
 
-def knowledge_active_mask(arena: Arena, targets_in_order: list[str]) -> list[tuple[bool, ...]]:
-    """Per-node activity: a target coordinate is live while the topology is consistent."""
-    out = []
-    for payload in arena.nodes:
-        k = payload if isinstance(payload, KnowledgeNode) else payload.base
-        out.append(tuple(t in k.consistent for t in targets_in_order))
-    return out
-
-
-def _machine_to_moore(game: Mtg, arena: Arena, machine: WitnessMachine,
-                      deviator: str) -> MooreStrategy:
+def _machine_to_moore(game: Mtg, arena: Arena, machine: WitnessMachine) -> MooreStrategy:
     """Transport a winning arena strategy into a Moore strategy over game states.
 
-    The Moore memory packs the previous knowledge node, the action taken there
-    and the plan position; observing the next state resolves the Spoiler
-    branch deterministically. Histories that cannot arise fall into an
-    absorbing dead memory with a fixed default action, keeping tables total.
+    A Moore memory is the arena node the play has just moved to, with the
+    plan position: a knowledge node reached by a Seeker edge, or a Spoiler
+    midpoint, which the next observed state resolves. A state the plan does
+    not expect cannot be observed in a target topology; there the strategy
+    plays a fixed default action and keeps its memory, so the tables are total.
     """
-    default_action = game.actions[0]
-    choice_lookup: dict[tuple[int, str], int] = {}
-    children: dict[int, dict[str, int]] = {}
-    for vi, payload in enumerate(arena.nodes):
-        if isinstance(payload, KnowledgeNode):
-            for w, lab in zip(arena.succ[vi], arena.labels[vi]):
-                choice_lookup[(vi, lab)] = w
-        else:
-            children[vi] = {arena.nodes[w].state: w for w in arena.succ[vi]}
-
-    START = ("start",)
-    DEAD = ("dead",)
-
-    def act_at(knode_idx: int, record) -> tuple[str, object]:
-        edge = machine.choice.get((record, knode_idx))
-        if edge is None:
-            return default_action, record
-        return arena.labels[knode_idx][edge], record
-
-    mem_ids: dict = {START: "w0"}
-    order: list = [START]
+    default = game.actions[0]
+    nodes, owner, succ, labels = arena.nodes, arena.owner, arena.succ, arena.labels
+    choice, moves = machine.choice, machine.moves
+    ids = {(arena.initial, machine.init): "w0"}
+    order = [(arena.initial, machine.init, "w0")]
     update: dict[tuple[str, str], str] = {}
     act: dict[tuple[str, str], str] = {}
-    frontier = 0
-    while frontier < len(order):
-        payload = order[frontier]
-        mid = mem_ids[payload]
-        frontier += 1
+    for w, record, mid in order:
         for s in game.states:
-            if payload == DEAD:
-                act[(mid, s)] = default_action
-                update[(mid, s)] = mid
-                continue
-            if payload == START:
-                knode = 0 if s == game.initial else None
-                record = machine.init
-            else:
-                prev_k, prev_a, record = payload
-                ch = choice_lookup[(prev_k, prev_a)]
-                record = machine.step(record, ch)
-                knode = children[ch].get(s)
-            if knode is None:
-                act[(mid, s)] = default_action
-                nxt = DEAD
-            else:
-                a, record = act_at(knode, record)
-                act[(mid, s)] = a
-                nxt = (knode, a, machine.step(record, knode))
-            if nxt not in mem_ids:
-                mem_ids[nxt] = f"w{len(order)}"
-                order.append(nxt)
-            update[(mid, s)] = mem_ids[nxt]
-    return MooreStrategy(memory=tuple(mem_ids[p] for p in order), init="w0",
-                         update=update, act=act)
-
-
-def build_residual_arena(game: Mtg, profile: Profile, deviator: str,
-                         topology: str) -> Arena:
-    """One-player game the deviator faces in a fixed topology with co-strategies fixed."""
-    _question(game, profile, deviator, {topology})
-    return _residual_arena(game, profile, deviator, topology)
-
-
-def _residual_arena(game: Mtg, profile: Profile, deviator: str, topology: str) -> Arena:
-    di = game.players.index(deviator)
-    co = _co_players(game, deviator)
-    co_strats = [profile.by_player[i] for i in co]
-    init = (game.initial, tuple(s.init for s in co_strats))
-    nodes = [init]
-    index = {init: 0}
-    succ: list[list[int]] = [[]]
-    labels: list[list] = [[]]
-    priorities = [(game.priority[(topology, deviator, game.initial)],)]
-    queue = 0
-    while queue < len(nodes):
-        vi = queue
-        queue += 1
-        s, mems = nodes[vi]
-        prof = [""] * len(game.players)
-        for ci, strat, mem in zip(co, co_strats, mems):
-            prof[ci] = strat.action(mem, s)
-        new_mems = tuple(strat.advance(mem, s) for strat, mem in zip(co_strats, mems))
-        for a in game.actions:
-            prof[di] = a
-            s2 = game.transition[(topology, s, tuple(prof))]
-            child = (s2, new_mems)
-            if child not in index:
-                index[child] = len(nodes)
-                nodes.append(child)
-                succ.append([])
-                labels.append([])
-                priorities.append((game.priority[(topology, deviator, s2)],))
-            succ[vi].append(index[child])
-            labels[vi].append(a)
-    return Arena(nodes=nodes, owner=[SEEKER] * len(nodes), succ=succ,
-                 labels=labels, priorities=priorities, initial=0, k=1)
-
-
-def _lasso_to_moore(game: Mtg, lasso: ArenaLasso) -> MooreStrategy:
-    """Follow the action labels of an arena lasso as a position-counter strategy."""
-    actions = list(lasso.prefix_labels) + list(lasso.cycle_labels)
-    n = len(actions)
-    wrap_to = len(lasso.prefix_labels)
-    mems = tuple(f"m{i}" for i in range(n))
-    update = {}
-    act = {}
-    for i in range(n):
-        nxt = mems[i + 1] if i + 1 < n else mems[wrap_to]
-        for s in game.states:
-            update[(mems[i], s)] = nxt
-            act[(mems[i], s)] = actions[i]
-    return MooreStrategy(memory=mems, init="m0", update=update, act=act)
-
-
-def deviation_arena(game: Mtg, profile: Profile, deviator: str,
-                    targets: frozenset[str]) -> Arena:
-    """The arena :func:`can_deviator_win_set` solves for this question.
-
-    One target is the residual game; two or more need the knowledge arena,
-    where the deviator must act alike in topologies she cannot yet tell apart.
-    """
-    if len(targets) == 1:
-        (topology,) = targets
-        return build_residual_arena(game, profile, deviator, topology)
-    return build_knowledge_arena(game, profile, deviator, targets)
+            cell = (mid, s)
+            act[cell] = default
+            update[cell] = mid
+        for v in succ[w] if owner[w] == SPOILER else (w,):
+            edge = choice[(record, v)]
+            nxt = succ[v][edge]
+            r = moves.get((record, v), record)
+            if owner[nxt] == SPOILER:
+                r = moves.get((r, nxt), r)
+            name = ids.get((nxt, r))
+            if name is None:
+                name = ids[(nxt, r)] = f"w{len(order)}"
+                order.append((nxt, r, name))
+            cell = (mid, nodes[v].state)
+            act[cell] = labels[v][edge]
+            update[cell] = name
+    return MooreStrategy(memory=tuple(ids.values()), init="w0", update=update, act=act)
 
 
 def can_deviator_win_set(game: Mtg, profile: Profile, deviator: str,
                          targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
     """Does some deviating strategy (any memory) win every target topology at once?
 
-    Strategies observe states only, so a deviation wins topology t of the game
-    exactly when it wins the single game t: one target is decided on the
-    one-player residual game, with a lasso-following witness. Two or more are
-    decided on the knowledge arena by the conjunction solver. On success the
-    witness is checked well formed and replayed in each target topology, where
-    it must win, otherwise an internal error is raised.
+    Decided on the knowledge arena of the question by the conjunction solver,
+    whose witness is transported to a Moore strategy. On success the witness
+    is checked well formed and replayed in each target topology, where it must
+    win, otherwise an internal error is raised.
     """
     return _can_win_set(game, profile, deviator, _question(game, profile, deviator, targets))
 
 
 def _can_win_set(game: Mtg, profile: Profile, deviator: str,
                  targets: frozenset[str]) -> tuple[bool, MooreStrategy | None]:
-    if len(targets) == 1:
-        ok, lasso = solve_one_player(_residual_arena(game, profile, deviator, *targets), 0)
-        strat = _lasso_to_moore(game, lasso) if ok else None
-    else:
-        arena = _knowledge_arena(game, profile, deviator, targets)
-        tlist = [t for t in game.topologies if t in targets]
-        res = solve_conjunction(arena, knowledge_active_mask(arena, tlist))
-        strat = _machine_to_moore(game, arena, res.witness, deviator) if res.winner else None
-    if strat is None:
+    arena = _knowledge_arena(game, profile, deviator, targets)
+    res = _solve_conjunction(arena)
+    if not res.winner:
         return False, None
+    strat = _machine_to_moore(game, arena, res.witness)
     strat.check(game, "deviation witness")
     deviated = profile.substitute(game.players.index(deviator), strat)
     for t in targets:

@@ -1,209 +1,80 @@
-"""Graph-game solving backends.
+"""Graph-game solving backend.
 
-Two solvers over :class:`~mtgames.arena.Arena`:
+``solve_conjunction`` decides whether Seeker can satisfy every priority
+coordinate at once on a leveled arena, where no Spoiler node that branches lies
+on a cycle (in a knowledge arena such a branch strictly shrinks the consistent
+set). Every play ends in a part Seeker controls alone, so she wins exactly on
+her attractor of the nodes that lie on a closed walk whose minimum is even in
+every coordinate, found by the Emerson-Lei SCC test for generalized parity.
+``solve_one_player`` is its one-coordinate case on an arena Seeker owns alone,
+with the winning lasso read off the positional witness.
 
-* ``solve_one_player``: non-emptiness of a single parity condition when every
-  node belongs to Seeker, by even-value/SCC search, with a witness lasso.
-* ``solve_conjunction``: Seeker must satisfy every active coordinate at once,
-  on a leveled arena, where no Spoiler node that branches lies on a cycle (in
-  a knowledge arena such a branch strictly shrinks the consistent set). Every
-  play ends in a part Seeker controls alone, so she wins exactly on her
-  attractor of the nodes that lie on a closed walk whose minimum is even in
-  every coordinate, found by the Emerson-Lei SCC test for generalized parity.
-
-All solvers are deterministic: node order is arena order and every choice
+The solver is deterministic: node order is arena order and every choice
 breaks ties by smallest index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .arena import SEEKER, Arena, ArenaLasso
+from .arena import SEEKER, SPOILER, Arena, ArenaLasso
 from .core import InputError
+
+_odd = (2).__rmod__  # _odd(x) == x % 2
 
 
 # ---------------------------------------------------------------------------
 # graph helpers
 
 
-def tarjan_scc(nodes: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Strongly connected components, iteratively, in deterministic order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def tarjan_scc(nodes, succ) -> list[list[int]]:
+    """Strongly connected components on ``nodes``, iteratively, in deterministic order.
+
+    ``nodes`` are non-negative ints and ``succ[v]`` lists the successors of
+    ``v``; ``succ`` may be a list or a dict. Successors outside ``nodes`` are
+    ignored.
+    """
+    nodes = list(nodes)
+    done = max(len(succ), max(nodes, default=-1) + 1)  # above every DFS number
+    index = [done] * done  # a node outside ``nodes`` counts as finished
+    for v in nodes:
+        index[v] = -1
+    low = [0] * done
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[int, int]] = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, ptr = work[-1]
-            pushed = False
-            children = succ[v]
-            while ptr < len(children):
-                w = children[ptr]
-                ptr += 1
-                if w not in index:
+            v, children = work[-1]
+            for w in children:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    pushed = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
+            else:
+                work.pop()
+                lv = low[v]
+                if work and lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+                if lv == index[v]:
+                    comp, w = [], None
+                    while w != v:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                    comp.sort()
+                    comps.append(comp)
     return comps
-
-
-def reachable_from(sources: list[int], succ: dict[int, list[int]]) -> set[int]:
-    seen = set(sources)
-    frontier = list(sources)
-    while frontier:
-        v = frontier.pop()
-        for w in succ.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
-def bfs_path(source: int, goals: set[int], succ: dict[int, list[int]]) -> list[int] | None:
-    """Shortest node path from ``source`` to any goal; includes both endpoints."""
-    if source in goals:
-        return [source]
-    prev: dict[int, int] = {source: source}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ.get(v, ()):
-                if w not in prev:
-                    prev[w] = v
-                    if w in goals:
-                        path = [w]
-                        while path[-1] != source:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(w)
-        frontier = nxt
-    return None
-
-
-def find_even_min_cycle(nodes: list[int], succ: dict[int, list[int]],
-                        prio: dict[int, int], sources: list[int]
-                        ) -> tuple[list[int], list[int]] | None:
-    """A reachable cycle whose minimum priority is even, or None.
-
-    For each even value ``e`` in ascending order, restricts to nodes with
-    priority at least ``e`` and looks for a reachable strongly connected
-    component containing a priority-``e`` node with a cycle through it.
-    Reachability of the cycle is judged in the full graph; the returned value
-    is ``(prefix, cycle)`` with the prefix ending just before ``cycle[0]``.
-    """
-    reach = reachable_from(sources, succ)
-    evens = sorted({prio[v] for v in reach if prio[v] % 2 == 0})
-    for e in evens:
-        keep = {v for v in reach if prio[v] >= e}
-        sub = {v: [w for w in succ[v] if w in keep] for v in keep}
-        for comp in tarjan_scc(sorted(keep), sub):
-            carriers = [v for v in comp if prio[v] == e]
-            if not carriers:
-                continue
-            nontrivial = len(comp) > 1
-            comp_set = set(comp)
-            comp_succ = {u: [w for w in sub[u] if w in comp_set] for u in comp}
-            for v in carriers:
-                if not nontrivial and v not in comp_succ[v]:
-                    continue
-                # cycle through v inside the component: step to a successor, then back
-                cycle = None
-                for w in comp_succ[v]:
-                    if w == v:
-                        cycle = [v]
-                        break
-                    tail = bfs_path(w, {v}, comp_succ)
-                    if tail is not None:
-                        cycle = [v] + tail[:-1]
-                        break
-                if cycle is None:
-                    continue
-                prefix_path = bfs_path_multi(sources, v, succ)
-                return prefix_path[:-1], cycle
-    return None
-
-
-def bfs_path_multi(sources: list[int], goal: int, succ: dict[int, list[int]]) -> list[int]:
-    """Shortest path from the nearest source to ``goal``."""
-    for s in sources:
-        if s == goal:
-            return [s]
-    prev: dict[int, int] = {s: s for s in sources}
-    frontier = list(sources)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ.get(v, ()):
-                if w not in prev:
-                    prev[w] = v
-                    if w == goal:
-                        path = [w]
-                        while prev[path[-1]] != path[-1]:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(w)
-        frontier = nxt
-    raise AssertionError("goal not reachable from sources")
-
-
-# ---------------------------------------------------------------------------
-# one-player parity
-
-
-def solve_one_player(arena: Arena, coordinate: int = 0) -> tuple[bool, ArenaLasso | None]:
-    """Non-emptiness of one parity coordinate when Seeker owns every node."""
-    arena.check()
-    if any(o != SEEKER for o in arena.owner):
-        raise InputError("solve_one_player expects every node to be Seeker-owned")
-    if not 0 <= coordinate < arena.k:
-        raise InputError(f"coordinate {coordinate} out of range for k={arena.k}")
-    succ = {v: list(arena.succ[v]) for v in range(len(arena.nodes))}
-    prio = {v: arena.priorities[v][coordinate] for v in range(len(arena.nodes))}
-    found = find_even_min_cycle(sorted(succ), succ, prio, [arena.initial])
-    if found is None:
-        return False, None
-    prefix, cycle = found
-    walk = prefix + cycle + [cycle[0]]
-    all_labels = []
-    for u, w in zip(walk, walk[1:]):
-        all_labels.append(arena.labels[u][arena.succ[u].index(w)])
-    return True, ArenaLasso(prefix=prefix, cycle=cycle,
-                            prefix_labels=all_labels[:len(prefix)],
-                            cycle_labels=all_labels[len(prefix):])
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +111,7 @@ def effective_priorities(arena: Arena, active: list[tuple[bool, ...]]) -> list[t
             for v in range(len(arena.nodes))]
 
 
-def _check_mask(arena: Arena, active: list[tuple[bool, ...]]) -> None:
-    if len(active) != len(arena.nodes):
-        raise InputError("active mask must cover every node")
-    for v in range(len(arena.nodes)):
-        if len(active[v]) != arena.k:
-            raise InputError(f"active mask of node {v} has wrong length")
-        for w in arena.succ[v]:
-            for i in range(arena.k):
-                if not active[v][i] and active[w][i]:
-                    raise InputError(
-                        f"active mask not monotone on edge {v}->{w} coordinate {i}")
-
-
-def _attract(targets: list[int], pred: dict[int, list[int]],
-             need: dict[int, int]) -> dict[int, int | None]:
+def _attract(targets: list[int], pred, need) -> dict[int, int | None]:
     """Nodes forced into ``targets``, each mapped to a successor attracted earlier.
 
     ``need[u]`` counts the successors of ``u`` that must be attracted before
@@ -272,68 +129,107 @@ def _attract(targets: list[int], pred: dict[int, list[int]],
     return towards
 
 
-def solve_conjunction(arena: Arena, active: list[tuple[bool, ...]] | None = None
-                      ) -> ConjunctionResult:
-    """Decide whether Seeker can satisfy every active coordinate from the initial node.
+def solve_conjunction(arena: Arena) -> ConjunctionResult:
+    """Decide whether Seeker can satisfy every coordinate from the initial node.
 
-    Inactive coordinates count as satisfied; the mask must be monotone
-    non-increasing along edges. A Spoiler node with two or more successors
-    must lie on no cycle (else :class:`InputError`), so every play ends in a
-    part Seeker controls alone. ``Good`` holds the nodes on a closed walk whose
-    minimum is even in every coordinate: in a cyclic SCC whose minimum is odd
-    in some coordinate, no such walk meets the nodes carrying it, so they are
-    deleted and the rest re-split. Seeker wins exactly on her attractor of
-    ``Good``. Her witness follows the attractor, then, inside its component,
-    walks to a node carrying the minimum of coordinate ``r``, which advances ``r``.
+    ``arena`` is checked first (:class:`InputError` if malformed). A coordinate
+    a play must not be judged on carries 0 (satisfied), as a knowledge arena's
+    does once its topology has dropped out. A Spoiler node with two or more
+    successors must lie on no cycle (else :class:`InputError`), so every play
+    ends in a part Seeker controls alone. ``Good`` holds the nodes on a closed
+    walk whose minimum is even in every coordinate: in a cyclic SCC whose
+    minimum is odd in some coordinate, no such walk meets the nodes carrying
+    it, so they are deleted and the rest re-split. Seeker wins exactly on her
+    attractor of ``Good``. Her witness follows the attractor, then, inside its
+    component, walks to a node carrying the minimum of coordinate ``r``, which
+    advances ``r``.
     """
     arena.check()
-    if active is None:
-        active = [tuple(True for _ in range(arena.k)) for _ in arena.nodes]
-    _check_mask(arena, active)
-    eff = effective_priorities(arena, active)
-    n, k, succ = len(arena.nodes), arena.k, arena.succ
-    pred: dict[int, list[int]] = {v: [] for v in range(n)}
-    for v in range(n):
-        for w in succ[v]:
-            pred[w].append(v)
+    return _solve_conjunction(arena)
 
-    good: list[tuple[list[int], tuple[int, ...]]] = []  # component, its minimum
-    work = [list(range(n))]
+
+def _solve_conjunction(arena: Arena) -> ConjunctionResult:
+    """:func:`solve_conjunction` on an arena the library built, so not re-checked."""
+    n, k, succ, owner, prio = len(arena.nodes), arena.k, arena.succ, arena.owner, arena.priorities
+    if [column for column in zip(*prio) if all(map(_odd, column))]:
+        return ConjunctionResult(False, None)  # no play meets an even value of this coordinate
+    splitters = ({v for v in range(n) if owner[v] == SPOILER and len(succ[v]) > 1}
+                 if SPOILER in owner else set())
+    comp_of: dict[int, int] = {}  # node of Good -> number of its component in ``lows``
+    lows: list[tuple[int, ...]] = []  # each good component's minimum
+    work: list = [range(n)]
     while work:
-        part = work.pop()
-        inside = set(part)
-        sub = {v: [w for w in succ[v] if w in inside] for v in part}
-        for comp in tarjan_scc(part, sub):
-            if len(comp) == 1 and comp[0] not in sub[comp[0]]:
+        for comp in tarjan_scc(work.pop(), succ):
+            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
                 continue
-            branching = [v for v in comp if arena.owner[v] != SEEKER and len(succ[v]) > 1]
-            if branching:
-                raise InputError(f"solve_conjunction: Spoiler node {branching[0]} branches on a cycle")
-            low = tuple(min(eff[v][i] for v in comp) for i in range(k))
-            odd = [i for i in range(k) if low[i] % 2]
-            if odd:
-                work.append([v for v in comp if eff[v][odd[0]] != low[odd[0]]])
+            if not splitters.isdisjoint(comp):
+                raise InputError(f"solve_conjunction: Spoiler node "
+                                 f"{min(splitters.intersection(comp))} branches on a cycle")
+            low = tuple(map(min, zip(*[prio[v] for v in comp])))
+            for i, x in enumerate(low):
+                if x % 2:  # no good closed walk meets the nodes carrying x: split the rest
+                    work.append([v for v in comp if prio[v][i] != x])
+                    break
             else:
-                good.append((comp, low))
-
-    need = {v: 1 if arena.owner[v] == SEEKER else len(succ[v]) for v in range(n)}
-    win = _attract([v for comp, _ in good for v in comp], pred, need)
-    if arena.initial not in win:
-        return ConjunctionResult(False, None)
+                comp_of.update(dict.fromkeys(comp, len(lows)))
+                lows.append(low)
+    if arena.initial in comp_of:
+        choice: dict[tuple[int, int], int] = {}
+    else:
+        if not comp_of:
+            return ConjunctionResult(False, None)
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for v in range(n):
+            for w in succ[v]:
+                pred[w].append(v)
+        need = [1 if owner[v] == SEEKER else len(succ[v]) for v in range(n)]
+        win = _attract(list(comp_of), pred, need)
+        if arena.initial not in win:
+            return ConjunctionResult(False, None)
+        choice = {(0, v): succ[v].index(w) for v, w in win.items()
+                  if w is not None and owner[v] == SEEKER}
     # outside Good the record stays at 0; inside, the play never leaves its component
-    choice = {(0, v): succ[v].index(w) for v, w in win.items()
-              if w is not None and arena.owner[v] == SEEKER}
+    inner: dict[int, list[int]] = {v: [] for v in comp_of}  # predecessors in the component
+    stay: dict[int, int] = {}  # an edge that stays in the component
+    for v, c in comp_of.items():
+        for e, w in enumerate(succ[v]):
+            if comp_of.get(w) == c:
+                inner[w].append(v)
+                stay[v] = e
     moves: dict[tuple[int, int], int] = {}
-    for comp, low in good:
-        inside = set(comp)
-        comp_pred = {w: [u for u in pred[w] if u in inside] for w in comp}
-        for r in range(k):
-            carriers = [v for v in comp if eff[v][r] == low[r]]
-            walk = _attract(carriers, comp_pred, dict.fromkeys(comp, 1))
-            for v in carriers:
-                moves[(r, v)] = (r + 1) % k
-                walk[v] = next(w for w in succ[v] if w in inside)
-            for v in comp:
-                if arena.owner[v] == SEEKER:
-                    choice[(r, v)] = succ[v].index(walk[v])
+    for r in range(k):
+        carriers = [v for v, c in comp_of.items() if prio[v][r] == lows[c][r]]
+        for v in carriers:
+            moves[(r, v)] = (r + 1) % k
+        for v, w in _attract(carriers, inner, dict.fromkeys(comp_of, 1)).items():
+            if owner[v] == SEEKER:
+                choice[(r, v)] = stay[v] if w is None else succ[v].index(w)
     return ConjunctionResult(True, WitnessMachine(init=0, moves=moves, choice=choice))
+
+
+def solve_one_player(arena: Arena, coordinate: int = 0) -> tuple[bool, ArenaLasso | None]:
+    """Non-emptiness of one parity coordinate when Seeker owns every node.
+
+    :func:`solve_conjunction` on that coordinate alone; the winning lasso
+    follows its positional witness from the initial node until a node repeats.
+    """
+    arena.check()
+    if SPOILER in arena.owner:
+        raise InputError("solve_one_player expects every node to be Seeker-owned")
+    if not 0 <= coordinate < arena.k:
+        raise InputError(f"coordinate {coordinate} out of range for k={arena.k}")
+    single = replace(arena, priorities=[(p[coordinate],) for p in arena.priorities], k=1)
+    res = _solve_conjunction(single)
+    if not res.winner:
+        return False, None
+    walk, labels, seen = [], [], {}
+    v = arena.initial
+    while v not in seen:
+        seen[v] = len(walk)
+        edge = res.witness.choice[(0, v)]
+        walk.append(v)
+        labels.append(arena.labels[v][edge])
+        v = arena.succ[v][edge]
+    i = seen[v]
+    return True, ArenaLasso(prefix=walk[:i], cycle=walk[i:],
+                            prefix_labels=labels[:i], cycle_labels=labels[i:])

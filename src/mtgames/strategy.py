@@ -16,6 +16,8 @@ import numpy as np
 from . import _kernels
 from .core import InputError, Lasso, Mtg
 
+_MISSING = object()
+
 
 @dataclass(frozen=True, slots=True)
 class MooreStrategy:
@@ -46,15 +48,16 @@ class MooreStrategy:
         for m in self.memory:
             for s in game.states:
                 cell = (m, s)
-                if cell not in self.update:
+                nxt = self.update.get(cell, _MISSING)
+                if nxt is _MISSING:
                     raise InputError(f"{where}: update table missing row ({m}, {s})")
-                if self.update[cell] not in self.memory:
-                    raise InputError(
-                        f"{where}: update target {self.update[cell]!r} not a memory state")
-                if cell not in self.act:
+                if nxt not in self.memory:
+                    raise InputError(f"{where}: update target {nxt!r} not a memory state")
+                a = self.act.get(cell, _MISSING)
+                if a is _MISSING:
                     raise InputError(f"{where}: act table missing row ({m}, {s})")
-                if self.act[cell] not in game.actions:
-                    raise InputError(f"{where}: act value {self.act[cell]!r} not an action")
+                if a not in game.actions:
+                    raise InputError(f"{where}: act value {a!r} not an action")
 
     def encoding(self, game: Mtg) -> tuple:
         """Hashable content key, used for caching deviation analyses."""

@@ -6,7 +6,7 @@ import itertools
 
 from mtgames.arena import SEEKER, Arena
 from mtgames.core import Mtg
-from mtgames.solvers import effective_priorities
+from mtgames.solvers import tarjan_scc
 from mtgames.strategy import MooreStrategy, Profile
 
 
@@ -100,15 +100,14 @@ def machine_beats_all_spoilers(arena: Arena, eff: list[tuple[int, ...]],
     return True
 
 
-def brute_conjunction_exists(arena: Arena, active: list[tuple[bool, ...]],
-                             memory_bound: int = 2, m3_samples: int = 0,
+def brute_conjunction_exists(arena: Arena, memory_bound: int = 2, m3_samples: int = 0,
                              rng=None) -> bool:
     """Bounded search for a winning Seeker machine, certified against all Spoilers.
 
     Exhaustive up to ``memory_bound`` memory states; optionally adds sampled
     3-memory machines. Sound: True always comes with a certified machine.
     """
-    eff = effective_priorities(arena, active)
+    eff = arena.priorities
     n = len(arena.nodes)
     seeker_nodes = [v for v in range(n) if arena.owner[v] == SEEKER]
     for n_mem in range(1, memory_bound + 1):
@@ -228,3 +227,117 @@ def residual_closed_walk(game: Mtg, fixed: dict[int, MooreStrategy], topology: s
                               for q, want in wants.items()):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the single-target deviation route: residual game, even-minimum cycle, lasso
+
+
+def reachable_from(sources: list[int], succ: dict[int, list[int]]) -> set[int]:
+    seen = set(sources)
+    frontier = list(sources)
+    while frontier:
+        v = frontier.pop()
+        for w in succ.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def bfs_path(sources: list[int], goals: set[int], succ: dict[int, list[int]]) -> list[int] | None:
+    """Shortest node path from the nearest source to any goal; includes both endpoints."""
+    prev: dict[int, int | None] = dict.fromkeys(sources)
+    frontier = list(sources)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if v in goals:
+                path = [v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            for w in succ.get(v, ()):
+                if w not in prev:
+                    prev[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def find_even_min_cycle(nodes: list[int], succ: dict[int, list[int]],
+                        prio: dict[int, int], sources: list[int]
+                        ) -> tuple[list[int], list[int]] | None:
+    """A reachable cycle whose minimum priority is even, as ``(prefix, cycle)``, or None.
+
+    For each even value ``e`` in ascending order, restricts to nodes with
+    priority at least ``e`` and looks for a strongly connected component with
+    a priority-``e`` node on a cycle. The prefix ends just before ``cycle[0]``.
+    """
+    reach = reachable_from(sources, succ)
+    for e in sorted({prio[v] for v in reach if prio[v] % 2 == 0}):
+        keep = {v for v in reach if prio[v] >= e}
+        sub = {v: [w for w in succ[v] if w in keep] for v in keep}
+        for comp in tarjan_scc(sorted(keep), sub):
+            inside = set(comp)
+            comp_succ = {u: [w for w in sub[u] if w in inside] for u in comp}
+            for v in comp:
+                if prio[v] != e:
+                    continue
+                tail = bfs_path(comp_succ[v], {v}, comp_succ)
+                if tail is not None:
+                    return bfs_path(sources, {v}, succ)[:-1], [v] + tail[:-1]
+    return None
+
+
+def residual_arena(game: Mtg, profile: Profile, deviator: str, topology: str) -> Arena:
+    """The one-player game the deviator faces in ``topology`` against the co-strategies."""
+    di = game.players.index(deviator)
+    co = [i for i in range(len(game.players)) if i != di]
+    init = (game.initial, tuple(profile.by_player[i].init for i in co))
+    nodes, index, succ, labels = [init], {init: 0}, [], []
+    for s, mems in nodes:
+        prof = [""] * len(game.players)
+        for i, mem in zip(co, mems):
+            prof[i] = profile.by_player[i].action(mem, s)
+        new_mems = tuple(profile.by_player[i].advance(mem, s) for i, mem in zip(co, mems))
+        succ.append([])
+        labels.append(list(game.actions))
+        for a in game.actions:
+            prof[di] = a
+            child = (game.transition[(topology, s, tuple(prof))], new_mems)
+            if child not in index:
+                index[child] = len(nodes)
+                nodes.append(child)
+            succ[-1].append(index[child])
+    return Arena(nodes=nodes, owner=[SEEKER] * len(nodes), succ=succ, labels=labels,
+                 priorities=[(game.priority[(topology, deviator, s)],) for s, _ in nodes],
+                 initial=0, k=1)
+
+
+def lasso_strategy(game: Mtg, actions: list[str], loop_to: int) -> MooreStrategy:
+    """Play ``actions`` in turn, whatever the states, then repeat from ``loop_to``."""
+    mems = tuple(f"m{i}" for i in range(len(actions)))
+    update, act = {}, {}
+    for i, a in enumerate(actions):
+        nxt = mems[i + 1] if i + 1 < len(actions) else mems[loop_to]
+        for s in game.states:
+            update[(mems[i], s)] = nxt
+            act[(mems[i], s)] = a
+    return MooreStrategy(memory=mems, init="m0", update=update, act=act)
+
+
+def reference_single_target(game: Mtg, profile: Profile, deviator: str,
+                            topology: str) -> tuple[bool, MooreStrategy | None]:
+    """Can ``deviator`` win ``topology``? Decided on the residual game by an
+    even-minimum cycle search; the witness follows the lasso's actions."""
+    arena = residual_arena(game, profile, deviator, topology)
+    succ = dict(enumerate(arena.succ))
+    prio = {v: p for v, (p,) in enumerate(arena.priorities)}
+    found = find_even_min_cycle(sorted(succ), succ, prio, [arena.initial])
+    if found is None:
+        return False, None
+    prefix, cycle = found
+    walk = prefix + cycle + [cycle[0]]
+    actions = [arena.labels[u][arena.succ[u].index(w)] for u, w in zip(walk, walk[1:])]
+    return True, lasso_strategy(game, actions, len(prefix))

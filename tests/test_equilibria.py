@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from brute import reference_single_target, residual_arena
 from mtgames import equilibria
 from mtgames.arena import SEEKER, SPOILER
 from mtgames.core import InputError, Mtg
 from mtgames.equilibria import (DeviationOracle, KnowledgeNode, build_knowledge_arena,
                                 can_deviator_win_set, check_cne, check_gne, check_ne,
-                                knowledge_active_mask)
+                                deviation_questions)
 from mtgames.generate import random_mtg, random_strategy
-from mtgames.solvers import solve_conjunction
 from mtgames.strategy import Profile, constant_strategy, enumerate_strategies, wintop
 
 
@@ -28,13 +28,24 @@ def knowledge_nodes(arena):
     return [n for n in arena.nodes if isinstance(n, KnowledgeNode)]
 
 
+def random_questions(seed: int, count: int):
+    """Random games of 2-3 players, 2-4 states and 2-4 topologies, each with a
+    profile of memory 1-3 per player."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 4),
+                          n_topologies=rng.randint(2, 4))
+        yield rng, game, Profile(tuple(random_strategy(rng, game, rng.randint(1, 3))
+                                       for _ in game.players))
+
+
 class TestBuildKnowledgeArena:
     def test_router_blue_deviation_against_stubborn_red(self, router):
         profile = Profile((constant_strategy(router, "0"), constant_strategy(router, "1")))
         arena = build_knowledge_arena(router, profile, "blue", frozenset({"A"}))
         init = arena.nodes[arena.initial]
         assert init.state == "ready"
-        assert init.consistent == {"A", "B"}
+        assert init.consistent == {"A"}  # only targets are tracked
         ok, witness = can_deviator_win_set(router, profile, "blue", frozenset({"A"}))
         assert ok
         assert "A" in wintop(router, profile.substitute(0, witness), "blue")
@@ -50,8 +61,34 @@ class TestBuildKnowledgeArena:
 
     def test_identical_topologies_never_split(self, xor):
         profile = Profile((constant_strategy(xor, "0"), constant_strategy(xor, "1")))
-        arena = build_knowledge_arena(xor, profile, "blue", frozenset({"t1"}))
-        assert all(n.consistent == {"t1", "t2"} for n in knowledge_nodes(arena))
+        arena = build_knowledge_arena(xor, profile, "blue", frozenset({"t1", "t2"}))
+        assert all(n.consistent == {"t1", "t2"} for n in arena.nodes)
+        assert SPOILER not in arena.owner
+
+    def test_single_target_arena_is_the_residual_game(self):
+        for _, game, profile in random_questions(41, 25):
+            for p in game.players:
+                for t in game.topologies:
+                    arena = build_knowledge_arena(game, profile, p, frozenset({t}))
+                    ref = residual_arena(game, profile, p, t)
+                    assert SPOILER not in arena.owner
+                    assert len(arena.nodes) == len(ref.nodes)
+                    assert [(n.state, n.memories) for n in arena.nodes] == ref.nodes
+                    assert (arena.succ, arena.labels, arena.priorities) == \
+                        (ref.succ, ref.labels, ref.priorities)
+
+    def test_consistent_sets_are_target_subsets_and_spoiler_nodes_branch(self):
+        splits = 0
+        for rng, game, profile in random_questions(42, 40):
+            targets = frozenset(rng.sample(game.topologies, rng.randint(1, len(game.topologies))))
+            arena = build_knowledge_arena(game, profile, rng.choice(game.players), targets)
+            for v, node in enumerate(arena.nodes):
+                base = node if isinstance(node, KnowledgeNode) else node.base
+                assert base.consistent <= targets
+                if arena.owner[v] == SPOILER:
+                    assert len(arena.succ[v]) >= 2
+                    splits += 1
+        assert splits
 
     def test_size_bound(self, router, turn_taking):
         arena = build_knowledge_arena(router, turn_taking, "blue", frozenset({"A", "B"}))
@@ -86,68 +123,58 @@ class TestCanDeviatorWinSet:
         ok_b, witness_b = can_deviator_win_set(router, profile, "blue", frozenset({"B"}))
         assert ok_a and not ok_b and witness_b is None
 
-    def test_singleton_equals_residual_route(self, monkeypatch):
-        """Singletons take the residual route; the knowledge arena must agree on them."""
-        rng = random.Random(21)
-        knowledge_targets = []
-        real_build = equilibria.build_knowledge_arena
-
-        def spy(game, profile, deviator, targets):
-            knowledge_targets.append(frozenset(targets))
-            return real_build(game, profile, deviator, targets)
-
+    def test_singleton_equals_residual_route(self):
+        """Single targets agree with the reference route: the residual game's
+        even-minimum cycle and its lasso; every witness of either replays."""
         positives = negatives = 0
         gne_verdicts = set()
-        for _ in range(30):
-            game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 4),
-                              n_topologies=rng.randint(2, 3))
-            profile = Profile(tuple(random_strategy(rng, game, rng.randint(1, 3))
-                                    for _ in game.players))
+        for _, game, profile in random_questions(21, 40):
             for p in game.players:
+                di = game.players.index(p)
                 for t in game.topologies:
-                    ok, _ = can_deviator_win_set(game, profile, p, frozenset({t}))
-                    arena = build_knowledge_arena(game, profile, p, frozenset({t}))
-                    want = solve_conjunction(arena, knowledge_active_mask(arena, [t])).winner
+                    ok, witness = can_deviator_win_set(game, profile, p, frozenset({t}))
+                    want, ref_witness = reference_single_target(game, profile, p, t)
                     assert ok == want, (p, t)
+                    for strat in (witness, ref_witness) if ok else ():
+                        assert t in wintop(game, profile.substitute(di, strat), p)
                     positives += ok
                     negatives += not ok
-            monkeypatch.setattr(equilibria, "build_knowledge_arena", spy)
             gne = check_gne(game, profile)
             gne_verdicts.add(gne.verdict)
-            assert not knowledge_targets, "check_gne built a knowledge arena"
             assert gne.verdict == all(check_ne(game, t, profile).verdict
                                       for t in game.topologies)
-            check_cne(game, profile)
-            assert all(len(ts) >= 2 for ts in knowledge_targets), \
-                "check_cne built a knowledge arena for a singleton"
-            monkeypatch.undo()
-            knowledge_targets.clear()
         assert positives and negatives and gne_verdicts == {True, False}
 
-    def test_checks_build_knowledge_arenas_for_two_or_more_targets_only(self, monkeypatch):
-        """The checks reach the arena builders through the unchecked helpers."""
-        rng = random.Random(21)
-        built = []
-        real = equilibria._knowledge_arena
+    def test_checks_build_one_knowledge_arena_per_question(self, monkeypatch):
+        """Every question a check asks, one target or several, is decided on
+        its knowledge arena, reached through the unchecked helpers."""
+        built, solved = [], []
+        real_build, real_solve = equilibria._knowledge_arena, equilibria._solve_conjunction
 
-        def spy(game, profile, deviator, targets):
-            built.append(targets)
-            return real(game, profile, deviator, targets)
+        def build(game, profile, deviator, targets):
+            built.append((deviator, targets))
+            return real_build(game, profile, deviator, targets)
 
-        monkeypatch.setattr(equilibria, "_knowledge_arena", spy)
-        cne_built = 0
-        for _ in range(30):
-            game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 4),
-                              n_topologies=rng.randint(2, 3))
-            profile = Profile(tuple(random_strategy(rng, game, rng.randint(1, 3))
-                                    for _ in game.players))
-            built.clear()
-            check_gne(game, profile)
-            assert not built, "check_gne built a knowledge arena"
-            check_cne(game, profile)
-            assert all(len(ts) >= 2 for ts in built)
-            cne_built += len(built)
-        assert cne_built
+        def solve(arena):
+            solved.append(arena)
+            return real_solve(arena)
+
+        monkeypatch.setattr(equilibria, "_knowledge_arena", build)
+        monkeypatch.setattr(equilibria, "_solve_conjunction", solve)
+        sizes = set()
+        for _, game, profile in random_questions(21, 30):
+            for check in (check_gne, check_cne):
+                built.clear()
+                solved.clear()
+                report = check(game, profile)
+                asked = list(deviation_questions(game, report.kind, report.wintop))
+                if report.witness is not None:
+                    w = report.witness
+                    asked = asked[:asked.index((w.player, w.targets)) + 1]
+                assert built == asked
+                assert len(solved) == len(built)
+                sizes.update(len(ts) for _, ts in built)
+        assert 1 in sizes and max(sizes) >= 2
 
     def test_antitone_in_targets(self, router):
         profile = Profile((constant_strategy(router, "0"), constant_strategy(router, "1")))

@@ -1,15 +1,15 @@
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from brute import brute_conjunction_exists, brute_parity_regions
+from brute import (brute_conjunction_exists, brute_parity_regions, find_even_min_cycle,
+                   reachable_from)
 from mtgames.arena import SEEKER, SPOILER, Arena
 from mtgames.core import InputError
-from mtgames.equilibria import _knowledge_arena, _machine_to_moore, knowledge_active_mask
+from mtgames.equilibria import _knowledge_arena, _machine_to_moore
 from mtgames.generate import random_mtg, random_strategy
-from mtgames.solvers import (_check_mask, effective_priorities, find_even_min_cycle,
-                             reachable_from, solve_conjunction, solve_one_player, tarjan_scc)
+from mtgames.solvers import effective_priorities, solve_conjunction, solve_one_player, tarjan_scc
 from mtgames.strategy import Profile, _winners
 
 # Reference solvers for arenas of any shape: full two-player parity solving by
@@ -196,9 +196,8 @@ def _move_to_front(perm: tuple[int, ...], hits: frozenset[int]) -> tuple[int, ..
     return tuple(j for j in perm if j in hits) + tuple(j for j in perm if j not in hits)
 
 
-def reference_conjunction(arena: Arena, active: list[tuple[bool, ...]] | None = None
-                          ) -> ReferenceConjunction:
-    """The conjunction of the active coordinates on an arena of any shape.
+def reference_conjunction(arena: Arena) -> ReferenceConjunction:
+    """The conjunction of the priority coordinates on an arena of any shape.
 
     Each odd value ``c`` of a coordinate becomes a request/response pair
     (seeing ``c`` infinitely often requires seeing something smaller infinitely
@@ -208,10 +207,7 @@ def reference_conjunction(arena: Arena, active: list[tuple[bool, ...]] | None = 
     product, and ``choice`` maps (record, node) to the edge taken.
     """
     arena.check()
-    if active is None:
-        active = [tuple(True for _ in range(arena.k)) for _ in arena.nodes]
-    _check_mask(arena, active)
-    eff = effective_priorities(arena, active)
+    eff = arena.priorities
     m, e_hits, f_hits = _build_pairs(arena, eff)
 
     init_perm = tuple(range(m))
@@ -283,6 +279,23 @@ def forward_closed_set(rng: random.Random, arena: Arena, seed_count: int) -> set
 def single_node_arena(priority: int) -> Arena:
     return Arena(nodes=["only"], owner=[SEEKER], succ=[[0]], labels=[["loop"]],
                  priorities=[(priority,)], initial=0, k=1)
+
+
+ARENA_DEFECTS = {
+    "short owner list": dict(owner=[]),
+    "initial out of range": dict(initial=1),
+    "successor out of range": dict(succ=[[5]]),
+    "negative successor": dict(succ=[[-1]]),
+    "unknown owner": dict(owner=[2]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ARENA_DEFECTS))
+def test_both_solvers_reject_a_malformed_arena(defect):
+    arena = replace(single_node_arena(0), **ARENA_DEFECTS[defect])
+    for solve in (solve_conjunction, solve_one_player):
+        with pytest.raises(InputError):
+            solve(arena)
 
 
 class TestSolveOnePlayer:
@@ -366,11 +379,16 @@ class TestSolveParity:
         assert first.spoiler_strategy == second.spoiler_strategy
 
 
-def conjunction_mask(arena: Arena, rng: random.Random, extra_closed: int = 0):
-    closed = [forward_closed_set(rng, arena, 1) for _ in range(arena.k)]
-    mask = [tuple(v not in closed[i] for i in range(arena.k))
-            for v in range(len(arena.nodes))]
-    return mask
+def masked(arena: Arena, off: list[set[int]]) -> Arena:
+    """``arena`` with coordinate i satisfied (priority 0) on the nodes of ``off[i]``."""
+    active = [tuple(v not in off[i] for i in range(arena.k)) for v in range(len(arena.nodes))]
+    return replace(arena, priorities=effective_priorities(arena, active))
+
+
+def masked_at_random(arena: Arena, rng: random.Random) -> Arena:
+    """``arena`` with each coordinate satisfied from a random successor-closed set on,
+    as a knowledge arena's coordinate is once its topology has dropped out."""
+    return masked(arena, [forward_closed_set(rng, arena, 1) for _ in range(arena.k)])
 
 
 class TestSolveConjunction:
@@ -396,21 +414,13 @@ class TestSolveConjunction:
             assert reference_conjunction(doubled).winner == \
                 solve_parity(arena).seeker_wins_initial
 
-    def test_rejects_non_monotone_mask(self):
-        arena = Arena(nodes=["a", "b"], owner=[SEEKER, SEEKER],
-                      succ=[[1], [1]], labels=[[None], [None]],
-                      priorities=[(0,), (0,)], initial=0, k=1)
-        for solve in (solve_conjunction, reference_conjunction):
-            with pytest.raises(InputError):
-                solve(arena, [(False,), (True,)])
-
     def test_inactive_coordinates_count_as_satisfied(self):
         # an always-odd coordinate is forgiven exactly where deactivated
         arena = Arena(nodes=["a"], owner=[SEEKER], succ=[[0]], labels=[[None]],
                       priorities=[(1,)], initial=0, k=1)
         for solve in (solve_conjunction, reference_conjunction):
             assert not solve(arena).winner
-            assert solve(arena, [(False,)]).winner
+            assert solve(masked(arena, [{0}])).winner
 
     def test_matches_bounded_brute_force(self):
         rng = random.Random(8)
@@ -424,12 +434,11 @@ class TestSolveConjunction:
                 # odd-heavy priorities so losing instances occur too
                 arena.priorities = [tuple(p | 1 for p in vec) if rng.random() < 0.7 else vec
                                     for vec in arena.priorities]
-                mask = [tuple(True for _ in range(arena.k)) for _ in arena.nodes]
             else:
-                mask = conjunction_mask(arena, rng)
+                arena = masked_at_random(arena, rng)
             arenas += 1
-            res = reference_conjunction(arena, mask)
-            brute = brute_conjunction_exists(arena, mask, memory_bound=2,
+            res = reference_conjunction(arena)
+            brute = brute_conjunction_exists(arena, memory_bound=2,
                                              m3_samples=300, rng=random.Random(arenas))
             solver_wins += res.winner
             solver_losses += not res.winner
@@ -449,12 +458,8 @@ class TestSolveConjunction:
             arena = random_arena(rng, n_nodes=6, k=2)
             off = [forward_closed_set(rng, arena, 1) for _ in range(arena.k)]
             off_more = [s | forward_closed_set(rng, arena, 1) for s in off]
-            active_more = [tuple(v not in off[i] for i in range(arena.k))
-                           for v in range(len(arena.nodes))]
-            active_fewer = [tuple(v not in off_more[i] for i in range(arena.k))
-                            for v in range(len(arena.nodes))]
-            if reference_conjunction(arena, active_more).winner:
-                assert reference_conjunction(arena, active_fewer).winner
+            if reference_conjunction(masked(arena, off)).winner:
+                assert reference_conjunction(masked(arena, off_more)).winner
 
     def test_deterministic(self):
         rng = random.Random(12)
@@ -478,8 +483,8 @@ def leveled(arena: Arena) -> Arena:
 
 
 def knowledge_questions(seed: int, count: int):
-    """Random knowledge arenas with their masks and targets, from games of
-    2-3 players, 2-4 topologies, priorities up to 8 and strategies of memory 1-3."""
+    """Random knowledge arenas with their targets, from games of 2-3 players,
+    2-4 topologies, priorities up to 8 and strategies of memory 1-3."""
     rng = random.Random(seed)
     for _ in range(count):
         game = random_mtg(rng, n_players=rng.randint(2, 3), n_states=rng.randint(2, 5),
@@ -489,8 +494,8 @@ def knowledge_questions(seed: int, count: int):
         deviator = rng.choice(game.players)
         tlist = sorted(rng.sample(game.topologies, rng.randint(2, len(game.topologies))),
                        key=game.topologies.index)
-        arena = _knowledge_arena(game, profile, deviator, frozenset(tlist))
-        yield game, profile, deviator, tlist, arena, knowledge_active_mask(arena, tlist)
+        yield game, profile, deviator, tlist, _knowledge_arena(game, profile, deviator,
+                                                               frozenset(tlist))
 
 
 class TestLeveledConjunction:
@@ -498,9 +503,9 @@ class TestLeveledConjunction:
 
     def test_equals_reference_on_knowledge_arenas(self):
         verdicts = []
-        for _, _, _, _, arena, mask in knowledge_questions(31, 120):
-            want = reference_conjunction(arena, mask).winner
-            assert solve_conjunction(arena, mask).winner == want
+        for _, _, _, _, arena in knowledge_questions(31, 120):
+            want = reference_conjunction(arena).winner
+            assert solve_conjunction(arena).winner == want
             verdicts.append(want)
         assert True in verdicts and False in verdicts
 
@@ -510,22 +515,24 @@ class TestLeveledConjunction:
         for _ in range(150):
             arena = leveled(random_arena(rng, n_nodes=rng.randint(3, 8), k=rng.randint(1, 3),
                                          max_priority=rng.randint(2, 6), max_succ=3))
-            mask = conjunction_mask(arena, rng) if rng.random() < 0.3 else None
-            want = reference_conjunction(arena, mask).winner
-            assert solve_conjunction(arena, mask).winner == want
-            if arena.k == 1 and mask is None:
+            plain = rng.random() >= 0.3
+            if not plain:
+                arena = masked_at_random(arena, rng)
+            want = reference_conjunction(arena).winner
+            assert solve_conjunction(arena).winner == want
+            if arena.k == 1 and plain:
                 assert want == solve_parity(arena).seeker_wins_initial
             verdicts.append(want)
         assert True in verdicts and False in verdicts
 
     def test_witnesses_replay_in_every_target_topology(self):
         wins = 0
-        for game, profile, deviator, tlist, arena, mask in knowledge_questions(33, 80):
-            res = solve_conjunction(arena, mask)
+        for game, profile, deviator, tlist, arena in knowledge_questions(33, 80):
+            res = solve_conjunction(arena)
             if not res.winner:
                 continue
             wins += 1
-            strat = _machine_to_moore(game, arena, res.witness, deviator)
+            strat = _machine_to_moore(game, arena, res.witness)
             strat.check(game, "witness")
             deviated = profile.substitute(game.players.index(deviator), strat)
             for t in tlist:
@@ -543,6 +550,5 @@ class TestLeveledConjunction:
             solve_conjunction(arena)
 
     def test_deterministic(self):
-        for _, _, _, _, arena, mask in knowledge_questions(34, 10):
-            r1, r2 = solve_conjunction(arena, mask), solve_conjunction(arena, mask)
-            assert r1 == r2
+        for _, _, _, _, arena in knowledge_questions(34, 10):
+            assert solve_conjunction(arena) == solve_conjunction(arena)

@@ -16,8 +16,7 @@ import pytest
 from mtgames import io as mio
 from mtgames.core import InputError
 from mtgames.equilibria import (DeviationOracle, build_knowledge_arena, build_residual_arena,
-                                can_deviator_win_set, check_cne, check_gne, check_ne,
-                                deviation_arena)
+                                can_deviator_win_set, check_cne, check_gne, check_ne)
 from mtgames.generate import random_mtg, random_profile
 from mtgames.io import data_path
 from mtgames.oracles import compare_deviation_checker
@@ -64,7 +63,6 @@ def entry_points(router, router_gne, turn_taking):
         "check_cne": lambda prof: check_cne(router, prof),
         "build_residual_arena": lambda prof: build_residual_arena(router, prof, "red", "A"),
         "build_knowledge_arena": lambda prof: build_knowledge_arena(router, prof, "red", both),
-        "deviation_arena": lambda prof: deviation_arena(router, prof, "red", both),
         "can_deviator_win_set":
             lambda prof: can_deviator_win_set(router, prof, "red", frozenset({"A"})),
         "DeviationOracle.can_win":
