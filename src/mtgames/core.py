@@ -14,7 +14,7 @@ function, so they can be shared freely across workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,6 +95,7 @@ def validate(game: Mtg) -> list[str]:
         defects.append(f"initial state {game.initial!r} not in states")
 
     profiles = game.action_profiles()
+    profile_set = set(profiles)
     state_set = set(game.states)
     max_priority = 2 * len(game.states)
     for t in game.topologies:
@@ -117,7 +118,7 @@ def validate(game: Mtg) -> list[str]:
                         defects.append(
                             f"priority of ({t}, {p}, {s}) is {v!r}, outside 0..{max_priority}")
     for (t, s, prof), target in game.transition.items():
-        if t not in game.topologies or s not in state_set or prof not in set(profiles):
+        if t not in game.topologies or s not in state_set or prof not in profile_set:
             defects.append(f"transition row with unknown identifiers: ({t}, {s}, {prof}) -> {target}")
     for (t, p, s) in game.priority:
         if t not in game.topologies or p not in game.players or s not in state_set:
@@ -224,29 +225,19 @@ def symmetrize(base: Mtg, k: int) -> Mtg:
 
 @dataclass(frozen=True)
 class IndexedMtg:
-    """Integer-indexed view of an Mtg for the array simulation kernels.
+    """The integer arrays of an Mtg that the simulation kernels read.
 
-    ``delta`` has shape (topologies, states, joint) where ``joint`` encodes an
-    action profile in base ``len(actions)`` with player 0 most significant.
-    ``prio`` has shape (topologies, players, states).
+    Topologies, players, states and actions are numbered in the game's file
+    order. ``delta`` has shape (topologies, states, joint) and holds successor
+    state numbers, where ``joint`` encodes an action profile in base
+    ``n_actions`` with player 0 most significant. ``prio`` has shape
+    (topologies, players, states). ``initial`` numbers the initial state.
     """
 
-    game: Mtg
-    state_index: dict[str, int]
-    action_index: dict[str, int]
-    player_index: dict[str, int]
-    topology_index: dict[str, int]
     delta: np.ndarray
     prio: np.ndarray
-    initial: int = field(default=0)
-
-    @property
-    def n_players(self) -> int:
-        return len(self.game.players)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.game.actions)
+    initial: int
+    n_actions: int
 
 
 def compile_tables(game: Mtg) -> IndexedMtg:
@@ -266,5 +257,4 @@ def compile_tables(game: Mtg) -> IndexedMtg:
         delta[ti[t], si[s], j] = si[target]
     for (t, p, s), v in game.priority.items():
         prio[ti[t], pi[p], si[s]] = v
-    return IndexedMtg(game=game, state_index=si, action_index=ai, player_index=pi,
-                      topology_index=ti, delta=delta, prio=prio, initial=si[game.initial])
+    return IndexedMtg(delta=delta, prio=prio, initial=si[game.initial], n_actions=n_a)

@@ -25,7 +25,10 @@ when it wins the single game t.
 
 Public functions check their profile, deviator and targets once; ``_``-prefixed
 helpers assume checked input. A check validates its profile in ``wintop_map``
-only; each witness a helper builds is checked once, then replayed.
+only; each witness a helper builds is checked once, then replayed. One check
+never asks the same (player, targets) question twice, so it caches only
+through a :class:`DeviationOracle` its caller passes, to share answers across
+checks; without one it asks each question directly.
 """
 
 from __future__ import annotations
@@ -298,10 +301,11 @@ def deviation_questions(game: Mtg, kind: str, wt: dict[str, frozenset[str]],
                 yield p, (wt[p] | {t}) if kind == "cne" else frozenset({t})
 
 
-def _check(kind: str, game: Mtg, profile: Profile, ask,
+def _check(kind: str, game: Mtg, profile: Profile, oracle: DeviationOracle | None,
            topology: str | None = None) -> EquilibriumReport:
     """Ask ``kind``'s deviation questions in order; the first yes refutes the profile."""
     wt = wintop_map(game, profile)  # checks the profile; ``ask`` takes it unchecked
+    ask = partial(_can_win_set, game) if oracle is None else oracle._ask
     for p, targets in deviation_questions(game, kind, wt, topology):
         ok, strat = ask(profile, p, targets)
         if ok:
@@ -319,16 +323,16 @@ def check_ne(game: Mtg, topology: str, profile: Profile) -> EquilibriumReport:
     """
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
-    return _check("ne", game, profile, partial(_can_win_set, game), topology)
+    return _check("ne", game, profile, None, topology)
 
 
 def check_gne(game: Mtg, profile: Profile,
               oracle: DeviationOracle | None = None) -> EquilibriumReport:
     """Greedy equilibrium: no player can deviate and win a currently-losing topology."""
-    return _check("gne", game, profile, (oracle or DeviationOracle(game))._ask)
+    return _check("gne", game, profile, oracle)
 
 
 def check_cne(game: Mtg, profile: Profile,
               oracle: DeviationOracle | None = None) -> EquilibriumReport:
     """Conservative equilibrium: no deviation yields a strict superset of winning topologies."""
-    return _check("cne", game, profile, (oracle or DeviationOracle(game))._ask)
+    return _check("cne", game, profile, oracle)

@@ -8,9 +8,10 @@ changes slowest, and within a tile profiles are in lexicographic order of
 the per-player strategy indices, first player most significant. In router's
 (2, 2) block, for example, (blue 1, red 0) comes before (blue 0, red 362).
 
-Candidates are screened in chunks, all through one result loop. A
-one-player game's chunks are the kept strategies of index ranges that
-``_kernels.sweep_block`` filters and simulates in one call. Whether such a
+Candidates are screened in chunks. Every task returns one shape, a chunk
+with its screened rows and their topology bitmasks, and one result loop reads
+them all. A one-player game's chunks are the kept strategies of index ranges
+that ``_kernels.sweep_block`` filters and simulates in one call. Whether such a
 candidate survives depends on its winning set alone, so the allowed sets are
 tabulated once per search, and ``DeviationOracle.can_win`` decides at
 unbounded memory whether any strategy wins each of them. When none can be
@@ -142,8 +143,6 @@ def _player_chunk_lists(game: Mtg, sizes: tuple[int, ...], cap_per_player: int):
 def _candidate_chunks(game: Mtg, bound: int):
     n = len(game.players)
     cap = max(4, int(round(CHUNK_CAP ** (1.0 / n))))
-    if n == 1:
-        cap = CHUNK_CAP
     for sizes in _size_vectors(n, bound):
         for chunk in _player_chunk_lists(game, sizes, cap):
             if chunk.batch:
@@ -336,19 +335,18 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
 
         def evaluate(task):
             m, lo, hi = task
-            if not winnable:
+            if winnable:
+                # only the range the budget ends in can keep more than ``budget`` rows
+                keep, bits = _kernels.sweep_block(idx_game.delta, idx_game.prio, [None], 0, m,
+                                                  lo, hi, idx_game.initial, idx_game.n_actions,
+                                                  limit=budget)
+            else:
                 # no candidate can survive: count the kept rows, simulate none
-                return m, lo, _kernels.canonical_range(lo, hi, m, idx_game.prio.shape[2],
-                                                       idx_game.n_actions)[0], None
-            # only the range the budget ends in can keep more than ``budget`` rows
-            return (m, lo, *_kernels.sweep_block(idx_game.delta, idx_game.prio, [None], 0, m,
-                                                 lo, hi, idx_game.initial, idx_game.n_actions,
-                                                 limit=budget))
-
-        def receive(m, lo, keep, bits):
+                keep = _kernels.canonical_range(lo, hi, m, idx_game.prio.shape[2],
+                                                idx_game.n_actions)[0]
             kept = np.nonzero(keep)[0]
             chunk = _Chunk(sizes=(m,), per_player=[_PlayerChunk(lo + kept, None, None)])
-            if bits is None:
+            if not winnable:
                 return chunk, kept[:0], np.zeros((0, 1), dtype=np.int64)
             return chunk, np.arange(len(kept)), bits[kept, None]
     else:
@@ -404,7 +402,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
     examined = 0
     with closing(_ordered_map(evaluate, tasks(), jobs)) as stream:
         for result in stream:
-            chunk, rows, masks = receive(*result) if n_players == 1 else result
+            chunk, rows, masks = result
             batch = chunk.batch
             if budget is not None and examined + batch > budget:
                 batch = budget - examined

@@ -86,17 +86,14 @@ class WitnessMachine:
     """Finite-memory Seeker strategy whose memory is a plan position ``r`` below k.
 
     On visiting arena node ``v`` with record ``r``, a Seeker node takes edge
-    ``choice[(r, v)]``; then :meth:`step` updates the record. ``moves`` lists
-    where the plan advances: where ``v`` carries its good component's minimum
-    of coordinate ``r``.
+    ``choice[(r, v)]``; then the record becomes ``moves[(r, v)]`` where that is
+    listed, and stays ``r`` elsewhere. ``moves`` lists where the plan advances:
+    where ``v`` carries its good component's minimum of coordinate ``r``.
     """
 
     init: int
     moves: dict[tuple[int, int], int]
     choice: dict[tuple[int, int], int]
-
-    def step(self, record: int, node: int) -> int:
-        return self.moves.get((record, node), record)
 
 
 @dataclass

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtgames.core import (InputError, Lasso, Mtg, parity_satisfied, step, symmetrize,
-                          validate)
+from mtgames.core import (InputError, Lasso, Mtg, check_lasso, parity_satisfied, step,
+                          symmetrize, validate)
 from mtgames.generate import random_mtg
 
 
@@ -39,6 +39,14 @@ class TestValidate:
                      transition=router.transition, priority=priority)
         assert any("outside" in d for d in validate(broken))
 
+    def test_duplicate_and_empty_identifier_lists_named(self, router):
+        broken = Mtg(players=("blue", "blue"), states=router.states, initial=router.initial,
+                     actions=(), topologies=router.topologies,
+                     transition=router.transition, priority=router.priority)
+        defects = validate(broken)
+        assert "duplicate identifiers in players: ('blue', 'blue')" in defects
+        assert "empty identifier list: actions" in defects
+
 
 class TestStep:
     def test_router_priority_rule(self, router):
@@ -61,6 +69,8 @@ class TestStep:
             step(router, "A", "nowhere", ("0", "0"))
         with pytest.raises(InputError):
             step(router, "A", "ready", ("0", "2"))
+        with pytest.raises(InputError, match=r"has 1 actions, expected 2"):
+            step(router, "A", "ready", ("0",))
 
     def test_deterministic(self, router):
         results = {step(router, "A", "ready", ("1", "1")) for _ in range(5)}
@@ -85,6 +95,16 @@ class TestParitySatisfied:
         with pytest.raises(InputError):
             parity_satisfied(router, "A", "blue",
                              Lasso(prefix=(), cycle=("send1", "send2")))
+        idle = Lasso(prefix=(), cycle=("ready",))
+        with pytest.raises(InputError, match="unknown player 'green'"):
+            parity_satisfied(router, "A", "green", idle)
+        for topology, lasso, message in (
+                ("C", idle, "unknown topology 'C'"),
+                ("A", Lasso(prefix=("ready",), cycle=()), "lasso cycle is empty"),
+                ("A", Lasso(prefix=("ready",), cycle=("nowhere",)),
+                 "unknown state 'nowhere' in lasso")):
+            with pytest.raises(InputError, match=message):
+                check_lasso(router, topology, lasso)
 
     def test_depends_only_on_cycle_set(self, router):
         base = Lasso(prefix=(), cycle=("ready", "send2", "ready", "send1"))
@@ -142,9 +162,11 @@ class TestSymmetrize:
                     assert expanded.priority[(name, p, s)] == \
                         base.priority[("t0", base.players[perm[i]], s)]
 
-    def test_rejects_small_player_count(self, fig3):
+    def test_rejects_small_player_count(self, fig3, router_base):
         with pytest.raises(InputError):
             symmetrize(fig3, 1)
+        with pytest.raises(InputError, match="base game has 2 players, expected k=3"):
+            symmetrize(router_base, 3)
 
     def test_rejects_multi_topology_base(self, router):
         with pytest.raises(InputError):

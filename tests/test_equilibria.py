@@ -112,8 +112,10 @@ class TestBuildKnowledgeArena:
             assert arena.owner[v] == expected
 
     def test_empty_targets_rejected(self, router, turn_taking):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="target topology set must be nonempty"):
             build_knowledge_arena(router, turn_taking, "blue", frozenset())
+        with pytest.raises(InputError, match=r"unknown topologies in targets: \['Z'\]"):
+            build_knowledge_arena(router, turn_taking, "blue", frozenset({"A", "Z"}))
 
 
 class TestCanDeviatorWinSet:
@@ -226,6 +228,10 @@ class TestCheckNe:
 
     def test_vacuous_when_everyone_wins(self, router, turn_taking):
         assert check_ne(router, "A", turn_taking).verdict
+
+    def test_unknown_topology_rejected(self, router, turn_taking):
+        with pytest.raises(InputError, match="unknown topology 'C'"):
+            check_ne(router, "C", turn_taking)
 
     def test_single_player_winner(self, fig3):
         single = Mtg(players=fig3.players, states=fig3.states, initial=fig3.initial,

@@ -43,6 +43,10 @@ class TestGameFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             mio.load_game(path)
+        doc = mio.game_to_dict(router)
+        doc["priorities"] = []
+        with pytest.raises(InputError, match="^g: priorities must be a nested object$"):
+            mio.parse_game(doc, where="g")
 
     def test_loader_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "junk.game"
@@ -135,6 +139,29 @@ class TestReductionFiles:
                            match=r"^h\.json\.transitions\[0\]: missing required key 'to'"):
             mio.h_from_dict(doc, where="h.json")
 
+    @pytest.mark.parametrize("defect, message", [
+        ("roles", r"^h\.json: unexpected player roles \('coalition',\)"),
+        ("no start", r"^h\.json: no state has id 'start'"),
+        ("coalition length", r"^h\.json\.transitions\[\d+\]: coalition must give one action"),
+        ("observation roles", r"^h\.json\.observations: expected an object keyed by exactly"),
+        ("observation classes", r"^h\.json\.observations: classes of coalition must be lists"),
+    ])
+    def test_malformed_instance_rejected(self, router, defect, message):
+        doc = self._router_h_doc(router)
+        if defect == "roles":
+            doc["players"] = doc["players"][:1]
+        elif defect == "no start":
+            doc["states"] = [e for e in doc["states"] if e["id"] != "start"]
+        elif defect == "coalition length":
+            entry = next(e for e in doc["transitions"] if e["from"] != "start")
+            entry["coalition"] = entry["coalition"][:1]
+        elif defect == "observation roles":
+            del doc["observations"]["deviator"]
+        else:
+            doc["observations"]["coalition"] = ["start"]
+        with pytest.raises(InputError, match=message):
+            mio.h_from_dict(doc, where="h.json")
+
     @pytest.mark.parametrize("key", ["to", "from"])
     def test_unknown_state_id_rejected(self, router, key):
         doc = self._router_h_doc(router)
@@ -181,11 +208,12 @@ class TestCli:
         assert doc["wintop"] == {"blue": ["A", "B"], "red": ["A", "B"]}
 
     def test_check_gne_golden(self, capsys):
-        code, doc = run_cli(["check", "gne", str(data_path("router.game")),
-                             str(data_path("turn-taking.profile"))], capsys)
-        assert code == 0
-        assert doc["report"]["verdict"] is True
-        assert doc["report"]["wintop"] == {"blue": ["A", "B"], "red": ["A", "B"]}
+        for kind in ("gne", "cne"):
+            code, doc = run_cli(["check", kind, str(data_path("router.game")),
+                                 str(data_path("turn-taking.profile"))], capsys)
+            assert code == 0
+            assert doc["report"]["kind"] == kind and doc["report"]["verdict"] is True
+            assert doc["report"]["wintop"] == {"blue": ["A", "B"], "red": ["A", "B"]}
 
     def test_check_ne_needs_topology(self, capsys):
         code, _ = run_cli(["check", "ne", str(data_path("router.game")),
@@ -411,6 +439,11 @@ class TestMalformedInput:
         line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
                                      capsys)
         assert line == f"error: {path}.blue: update target 'm9' not a memory state"
+
+    def test_find_target_needs_targets(self, capsys):
+        line = assert_one_error_line(["find", "target", str(data_path("router.game")),
+                                      "--memory", "1"], capsys)
+        assert line == "error: find target needs --targets"
 
     def test_output_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.game"

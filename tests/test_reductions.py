@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mtgames import reductions
 from mtgames.core import InputError
 from mtgames.oracles import gamma_sample, omega_rank_agreement
 from mtgames.reductions import (START, DeviationChoice, HLasso, build_cne_game,
@@ -151,6 +152,14 @@ class TestSemanticObjective:
     def test_illegal_lasso_rejected(self, router_cne):
         with pytest.raises(InputError):
             semantic_objective(router_cne, HLasso(prefix=(), cycle=(START,)))
+        blue = router_cne.transitions[(START, ("blue", frozenset({"A"}), "A"))]
+        red = router_cne.transitions[(START, ("red", frozenset({"A"}), "A"))]
+        for lasso, message in (
+                (HLasso(prefix=(START,), cycle=()), "lasso cycle is empty"),
+                (HLasso(prefix=(), cycle=(blue,)), "plays start at the start state"),
+                (HLasso(prefix=(START,), cycle=(blue, red)), "not realizable")):
+            with pytest.raises(InputError, match=message):
+                semantic_objective(router_cne, lasso)
 
     def test_agrees_with_rank_parity_router(self, router):
         for targets in list(all_target_tuples(router))[:6]:
@@ -191,6 +200,21 @@ class TestGammaRoundtrip:
                               topologies=frozenset())
         with pytest.raises(InputError):
             gamma_roundtrip(router, router_cne, turn_taking, dev, resolved="A")
+
+    def test_malformed_deviations_rejected(self, router, fig3, router_cne, router_gne,
+                                           turn_taking):
+        stay = constant_strategy(router, "0")
+        for h, dev, message in (
+                (router_gne, DeviationChoice("green", stay, topology="A"), "unknown player 'green'"),
+                (router_cne, DeviationChoice("blue", stay), "need a challenge set"),
+                (router_gne, DeviationChoice("blue", stay), "need a single committed topology")):
+            with pytest.raises(InputError, match=message):
+                simulate_h(h, turn_taking, dev, resolved="A")
+        with pytest.raises(InputError, match="built from another game"):
+            gamma_roundtrip(fig3, router_gne, turn_taking,
+                            DeviationChoice("blue", stay, topology="A"))
+        with pytest.raises(InputError, match="unknown reduction kind 'ne'"):
+            reductions._build(router, {p: frozenset() for p in router.players}, "ne")
 
     def test_gne_instance_needs_no_resolver(self, router, router_gne, turn_taking):
         dev = DeviationChoice(player="blue", strategy=constant_strategy(router, "1"),

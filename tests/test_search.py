@@ -40,6 +40,8 @@ class TestFindGne:
             find_gne(fig3, 0)
         with pytest.raises(InputError):
             find_gne(fig3, 1, jobs=0)
+        with pytest.raises(InputError, match="budget must be >= 1, got 0"):
+            find_gne(fig3, 1, budget=0)
 
 
 class TestFindCne:
@@ -134,9 +136,11 @@ class TestSearchMechanics:
             simulated.append(len(rows[0]))
             return simulate(*args, rows=rows)
         monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
-        result = find_gne(xor, 2, budget=150000)
-        assert result.status == "budget-exhausted" and result.examined == 150000
-        assert len(simulated) > 1 and sum(simulated) <= 150000
+        for jobs in (1, 2):  # the same result either way
+            simulated.clear()
+            result = find_gne(xor, 2, budget=150000, jobs=jobs)
+            assert result.status == "budget-exhausted" and result.examined == 150000
+            assert len(simulated) > 1 and sum(simulated) <= 150000
 
     def test_budget_bounds_the_rows_swept(self, monkeypatch):
         simulated = []

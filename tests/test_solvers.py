@@ -281,20 +281,24 @@ def single_node_arena(priority: int) -> Arena:
                  priorities=[(priority,)], initial=0, k=1)
 
 
-ARENA_DEFECTS = {
-    "short owner list": dict(owner=[]),
-    "initial out of range": dict(initial=1),
-    "successor out of range": dict(succ=[[5]]),
-    "negative successor": dict(succ=[[-1]]),
-    "unknown owner": dict(owner=[2]),
+ARENA_DEFECTS = {  # name -> (changed fields, message)
+    "short owner list": (dict(owner=[]), "one entry per node"),
+    "initial out of range": (dict(initial=1), "initial node 1 out of range"),
+    "successor out of range": (dict(succ=[[5]]), "successor out of range"),
+    "negative successor": (dict(succ=[[-1]]), "successor out of range"),
+    "unknown owner": (dict(owner=[2]), "neither SEEKER nor SPOILER"),
+    "no successors": (dict(succ=[[]]), "node 0 has no successors"),
+    "priority length": (dict(priorities=[(0, 0)]), "priority vector of node 0 has wrong length"),
+    "label count": (dict(labels=[[]]), "labels of node 0 do not match"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(ARENA_DEFECTS))
 def test_both_solvers_reject_a_malformed_arena(defect):
-    arena = replace(single_node_arena(0), **ARENA_DEFECTS[defect])
+    changes, message = ARENA_DEFECTS[defect]
+    arena = replace(single_node_arena(0), **changes)
     for solve in (solve_conjunction, solve_one_player):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=message):
             solve(arena)
 
 
@@ -332,6 +336,10 @@ class TestSolveOnePlayer:
         arena.owner[0] = SPOILER
         with pytest.raises(InputError):
             solve_one_player(arena)
+
+    def test_rejects_an_out_of_range_coordinate(self):
+        with pytest.raises(InputError, match="coordinate 1 out of range for k=1"):
+            solve_one_player(single_node_arena(0), coordinate=1)
 
     def test_agrees_with_two_player_solver(self):
         rng = random.Random(17)

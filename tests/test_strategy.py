@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,11 @@ class TestWinners:
         profile = Profile((constant_strategy(xor, "0"), constant_strategy(xor, "0")))
         assert winners(xor, "t1", profile) == {"blue"}
         assert winners(xor, "t2", profile) == {"red"}
+
+    def test_unknown_topology_rejected(self, router, turn_taking):
+        for evaluate in (outcome, winners):
+            with pytest.raises(InputError, match="unknown topology 'C'"):
+                evaluate(router, "C", turn_taking)
 
 
 class TestWintop:
@@ -238,3 +244,12 @@ class TestPeriodic:
             emitted.append(strat.action(mem, "ready"))
             mem = strat.advance(mem, "ready")
         assert emitted == ["0", "0", "1", "1", "0", "0", "1", "1"]
+
+
+def test_malformed_strategies_rejected(router):
+    with pytest.raises(InputError, match="unknown action '7'"):
+        constant_strategy(router, "7")
+    stay = constant_strategy(router, "0")
+    for memory in ((), ("m0", "m0")):
+        with pytest.raises(InputError, match="^blue: memory list empty or with duplicates$"):
+            replace(stay, memory=memory).check(router, "blue")
