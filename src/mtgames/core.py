@@ -241,7 +241,14 @@ class IndexedMtg:
 
 
 def compile_tables(game: Mtg) -> IndexedMtg:
-    """Build the integer-indexed transition/priority arrays for ``game``."""
+    """Build the integer-indexed transition/priority arrays for ``game``.
+
+    Every kernel-backed path calls this first. Its callers hold topology sets
+    as int64 bitmasks, so it refuses games with more than 63 topologies.
+    """
+    if len(game.topologies) > 63:
+        raise InputError(f"the game has {len(game.topologies)} topologies; searches and "
+                         f"the deviation oracle handle at most 63")
     si = {s: i for i, s in enumerate(game.states)}
     ai = {a: i for i, a in enumerate(game.actions)}
     pi = {p: i for i, p in enumerate(game.players)}

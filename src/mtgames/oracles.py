@@ -6,7 +6,9 @@ Three oracles are exposed (also via the command line):
   objective clauses with the rank parity on every reachable lasso whose cycle
   has at most a given length. Both sides depend only on a cycle's state set,
   and cycles never mix commitments or obedience bits, so the enumeration runs
-  slice by slice with a subset dynamic program.
+  slice by slice with a subset dynamic program. One BFS tree from the start
+  gives the reachable states and each lasso's prefix: the tree path to the
+  cycle's first state.
 * ``gamma``: sample finite-memory commitments and check the projected
   challenge-game play against the plays it must mirror.
 * ``deviation``: exhaustively sweep deviator strategies up to a memory bound
@@ -31,10 +33,6 @@ from .strategy import Profile, StrategyBlock, wintop
 
 # ---------------------------------------------------------------------------
 # rank vs semantics
-
-
-def _slice_key(q) -> tuple:
-    return (q.p, q.T, q.t, q.b)
 
 
 def _reachable_cycle_sets(nodes: list, succ: dict, bound: int) -> list[tuple[frozenset, list]]:
@@ -71,41 +69,25 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
     """Compare semantic objective and rank parity on every reachable short-cycled lasso."""
     if cycle_bound < 1:
         raise InputError(f"cycle bound must be >= 1, got {cycle_bound}")
-    succ_all = {q: sorted(ws, key=h.states.index) for q, ws in h.successor_sets().items()}
-    # reachability from the start state
-    reach = {h.initial}
-    frontier = [h.initial]
-    while frontier:
-        v = frontier.pop()
-        for w in succ_all[v]:
-            if w not in reach:
-                reach.add(w)
-                frontier.append(w)
+    order = {q: i for i, q in enumerate(h.states)}
+    succ_all = {q: sorted(ws, key=order.__getitem__) for q, ws in h.successor_sets().items()}
+    # one BFS tree from the start: its keys are the reachable states, and its
+    # parent links give each a shortest prefix
+    parent = {h.initial: None}
+    layer = [h.initial]
+    while layer:
+        nxt = []
+        for v in layer:
+            for w in succ_all[v]:
+                if w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+        layer = nxt
 
     slices: dict[tuple, list] = {}
     for q in h.states:
-        if q == START or q not in reach:
-            continue
-        slices.setdefault(_slice_key(q), []).append(q)
-
-    # prefix search works on the full reachable graph
-    def prefix_to(target) -> list:
-        prev = {h.initial: None}
-        layer = [h.initial]
-        while layer:
-            nxt = []
-            for v in layer:
-                for w in succ_all[v]:
-                    if w not in prev:
-                        prev[w] = v
-                        if w == target:
-                            path = [w]
-                            while prev[path[-1]] is not None:
-                                path.append(prev[path[-1]])
-                            return path[::-1]
-                        nxt.append(w)
-            layer = nxt
-        raise AssertionError("target unreachable")
+        if q != START and q in parent:
+            slices.setdefault((q.p, q.T, q.t, q.b), []).append(q)
 
     checked = 0
     disagreements = []
@@ -116,8 +98,11 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
         # cycle stays inside one slice; walks never need to leave it
         inner = {q: [w for w in succ_all[q] if w in members] for q in nodes}
         for cyc_set, walk in _reachable_cycle_sets(nodes, inner, cycle_bound):
-            path = prefix_to(walk[0])
-            lasso = HLasso(prefix=tuple(path[:-1]), cycle=tuple(walk))
+            prefix = []
+            v = walk[0]
+            while (v := parent[v]) is not None:
+                prefix.append(v)
+            lasso = HLasso(prefix=tuple(reversed(prefix)), cycle=tuple(walk))
             checked += 1
             sem = semantic_objective(h, lasso)
             par = rank_parity(h, lasso)

@@ -23,7 +23,7 @@ instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import InputError, Lasso, Mtg
 from .strategy import MooreStrategy, Profile, _outcome
@@ -65,12 +65,15 @@ class PartialInfoGame:
     observations: dict[str, list[frozenset]]
     game: Mtg
     targets: dict[str, frozenset[str]]
+    _succ: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def successor_sets(self) -> dict:
-        succ: dict = {q: set() for q in self.states}
-        for (q, _), q2 in self.transitions.items():
-            succ[q].add(q2)
-        return succ
+        """Each state's set of successors, built once: a built game is never mutated."""
+        if self._succ is None:
+            self._succ = {q: set() for q in self.states}
+            for (q, _), q2 in self.transitions.items():
+                self._succ[q].add(q2)
+        return self._succ
 
     def start_choices(self) -> list[tuple]:
         return sorted((key[1] for key in self.transitions if key[0] == START),
@@ -202,7 +205,6 @@ def _build(game: Mtg, targets: dict[str, frozenset[str]], kind: str) -> PartialI
 
     n_s, n_p, n_t = len(game.states), len(game.players), len(game.topologies)
     if kind == "cne":
-        _, family = challenge_sets(game, targets)
         if len(family) > 2 * n_p * n_t:
             raise AssertionError("challenge-set family exceeded its size bound")
         if len(interior) > 2 * n_s * n_p * len(family) * n_t:

@@ -27,10 +27,12 @@ residual questions that depend on the other players' strategies alone, so
 target row is simulated only if no player's strategy rules it out, and a
 GNE candidate survives iff every player's winning set equals the set she
 can win alone, which is exact. The CNE search keeps a memoryless-deviation
-prefilter, a necessary condition. No multi-player row past the budget is
-simulated. Whatever the search returns has passed the full equilibrium
-check, so a found profile re-verifies; absence after exhausting the space is
-NOT a proof of non-existence beyond the memory bound, and the result says so.
+prefilter, a necessary condition, simulated in slices of at most
+``CHUNK_CAP`` kernel rows and skipped when the memoryless block alone is
+larger. No multi-player row past the budget is simulated. Whatever the
+search returns has passed the full equilibrium check, so a found profile
+re-verifies; absence after exhausting the space is NOT a proof of
+non-existence beyond the memory bound, and the result says so.
 """
 
 from __future__ import annotations
@@ -221,27 +223,36 @@ def _alone_masks(idx_game, chunk: _Chunk, rows: np.ndarray, player: int) -> np.n
     return alone[np.ravel_multi_index(chunk.positions(rows, co), [chunk.lens[q] for q in co])]
 
 
-def _memoryless_deviation_bits(game: Mtg, idx_game, chunk: _Chunk, rows: np.ndarray,
-                               player: int) -> np.ndarray:
-    """(rows, n_dev) wintop bitmasks of every memoryless deviation of ``player``.
+def _memoryless_improvable(game: Mtg, idx_game, chunk: _Chunk, rows: np.ndarray,
+                           player: int, w: np.ndarray) -> np.ndarray:
+    """Per row: whether a memoryless deviation of ``player`` wins a strict superset of ``w``.
 
     Necessary-condition prefilter for the CNE search: any memoryless
     deviation that already improves on a candidate disqualifies it before the
-    exact analysis runs. Kernel row ``b * n_dev + d`` plays deviation ``d``
-    against the co-strategies of ``rows[b]``; the memoryless block and the
-    chunk tables each go to the kernel once, with index vectors.
+    exact analysis runs. The rows go to the kernel in slices of at most
+    ``CHUNK_CAP`` kernel rows; kernel row ``b * n_dev + d`` of a slice plays
+    deviation ``d`` against the co-strategies of the slice's row ``b``. The
+    memoryless block and the chunk tables each go to the kernel once per
+    slice, with index vectors.
     """
     dev_block = StrategyBlock(game, 1)
     n_dev = dev_block.total
-    batch = len(rows)
-    flat = np.arange(batch * n_dev)
     tables = [(pc.upd, pc.act) for pc in chunk.per_player]
     tables[player] = dev_block.decode(np.arange(n_dev, dtype=np.int64))
-    index = [flat % n_dev if p == player else pos[flat // n_dev]
-             for p, pos in enumerate(chunk.positions(rows))]
-    wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
-                                      idx_game.initial, idx_game.n_actions, rows=index)
-    return _topology_bits(wins[:, :, player]).reshape(batch, n_dev)
+    positions = chunk.positions(rows)
+    improvable = np.zeros(len(rows), dtype=bool)
+    step = CHUNK_CAP // n_dev
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        flat = np.arange((hi - lo) * n_dev)
+        index = [flat % n_dev if p == player else pos[lo:hi][flat // n_dev]
+                 for p, pos in enumerate(positions)]
+        wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
+                                          idx_game.initial, idx_game.n_actions, rows=index)
+        dev_bits = _topology_bits(wins[:, :, player]).reshape(hi - lo, n_dev)
+        mine = w[lo:hi, None]
+        improvable[lo:hi] = (((dev_bits & mine) == mine) & (dev_bits != mine)).any(axis=1)
+    return improvable
 
 
 def _materialize(game: Mtg, chunk: _Chunk, b: int) -> Profile:
@@ -285,6 +296,10 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
     n_players = len(game.players)
     n_top = len(game.topologies)
     all_mask = (1 << n_top) - 1
+    # the CNE prefilter is a necessary condition only: skipping it when one
+    # slice of CHUNK_CAP kernel rows cannot hold the memoryless block changes
+    # what ``finalize`` is asked, never the result
+    prefilter = kind == "cne" and StrategyBlock(game, 1).total <= CHUNK_CAP
 
     target_masks = None
     if kind == "target":
@@ -391,12 +406,9 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 ok &= w == _alone_masks(idx_game, chunk, rows, p)
                 continue
             full = w == all_mask
-            if bool(np.all(full)):
+            if bool(np.all(full)) or not prefilter:
                 continue
-            dev_bits = _memoryless_deviation_bits(game, idx_game, chunk, rows, p)
-            covers = (dev_bits & w[:, None]) == w[:, None]
-            bad = covers & (dev_bits != w[:, None])
-            ok &= full | ~bad.any(axis=1)
+            ok &= full | ~_memoryless_improvable(game, idx_game, chunk, rows, p, w)
         return np.nonzero(ok)[0]
 
     examined = 0

@@ -189,6 +189,9 @@ class StrategyBlock:
         self.n_update_tables = m ** self.cells
         self.n_act_tables = self.n_actions ** self.cells
         self.total = self.n_update_tables * self.n_act_tables
+        if self.total > np.iinfo(np.int64).max:
+            raise InputError(f"strategies with memory {m} over {self.n_states} states and "
+                             f"{self.n_actions} actions are too many to index in 64 bits")
 
     def decode(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index array -> ((B, M, S) update, (B, M, S) act) integer tables."""

@@ -338,6 +338,15 @@ class TestBruteForceAgreement:
                     cne_refuted += 1
         assert gne_refuted > 0 and cne_refuted > 0
 
+    def test_brute_force_finds_no_deviation_beyond_every_strategy(self, fig3):
+        from mtgames.oracles import brute_force_deviation
+        profile = Profile((constant_strategy(fig3, "1"),))
+        strat = brute_force_deviation(fig3, profile, "solo", frozenset({"t2"}), 1)[1]
+        assert wintop(fig3, Profile((strat,)), "solo") >= {"t2"}
+        # no strategy of any memory wins both topologies
+        assert brute_force_deviation(fig3, profile, "solo", frozenset({"t1", "t2"}),
+                                     2) == (False, None)
+
 
 class TestOracleCache:
     def test_cache_is_keyed_on_co_strategies(self, router):

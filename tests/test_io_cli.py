@@ -12,7 +12,7 @@ from mtgames import io as mio
 from mtgames.core import InputError
 from mtgames.generate import random_mtg, random_profile
 from mtgames.io import data_path
-from mtgames.reductions import build_cne_game, build_gne_game
+from mtgames.reductions import PartialInfoGame, build_cne_game, build_gne_game
 from mtgames.strategy import Profile, constant_strategy
 
 import random
@@ -238,6 +238,21 @@ class TestCli:
         assert (out_dir / "ne-blue-A.arena.txt").exists()
         assert not (out_dir / "ne-red-A.arena.txt").exists()
 
+    def test_check_cne_emits_split_arenas(self, tmp_path, capsys, router):
+        profile = Profile((constant_strategy(router, "1"), constant_strategy(router, "1")))
+        ppath = tmp_path / "p.profile"
+        mio.save_profile(profile, router, ppath)
+        out_dir = tmp_path / "arenas"
+        code, doc = run_cli(["check", "cne", str(data_path("router.game")), str(ppath),
+                             "--emit-arenas", str(out_dir)], capsys)
+        assert code == 0 and doc["report"]["verdict"] is True
+        names = sorted(d.name for d in out_dir.glob("*.arena.txt"))
+        assert names == ["cne-blue-A+B.arena.txt", "cne-red-A+B.arena.txt"]
+        # both targets are consistent at first, and an action splits them:
+        # Spoiler picks the branch at a choice node
+        text = (out_dir / names[0]).read_text()
+        assert " SPOILER prio=" in text and ":: C(K(ready, {A,B}, mem=['m0']), a=" in text
+
     @pytest.mark.parametrize("args", [["gne", "fig3.game"], ["cne", "xor.game"]],
                              ids=["gne-fig3", "cne-xor"])
     def test_find_stdout_independent_of_jobs(self, capsys, args):
@@ -271,7 +286,9 @@ class TestCli:
         profile = mio.load_profile(out, game)
         assert mio.profile_to_dict(profile, game) == doc["profile"]
 
-    def test_reduce_writes_reloadable_instance(self, tmp_path, capsys):
+    def test_reduce_writes_reloadable_instance(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(PartialInfoGame, "successor_sets", lambda h: built.append(h))
         out = tmp_path / "h.json"
         code, doc = run_cli(["reduce", "cne", str(data_path("router.game")),
                              "--targets", str(data_path("router-all.tt")),
@@ -279,6 +296,7 @@ class TestCli:
         assert code == 0
         h = mio.load_h(out)
         assert len(h.states) - 1 == doc["states"]
+        assert not built  # reducing builds no successor map
 
     def test_symmetrize_matches_bundled_router(self, tmp_path, capsys, router):
         out = tmp_path / "sym.game"
@@ -439,6 +457,33 @@ class TestMalformedInput:
         line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
                                      capsys)
         assert line == f"error: {path}.blue: update target 'm9' not a memory state"
+
+    @pytest.mark.parametrize("kind", ["cne", "gne"])
+    def test_games_past_the_64_bit_limits(self, tmp_path, capsys, kind):
+        many_topologies = random_mtg(random.Random(5), n_players=2, n_states=2, n_actions=2,
+                                     n_topologies=80, max_priority=3)
+        many_states = random_mtg(random.Random(0), n_players=2, n_states=70, n_actions=2,
+                                 n_topologies=2)
+        for game, message in (
+                (many_topologies, "error: the game has 80 topologies; searches and the "
+                                  "deviation oracle handle at most 63"),
+                (many_states, "error: strategies with memory 1 over 70 states and 2 actions "
+                              "are too many to index in 64 bits")):
+            path = tmp_path / "big.game"
+            mio.save_game(game, path)
+            line = assert_one_error_line(["find", kind, str(path), "--memory", "1",
+                                          "--budget", "10"], capsys)
+            assert line == message
+
+    def test_oracle_deviation_past_63_topologies(self, tmp_path, capsys):
+        game = random_mtg(random.Random(5), n_players=2, n_states=2, n_actions=2,
+                          n_topologies=80, max_priority=3)
+        gpath, ppath = tmp_path / "big.game", tmp_path / "p.profile"
+        mio.save_game(game, gpath)
+        mio.save_profile(random_profile(random.Random(1), game, 1), game, ppath)
+        line = assert_one_error_line(["oracle", "deviation", str(gpath), str(ppath),
+                                      "--deviator", "p0", "--target-set", "t70"], capsys)
+        assert "80 topologies" in line
 
     def test_find_target_needs_targets(self, capsys):
         line = assert_one_error_line(["find", "target", str(data_path("router.game")),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -168,6 +169,39 @@ class TestSemanticObjective:
                 assert res.checked > 0
                 assert res.disagreements == []
 
+    def test_omega_builds_the_successor_map_once(self, router, monkeypatch):
+        items = []
+
+        class Counted(dict):
+            def items(self):
+                items.append(1)
+                return super().items()
+        judged = []
+        check = reductions.check_h_lasso
+
+        def spy(h, lasso):
+            judged.append(lasso)
+            return check(h, lasso)
+        monkeypatch.setattr(reductions, "check_h_lasso", spy)
+        targets = {"blue": frozenset({"A", "B"}), "red": frozenset({"A", "B"})}
+        h = build_cne_game(router, targets)
+        h = dataclasses.replace(h, transitions=Counted(h.transitions))
+        res = omega_rank_agreement(h)
+        assert res.checked == 96 and res.disagreements == []
+        assert len(items) == 1  # one pass over the transitions, not one per lasso
+        assert len(judged) == res.checked  # every lasso is still checked as a legal play
+
+    def test_omega_records_a_disagreement(self, router_cne):
+        q = router_cne.transitions[(START, ("blue", frozenset({"A"}), "B"))]
+        assert router_cne.transitions[(q, (("0", "0"), "0"))] == q  # a one-state cycle
+        assert router_cne.rank[q] == 1  # the resolver left the challenge set: odd
+        bumped = dataclasses.replace(router_cne, rank={**router_cne.rank, q: 2})
+        res = omega_rank_agreement(bumped, cycle_bound=1)
+        assert {"cycle_states": [str(q)], "semantic": False,
+                "rank_parity": True} in res.disagreements
+        assert all(d["semantic"] != d["rank_parity"] for d in res.disagreements)
+        assert res.checked == omega_rank_agreement(router_cne, cycle_bound=1).checked
+
 
 class TestGammaRoundtrip:
     def test_obeying_deviator_reproduces_suggested_play(self, router, router_cne,
@@ -194,6 +228,16 @@ class TestGammaRoundtrip:
         assert res.mismatches == []
         res = gamma_sample(router, router_gne, samples=60, seed=4)
         assert res.mismatches == []
+
+    def test_redirected_transition_is_a_mismatch(self, router, router_gne):
+        q = router_gne.transitions[(START, ("blue", "A"))]
+        key = (q, (("0", "0"), "0"))  # everyone plays 0 in the first round
+        wrong = next(w for w in router_gne.states[1:] if w.s != router_gne.transitions[key].s)
+        broken = dataclasses.replace(router_gne,
+                                     transitions={**router_gne.transitions, key: wrong})
+        res = gamma_sample(router, broken, samples=200, seed=0)
+        assert res.mismatches
+        assert all(not m["report"].proj_matches_deviated for m in res.mismatches)
 
     def test_invalid_commitment_rejected(self, router, router_cne, turn_taking):
         dev = DeviationChoice(player="blue", strategy=constant_strategy(router, "0"),

@@ -9,6 +9,7 @@ from mtgames import io, search
 from mtgames.core import InputError, Mtg
 from mtgames.equilibria import check_cne, check_gne
 from mtgames.generate import random_mtg, random_profile
+from mtgames.oracles import compare_deviation_checker
 from mtgames.search import find_cne, find_gne, find_profile_with_wintop
 from mtgames.strategy import wintop, wintop_map
 
@@ -195,6 +196,55 @@ class TestSearchMechanics:
             assert again.status == "found"
             # candidate order is graded by memory, so the same profile wins
             assert again.profile == first.profile
+
+    def test_more_than_63_topologies_are_refused(self):
+        # topology sets are int64 bitmasks: bit 63 and above would wrap
+        game = random_mtg(random.Random(5), n_players=2, n_states=2, n_actions=2,
+                          n_topologies=80, max_priority=3)
+        profile = random_profile(random.Random(1), game, 1)
+        late = {"p0": frozenset({"t63", "t70"}), "p1": frozenset()}
+        for run in (lambda: find_cne(game, 1), lambda: find_gne(game, 1, budget=10),
+                    lambda: find_profile_with_wintop(game, late, 1),
+                    lambda: compare_deviation_checker(game, profile, "p0",
+                                                      frozenset({"t70"}), 1)):
+            with pytest.raises(InputError, match="the game has 80 topologies; searches and "
+                                                 "the deviation oracle handle at most 63"):
+                run()
+
+    def test_63_topologies_still_search(self):
+        game = random_mtg(random.Random(3), n_players=2, n_states=2, n_actions=2,
+                          n_topologies=63, max_priority=3)
+        result = find_cne(game, 1)
+        assert result.status == "found"
+        assert (result.status, result.examined, result.profile) == _reference_scan(game, "cne", 1)
+        targets = wintop_map(game, random_profile(random.Random(2), game, 1))
+        assert "t62" in targets["p0"] | targets["p1"]
+        result = find_profile_with_wintop(game, targets, 1)
+        assert result.status == "found" and wintop_map(game, result.profile) == targets
+
+    def test_cne_prefilter_simulates_in_slices(self, monkeypatch):
+        simulated = []
+        simulate = search._kernels.simulate_min_even
+
+        def spy(*args, rows):
+            simulated.append(len(rows[0]))
+            return simulate(*args, rows=rows)
+        monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
+        # 2,000 rows times 256 memoryless deviations are 512,000 kernel rows
+        game = random_mtg(random.Random(5), 2, 8, 2, 2, 3)
+        result = find_cne(game, 1, budget=2000)
+        assert (result.status, result.examined, result.profile) == ("budget-exhausted", 2000,
+                                                                    None)
+        assert simulated and max(simulated) <= search.CHUNK_CAP
+
+    def test_cne_prefilter_skipped_past_chunk_cap(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(search, "_memoryless_improvable", lambda *args: called.append(1))
+        # 2^18 memoryless deviations, more than one slice of CHUNK_CAP rows holds
+        game = random_mtg(random.Random(5), 2, 18, 2, 2, 3)
+        result = find_cne(game, 1, budget=200)
+        assert (result.status, result.examined) == ("budget-exhausted", 200)
+        assert not called
 
     def test_random_two_player_searches_reverify(self):
         rng = random.Random(33)

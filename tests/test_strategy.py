@@ -9,6 +9,7 @@ from brute import isomorphic_encodings, naive_strategy_space, raw_step_wintop
 from mtgames import equilibria, strategy
 from mtgames.core import InputError, Lasso, parity_satisfied
 from mtgames.generate import random_mtg, random_profile
+from mtgames.search import find_gne
 from mtgames.strategy import (MooreStrategy, Profile, StrategyBlock, constant_strategy,
                               enumerate_strategies, outcome, winners, wintop, wintop_map)
 
@@ -222,6 +223,21 @@ class TestEnumerate:
     def test_rejects_bad_bound(self, fig3):
         with pytest.raises(InputError):
             list(enumerate_strategies(fig3, 0))
+
+    @pytest.mark.parametrize("n_players", [1, 2])
+    def test_blocks_past_64_bit_indices_are_refused(self, n_players):
+        game = random_mtg(random.Random(0), n_players=n_players, n_states=70, n_actions=2,
+                          n_topologies=2)
+        message = "strategies with memory 1 over 70 states and 2 actions are too many"
+        for run in (lambda: StrategyBlock(game, 1), lambda: next(enumerate_strategies(game, 1)),
+                    lambda: find_gne(game, 1, budget=10)):
+            with pytest.raises(InputError, match=message):
+                run()
+        # 2^40 memoryless strategies still index in 64 bits
+        game = random_mtg(random.Random(0), n_players=n_players, n_states=40, n_actions=2,
+                          n_topologies=2)
+        assert StrategyBlock(game, 1).total == 2 ** 40
+        assert find_gne(game, 1, budget=10).status == "budget-exhausted"
 
     def test_yielded_strategies_are_canonical_and_distinct(self, fig3):
         seen = set()
