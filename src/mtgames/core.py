@@ -65,6 +65,8 @@ class Lasso:
     def unroll(self, n: int) -> list[str]:
         """First ``n`` states of the infinite play."""
         out = list(self.prefix)
+        if len(out) < n and not self.cycle:
+            raise InputError("lasso cycle is empty")
         while len(out) < n:
             out.extend(self.cycle)
         return out[:n]

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .core import InputError, Lasso, Mtg, validate
 from .equilibria import DeviationWitness, EquilibriumReport
-from .reductions import COALITION, DEVIATOR, RESOLVER, START, HState, PartialInfoGame
+from .reductions import (COALITION, DEVIATOR, RESOLVER, START, HState, PartialInfoGame,
+                         _h_state_id)
 from .strategy import MooreStrategy, Profile
 
 
@@ -306,14 +307,6 @@ def report_from_dict(doc: dict, game: Mtg, where: str = "report") -> Equilibrium
 
 # ---------------------------------------------------------------------------
 # challenge-game instances
-
-
-def _h_state_id(q, game: Mtg) -> str:
-    if q == START:
-        return START
-    T = "" if q.T is None else "+".join(t for t in game.topologies if t in q.T)
-    bits = [q.s, q.p] + ([T] if q.T is not None else []) + [q.t, str(int(q.b))]
-    return "|".join(bits)
 
 
 def h_to_dict(h: PartialInfoGame) -> dict:

@@ -26,7 +26,7 @@ from . import _kernels
 from .core import InputError, Mtg, compile_tables
 from .equilibria import can_deviator_win_set
 from .generate import random_profile, random_strategy
-from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame,
+from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame, _h_state_id,
                          gamma_roundtrip, rank_parity, semantic_objective)
 from .strategy import Profile, StrategyBlock, wintop
 
@@ -35,8 +35,8 @@ from .strategy import Profile, StrategyBlock, wintop
 # rank vs semantics
 
 
-def _reachable_cycle_sets(nodes: list, succ: dict, bound: int) -> list[tuple[frozenset, list]]:
-    """All state sets of closed walks of length <= bound, with one witness walk each.
+def _reachable_cycle_sets(nodes: list, succ: dict, bound: int, name) -> list[tuple[list, list]]:
+    """Each state set of closed walks of length <= bound, as sorted ``name``s, with one walk.
 
     Dynamic program over (current node, visited set); two walks meeting the
     same pair have interchangeable continuations, so the state space is tiny.
@@ -56,7 +56,8 @@ def _reachable_cycle_sets(nodes: list, succ: dict, bound: int) -> list[tuple[fro
                     if key not in nxt:
                         nxt[key] = path + [w]
             layer = nxt
-    return sorted(found.items(), key=lambda kv: sorted(map(str, kv[0])))
+    return sorted(((sorted(map(name, seen)), walk) for seen, walk in found.items()),
+                  key=lambda c: c[0])
 
 
 @dataclass
@@ -89,15 +90,16 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
         if q != START and q in parent:
             slices.setdefault((q.p, q.T, q.t, q.b), []).append(q)
 
+    # slices and cycle sets go by state name, the same in every process
+    name = {q: _h_state_id(q, h.game) for q in parent}.__getitem__
     checked = 0
     disagreements = []
-    for key in sorted(slices, key=str):
-        nodes = slices[key]
+    for nodes in sorted(slices.values(), key=lambda nodes: name(nodes[0])):
         members = set(nodes)
         # commitments are constant and the obedience bit is monotone, so every
         # cycle stays inside one slice; walks never need to leave it
         inner = {q: [w for w in succ_all[q] if w in members] for q in nodes}
-        for cyc_set, walk in _reachable_cycle_sets(nodes, inner, cycle_bound):
+        for cycle_states, walk in _reachable_cycle_sets(nodes, inner, cycle_bound, name):
             prefix = []
             v = walk[0]
             while (v := parent[v]) is not None:
@@ -107,7 +109,7 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
             sem = semantic_objective(h, lasso)
             par = rank_parity(h, lasso)
             if sem != par:
-                disagreements.append({"cycle_states": sorted(map(str, cyc_set)),
+                disagreements.append({"cycle_states": cycle_states,
                                       "semantic": sem, "rank_parity": par})
     return OmegaAgreement(checked=checked, disagreements=disagreements)
 

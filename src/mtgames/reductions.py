@@ -76,8 +76,18 @@ class PartialInfoGame:
         return self._succ
 
     def start_choices(self) -> list[tuple]:
+        """The start state's commitments, ordered by the names of the states they lead to."""
         return sorted((key[1] for key in self.transitions if key[0] == START),
-                      key=lambda c: str(c))
+                      key=lambda c: _h_state_id(self.transitions[(START, c)], self.game))
+
+
+def _h_state_id(q, game: Mtg) -> str:
+    """A state's name, the same in every process: ``str(q)`` lists ``T`` in hash order."""
+    if q == START:
+        return START
+    T = "" if q.T is None else "+".join(t for t in game.topologies if t in q.T)
+    bits = [q.s, q.p] + ([T] if q.T is not None else []) + [q.t, str(int(q.b))]
+    return "|".join(bits)
 
 
 def target_tuple(game: Mtg, targets: dict[str, set[str] | frozenset[str]]

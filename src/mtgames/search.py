@@ -12,11 +12,13 @@ Candidates are screened in chunks. Every task returns one shape, a chunk
 with its screened rows and their topology bitmasks, and one result loop reads
 them all. A one-player game's chunks are the kept strategies of index ranges
 that ``_kernels.sweep_block`` filters and simulates in one call. Whether such a
-candidate survives depends on its winning set alone, so the allowed sets are
-tabulated once per search, and ``DeviationOracle.can_win`` decides at
-unbounded memory whether any strategy wins each of them. When none can be
-won, no candidate can survive: the sweep only counts each range's canonical
-strategies with ``_kernels.canonical_range`` and simulates none. The README's
+candidate survives depends on its winning set w alone: a GNE's w is the set
+of topologies the player can win one at a time, a target's w is its target,
+and a CNE's w has no winnable one-topology extension. ``DeviationOracle``
+decides these at unbounded memory, in at most T + 1 questions for GNE and T
+per distinct w for CNE. When the one GNE or target set cannot be won, the
+sweep only counts each range's canonical strategies with
+``_kernels.canonical_range`` and simulates none. The README's
 ``find gne fig3.game --memory 3`` takes this path; its 5,043,816 candidates
 take about 0.15 s in process on a 2-core x86-64 VM, against 1.5 s when each
 was simulated.
@@ -48,8 +50,7 @@ import numpy as np
 
 from . import _kernels
 from .core import InputError, Mtg, compile_tables
-from .equilibria import (DeviationOracle, EquilibriumReport, check_cne, check_gne,
-                         deviation_questions)
+from .equilibria import DeviationOracle, EquilibriumReport, check_cne, check_gne
 from .reductions import target_tuple
 from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 
@@ -301,41 +302,31 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
     # what ``finalize`` is asked, never the result
     prefilter = kind == "cne" and StrategyBlock(game, 1).total <= CHUNK_CAP
 
-    target_masks = None
-    if kind == "target":
-        target_masks = np.array(
-            [sum(1 << game.topologies.index(t) for t in targets[p]) for p in game.players],
-            dtype=np.int64)
+    target_masks = None if kind != "target" else np.array(
+        [sum(1 << game.topologies.index(t) for t in targets[p]) for p in game.players],
+        dtype=np.int64)
 
-    allowed = None
     if n_players == 1:
-        # whether a candidate survives depends on its winning set w alone,
-        # since the one player's own strategy is what deviates: ask against a
-        # placeholder
+        # whether a candidate survives depends on its winning set alone, since
+        # the one player's own strategy is what deviates: ask against a
+        # placeholder, which the library builds and so needs no check
         p0 = game.players[0]
         placeholder = Profile((constant_strategy(game, game.actions[0]),))
-        sets = [frozenset(t for i, t in enumerate(game.topologies) if w >> i & 1)
-                for w in range(1 << n_top)]
-        if kind == "target":
-            allowed = np.arange(1 << n_top) == target_masks[0]
-        else:
-            allowed = np.array([not any(oracle.can_win(placeholder, p, targets)[0]
-                                        for p, targets in deviation_questions(game, kind,
-                                                                              {p0: wset}))
-                                for wset in sets])
-        # a strategy wins every topology of its own winning set, so a set no
-        # strategy of any memory can win is no candidate's
-        winnable = any(allowed[w] and (w == 0 or oracle.can_win(placeholder, p0, sets[w])[0])
-                       for w in range(1 << n_top))
+
+        def can_win(mask: int) -> bool:
+            return mask == 0 or oracle._ask(placeholder, p0, frozenset(
+                t for i, t in enumerate(game.topologies) if mask >> i & 1))[0]
+
+        alone = sum(1 << i for i in range(n_top) if kind == "gne" and can_win(1 << i))
+        # a strategy wins every topology of its own winning set, so when the one
+        # set a GNE or target candidate may have cannot be won, none survives;
+        # a CNE candidate may have any maximal winnable set, and one always exists
+        winnable = kind == "cne" or can_win(alone if kind == "gne" else int(target_masks[0]))
 
     def finalize(profile: Profile) -> EquilibriumReport | None:
         if kind == "target":
             won = wintop_map(game, profile)
-            if any(won[p] != targets[p] for p in game.players):
-                return None
-            return EquilibriumReport(kind="target", verdict=True,
-                                     wintop={p: targets[p] for p in game.players},
-                                     witness=None)
+            return EquilibriumReport("target", True, won, None) if won == targets else None
         report = (check_gne if kind == "gne" else check_cne)(game, profile, oracle=oracle)
         return report if report.verdict else None
 
@@ -393,8 +384,6 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             return (chunk, *_wintop_masks(idx_game, chunk, picks, limit))
 
     def survivors_of(chunk: _Chunk, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        if allowed is not None:
-            return np.nonzero(allowed[masks[:, 0]])[0]
         if kind == "target":
             return np.nonzero((masks == target_masks).all(axis=1))[0]
         ok = np.ones(len(rows), dtype=bool)
@@ -403,12 +392,14 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             if kind == "gne":
                 # a player wins alone every topology she wins now, so the
                 # candidate is a GNE iff each player wins all she can alone
-                ok &= w == _alone_masks(idx_game, chunk, rows, p)
-                continue
-            full = w == all_mask
-            if bool(np.all(full)) or not prefilter:
-                continue
-            ok &= full | ~_memoryless_improvable(game, idx_game, chunk, rows, p, w)
+                ok &= w == (alone if n_players == 1 else _alone_masks(idx_game, chunk, rows, p))
+            elif n_players == 1:
+                # a CNE candidate's set has no winnable one-topology extension
+                ws, inverse = np.unique(w, return_inverse=True)
+                ok &= np.array([all(x >> i & 1 or not can_win(x | 1 << i) for i in range(n_top))
+                                for x in ws.tolist()], dtype=bool)[inverse]
+            elif prefilter and not np.all(w == all_mask):
+                ok &= (w == all_mask) | ~_memoryless_improvable(game, idx_game, chunk, rows, p, w)
         return np.nonzero(ok)[0]
 
     examined = 0

@@ -105,6 +105,9 @@ class TestParitySatisfied:
                  "unknown state 'nowhere' in lasso")):
             with pytest.raises(InputError, match=message):
                 check_lasso(router, topology, lasso)
+        with pytest.raises(InputError, match="lasso cycle is empty"):
+            Lasso(prefix=("ready",), cycle=()).unroll(3)
+        assert Lasso(prefix=("ready",), cycle=()).unroll(1) == ["ready"]
 
     def test_depends_only_on_cycle_set(self, router):
         base = Lasso(prefix=(), cycle=("ready", "send2", "ready", "send1"))

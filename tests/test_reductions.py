@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,10 +201,34 @@ class TestSemanticObjective:
         assert router_cne.rank[q] == 1  # the resolver left the challenge set: odd
         bumped = dataclasses.replace(router_cne, rank={**router_cne.rank, q: 2})
         res = omega_rank_agreement(bumped, cycle_bound=1)
-        assert {"cycle_states": [str(q)], "semantic": False,
-                "rank_parity": True} in res.disagreements
+        assert {"cycle_states": [reductions._h_state_id(q, router_cne.game)],
+                "semantic": False, "rank_parity": True} in res.disagreements
         assert all(d["semantic"] != d["rank_parity"] for d in res.disagreements)
         assert res.checked == omega_rank_agreement(router_cne, cycle_bound=1).checked
+
+    def test_omega_and_start_choices_do_not_depend_on_the_hash_seed(self):
+        script = ("from mtgames.io import data_path, load_game, load_targets\n"
+                  "from mtgames.oracles import omega_rank_agreement\n"
+                  "from mtgames.reductions import START, _h_state_id, build_cne_game\n"
+                  "game = load_game(data_path('router.game'))\n"
+                  "h = build_cne_game(game, load_targets(data_path('router-all.tt'), game))\n"
+                  "print([_h_state_id(h.transitions[(START, c)], game)\n"
+                  "       for c in h.start_choices()])\n"
+                  "for q in h.states[1:]:\n"
+                  "    h.rank[q] += len(q.T) == 2\n"
+                  "res = omega_rank_agreement(h, 4)\n"
+                  "print(len(res.disagreements), res.disagreements)\n")
+        src = str(Path(reductions.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[1].startswith("32 ")
 
 
 class TestGammaRoundtrip:

@@ -222,6 +222,33 @@ class TestSearchMechanics:
         result = find_profile_with_wintop(game, targets, 1)
         assert result.status == "found" and wintop_map(game, result.profile) == targets
 
+    def test_one_player_searches_ask_few_questions_at_63_topologies(self, monkeypatch):
+        asked = []
+        ask = search.DeviationOracle._ask
+
+        def spy(oracle, profile, deviator, targets):
+            asked.append(targets)
+            return ask(oracle, profile, deviator, targets)
+        monkeypatch.setattr(search.DeviationOracle, "_ask", spy)
+        game = random_mtg(random.Random(1), n_players=1, n_states=2, n_actions=2,
+                          n_topologies=63, max_priority=3)
+        n_top = len(game.topologies)
+        for budget in (None, 2):
+            asked.clear()
+            result = find_gne(game, 1, budget=budget)
+            assert result.status == ("exhausted-space" if budget is None else "budget-exhausted")
+            # T singletons, then the set of them all
+            assert 0 < len(set(asked)) <= n_top + 1
+            asked.clear()
+            result = find_cne(game, 1, budget=budget)
+            assert (result.status, result.examined, result.profile) == \
+                _reference_scan(game, "cne", 1, budget=budget)
+            # no more than one question per topology outside each distinct winning set
+            # that the searched rows have
+            wins = {wintop_map(game, search._materialize(game, chunk, b))["p0"]
+                    for chunk in search._candidate_chunks(game, 1) for b in range(chunk.batch)}
+            assert 0 < len(set(asked)) <= sum(n_top - len(w) for w in wins)
+
     def test_cne_prefilter_simulates_in_slices(self, monkeypatch):
         simulated = []
         simulate = search._kernels.simulate_min_even
@@ -338,8 +365,9 @@ class TestScreenedSearchEqualsReference:
                 kept += int(screen.sum())
         assert 0 < kept
 
-    @pytest.mark.parametrize("n_states, bound", [(2, 2), (1, 3)])
-    def test_one_player_games(self, n_states, bound, monkeypatch):
+    @pytest.mark.parametrize("n_states, bound, max_top", [(2, 2, 3), (1, 3, 3), (2, 2, 5)],
+                             ids=["2-2", "1-3", "2-2-5"])
+    def test_one_player_games(self, n_states, bound, max_top, monkeypatch):
         monkeypatch.setattr(search, "_SWEEP_RANGE", 24)  # several ranges a block
         calls = []
         sweep = search._kernels.sweep_block
@@ -348,12 +376,13 @@ class TestScreenedSearchEqualsReference:
             calls.append(1)
             return sweep(*args, **kwargs)
         monkeypatch.setattr(search._kernels, "sweep_block", spy)
-        rng = random.Random(60 + n_states)
+        rng = random.Random(60 + n_states + 10 * (max_top - 3))
         statuses = set()
         swept = set()  # whether a search simulated, or no allowed set could be won
         for _ in range(6):
             game = random_mtg(rng, n_players=1, n_states=n_states,
-                              n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
+                              n_topologies=rng.randint(2, max_top),
+                              max_priority=rng.randint(2, 4))
             count = sum(chunk.batch for chunk in search._candidate_chunks(game, bound))
             aimed = {"p0": frozenset(rng.sample(game.topologies, rng.randint(0, 2)))}
             reachable = wintop_map(game, random_profile(rng, game, bound))
