@@ -29,9 +29,11 @@ residual questions that depend on the other players' strategies alone, so
 target row is simulated only if no player's strategy rules it out, and a
 GNE candidate survives iff every player's winning set equals the set she
 can win alone, which is exact. The CNE search keeps a memoryless-deviation
-prefilter, a necessary condition, simulated in slices of at most
-``CHUNK_CAP`` kernel rows and skipped when the memoryless block alone is
-larger. No multi-player row past the budget is simulated. Whatever the
+prefilter, a necessary condition that rests on the same fact: each
+memoryless deviation is simulated once per tuple of the other players'
+strategies, in a tile with the deviator's chunk swapped for the memoryless
+block. It is skipped when that block is larger than one player's tile
+side. No multi-player row past the budget is simulated. Whatever the
 search returns has passed the full equilibrium check, so a found profile
 re-verifies; absence after exhausting the space is NOT a proof of
 non-existence beyond the memory bound, and the result says so.
@@ -110,6 +112,11 @@ class _Chunk:
         pos = np.unravel_index(rows, self.lens)
         return [pos[p] for p in (range(len(pos)) if players is None else players)]
 
+    def co_index(self, rows, player: int) -> np.ndarray:
+        """Per row: the row-major index of the other players' chunk positions."""
+        co = [q for q in range(len(self.lens)) if q != player]
+        return np.ravel_multi_index(self.positions(rows, co), [self.lens[q] for q in co])
+
 
 def _player_chunk_lists(game: Mtg, sizes: tuple[int, ...], cap_per_player: int):
     """Lazy nested iteration over per-player canonical chunks, outer player slowest.
@@ -143,11 +150,15 @@ def _player_chunk_lists(game: Mtg, sizes: tuple[int, ...], cap_per_player: int):
     yield from rec(0, [])
 
 
+def _tile_side(n_players: int) -> int:
+    """Strategies per player in a tile of ``_candidate_chunks``: about ``CHUNK_CAP`` rows a tile."""
+    return max(4, int(round(CHUNK_CAP ** (1.0 / n_players))))
+
+
 def _candidate_chunks(game: Mtg, bound: int):
     n = len(game.players)
-    cap = max(4, int(round(CHUNK_CAP ** (1.0 / n))))
     for sizes in _size_vectors(n, bound):
-        for chunk in _player_chunk_lists(game, sizes, cap):
+        for chunk in _player_chunk_lists(game, sizes, _tile_side(n)):
             if chunk.batch:
                 yield chunk
 
@@ -220,39 +231,31 @@ def _alone_masks(idx_game, chunk: _Chunk, rows: np.ndarray, player: int) -> np.n
     co = [q for q in range(len(chunk.per_player)) if q != player]
     wants = np.full((idx_game.prio.shape[0], len(chunk.per_player)), -1)
     wants[:, player] = 0
-    alone = _walk_masks(idx_game, chunk, co, wants)
-    return alone[np.ravel_multi_index(chunk.positions(rows, co), [chunk.lens[q] for q in co])]
+    return _walk_masks(idx_game, chunk, co, wants)[chunk.co_index(rows, player)]
 
 
-def _memoryless_improvable(game: Mtg, idx_game, chunk: _Chunk, rows: np.ndarray,
-                           player: int, w: np.ndarray) -> np.ndarray:
+def _memoryless_improvable(idx_game, chunk: _Chunk, rows: np.ndarray, player: int,
+                           w: np.ndarray, dev: _PlayerChunk) -> np.ndarray:
     """Per row: whether a memoryless deviation of ``player`` wins a strict superset of ``w``.
 
     Necessary-condition prefilter for the CNE search: any memoryless
     deviation that already improves on a candidate disqualifies it before the
-    exact analysis runs. The rows go to the kernel in slices of at most
-    ``CHUNK_CAP`` kernel rows; kernel row ``b * n_dev + d`` of a slice plays
-    deviation ``d`` against the co-strategies of the slice's row ``b``. The
-    memoryless block and the chunk tables each go to the kernel once per
-    slice, with index vectors.
+    exact analysis runs. What a deviation wins depends on the other players'
+    strategies alone, so ``_wintop_masks`` simulates ``chunk`` with
+    ``player``'s tile swapped for ``dev``, the memoryless block, and each row
+    reads the bits of its tuple of co-strategies. Rows are compared in slices
+    of ``CHUNK_CAP`` gathered bits.
     """
-    dev_block = StrategyBlock(game, 1)
-    n_dev = dev_block.total
-    tables = [(pc.upd, pc.act) for pc in chunk.per_player]
-    tables[player] = dev_block.decode(np.arange(n_dev, dtype=np.int64))
-    positions = chunk.positions(rows)
+    swapped = _Chunk(chunk.sizes, [dev if q == player else pc
+                                   for q, pc in enumerate(chunk.per_player)])
+    bits = _wintop_masks(idx_game, swapped)[1][:, player].reshape(swapped.lens)
+    bits = np.moveaxis(bits, player, -1).reshape(-1, len(dev.indices))
+    co = chunk.co_index(rows, player)
     improvable = np.zeros(len(rows), dtype=bool)
-    step = CHUNK_CAP // n_dev
+    step = CHUNK_CAP // len(dev.indices)
     for lo in range(0, len(rows), step):
-        hi = min(lo + step, len(rows))
-        flat = np.arange((hi - lo) * n_dev)
-        index = [flat % n_dev if p == player else pos[lo:hi][flat // n_dev]
-                 for p, pos in enumerate(positions)]
-        wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
-                                          idx_game.initial, idx_game.n_actions, rows=index)
-        dev_bits = _topology_bits(wins[:, :, player]).reshape(hi - lo, n_dev)
-        mine = w[lo:hi, None]
-        improvable[lo:hi] = (((dev_bits & mine) == mine) & (dev_bits != mine)).any(axis=1)
+        dev_bits, mine = bits[co[lo:lo + step]], w[lo:lo + step, None]
+        improvable[lo:lo + step] = (((dev_bits & mine) == mine) & (dev_bits != mine)).any(axis=1)
     return improvable
 
 
@@ -297,10 +300,13 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
     n_players = len(game.players)
     n_top = len(game.topologies)
     all_mask = (1 << n_top) - 1
-    # the CNE prefilter is a necessary condition only: skipping it when one
-    # slice of CHUNK_CAP kernel rows cannot hold the memoryless block changes
-    # what ``finalize`` is asked, never the result
-    prefilter = kind == "cne" and StrategyBlock(game, 1).total <= CHUNK_CAP
+    # the CNE prefilter runs when the memoryless block fits one player's tile
+    # side, so that each of its kernel calls is at most one tile; it is a
+    # necessary condition only, so skipping it changes what ``finalize`` is
+    # asked, never the result
+    block = StrategyBlock(game, 1) if kind == "cne" and n_players > 1 else None
+    dev = (_PlayerChunk(*next(block.canonical_chunks(chunk_size=block.total)))
+           if block is not None and block.total <= _tile_side(n_players) else None)
 
     target_masks = None if kind != "target" else np.array(
         [sum(1 << game.topologies.index(t) for t in targets[p]) for p in game.players],
@@ -398,8 +404,8 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 ws, inverse = np.unique(w, return_inverse=True)
                 ok &= np.array([all(x >> i & 1 or not can_win(x | 1 << i) for i in range(n_top))
                                 for x in ws.tolist()], dtype=bool)[inverse]
-            elif prefilter and not np.all(w == all_mask):
-                ok &= (w == all_mask) | ~_memoryless_improvable(game, idx_game, chunk, rows, p, w)
+            elif dev is not None and not np.all(w == all_mask):
+                ok &= (w == all_mask) | ~_memoryless_improvable(idx_game, chunk, rows, p, w, dev)
         return np.nonzero(ok)[0]
 
     examined = 0

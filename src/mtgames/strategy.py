@@ -193,16 +193,6 @@ class StrategyBlock:
             raise InputError(f"strategies with memory {m} over {self.n_states} states and "
                              f"{self.n_actions} actions are too many to index in 64 bits")
 
-    def decode(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index array -> ((B, M, S) update, (B, M, S) act) integer tables."""
-        indices = np.asarray(indices, dtype=np.int64)
-        upd_idx = indices // self.n_act_tables
-        act_idx = indices % self.n_act_tables
-        upd = _kernels.decode_tables(upd_idx, self.cells, self.m)
-        act = _kernels.decode_tables(act_idx, self.cells, self.n_actions)
-        b = indices.shape[0]
-        return (upd.reshape(b, self.m, self.n_states), act.reshape(b, self.m, self.n_states))
-
     def canonical_chunks(self, chunk_size: int = 1 << 15):
         """Yield (indices, update_tables, act_tables) for canonical strategies, in order.
 
@@ -223,16 +213,17 @@ class StrategyBlock:
 
     def strategy_at(self, index: int) -> MooreStrategy:
         """Materialize the strategy with the given block index."""
-        upd, act = self.decode(np.array([index], dtype=np.int64))
+        upd, act = divmod(int(index), self.n_act_tables)
         mems = tuple(f"m{i}" for i in range(self.m))
-        update = {}
-        action = {}
-        for i in range(self.m):
-            for j, s in enumerate(self.game.states):
-                cell = (mems[i], s)  # one key tuple for both tables saves memory
-                update[cell] = mems[int(upd[0, i, j])]
-                action[cell] = self.game.actions[int(act[0, i, j])]
-        return MooreStrategy(memory=mems, init="m0", update=update, act=action)
+        nxt, acts = [], []
+        for _ in range(self.cells):  # the last cell is each table's least significant digit
+            upd, u = divmod(upd, self.m)
+            act, a = divmod(act, self.n_actions)
+            nxt.append(mems[u])
+            acts.append(self.game.actions[a])
+        cells = [(m, s) for m in mems for s in self.game.states]  # keys shared by both tables
+        return MooreStrategy(memory=mems, init="m0", update=dict(zip(cells, reversed(nxt))),
+                             act=dict(zip(cells, reversed(acts))))
 
 
 def enumerate_strategies(game: Mtg, memory_bound: int):

@@ -13,6 +13,14 @@ from mtgames.search import find_profile_with_wintop
 from mtgames.strategy import (MooreStrategy, Profile, StrategyBlock, constant_strategy,
                               wintop)
 
+def _decode(block, indices):
+    """Block indices -> ((B, M, S) update, (B, M, S) act) tables, the update table most significant."""
+    upd_idx, act_idx = np.divmod(np.asarray(indices, dtype=np.int64), block.n_act_tables)
+    shape = (len(upd_idx), block.m, block.n_states)
+    return (_kernels.decode_tables(upd_idx, block.cells, block.m).reshape(shape),
+            _kernels.decode_tables(act_idx, block.cells, block.n_actions).reshape(shape))
+
+
 class TestCodecs:
     def test_decode_encode_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -23,6 +31,17 @@ class TestCodecs:
     def test_decode_is_most_significant_first(self):
         digits = _kernels.decode_tables(np.array([5], dtype=np.int64), 3, 2)
         assert digits.tolist() == [[1, 0, 1]]
+
+    def test_strategy_at_equals_decoded_tables(self):
+        game = random_mtg(random.Random(3), n_players=1, n_states=2, n_actions=3)
+        for m in (1, 2, 3):
+            block = StrategyBlock(game, m)
+            indices = (np.arange(block.total) if m <= 2 else
+                       np.random.default_rng(m).integers(0, block.total, size=300))
+            upd, act = _decode(block, indices)
+            for i, u, a in zip(indices, upd, act):
+                got = block.strategy_at(int(i)).tables(game)
+                assert np.array_equal(got[0][0], u) and np.array_equal(got[1][0], a)
 
     def test_canonical_mask_small(self):
         # memory 3, single state: update cell per memory state
@@ -159,7 +178,7 @@ class TestProductWalk:
         batch = 2 * _kernels.SUB_BATCH + 5
         indices = np.random.default_rng(22).integers(0, block.total, size=batch)
         fixed = random_strategy(rng, game, 3)
-        tables = [block.decode(indices), fixed.tables(game)]
+        tables = [_decode(block, indices), fixed.tables(game)]
         strategies = [[block.strategy_at(int(i)) for i in indices], [fixed]]
         edges = [0, _kernels.SUB_BATCH - 1, _kernels.SUB_BATCH, _kernels.SUB_BATCH + 1,
                  2 * _kernels.SUB_BATCH - 1, 2 * _kernels.SUB_BATCH, batch - 1]
@@ -201,7 +220,7 @@ def _check_sweep(game, var_player, co, m, lo, hi):
     keep, bits = _kernels.sweep_block(idx.delta, idx.prio, fixed, var_player, m, lo, hi,
                                       idx.initial, idx.n_actions)
     block = StrategyBlock(game, m)
-    upd, act = block.decode(np.arange(lo, hi, dtype=np.int64))
+    upd, act = _decode(block, np.arange(lo, hi, dtype=np.int64))
     want = _kernels.canonical_mask(upd.reshape(hi - lo, -1), act.reshape(hi - lo, -1),
                                    m, block.n_actions)
     assert np.array_equal(keep.astype(bool), want)
@@ -420,7 +439,7 @@ class TestIndexedTables:
     def test_rows_must_be_indexed_alike(self):
         game = random_mtg(random.Random(43), n_players=2)
         idx = compile_tables(game)
-        tables = [StrategyBlock(game, 1).decode(np.arange(3)) for _ in game.players]
+        tables = [_decode(StrategyBlock(game, 1), np.arange(3)) for _ in game.players]
         for rows in ([np.arange(3), np.arange(2)], [np.arange(3), None], None):
             with pytest.raises(ValueError):
                 _kernels.simulate_min_even(idx.delta, idx.prio, tables, idx.initial,
@@ -548,7 +567,7 @@ class TestClosedWalk:
     def test_arguments_are_checked(self):
         game = random_mtg(random.Random(64), n_players=2)
         idx = compile_tables(game)
-        tables = StrategyBlock(game, 1).decode(np.arange(3))
+        tables = _decode(StrategyBlock(game, 1), np.arange(3))
         wants = np.zeros((2, 2), dtype=int)
         for pairs, rows in (([None, None], [None, None]),
                             ([tables, tables], [np.arange(3), np.arange(2)]),

@@ -249,29 +249,51 @@ class TestSearchMechanics:
                     for chunk in search._candidate_chunks(game, 1) for b in range(chunk.batch)}
             assert 0 < len(set(asked)) <= sum(n_top - len(w) for w in wins)
 
-    def test_cne_prefilter_simulates_in_slices(self, monkeypatch):
+    def test_cne_prefilter_simulates_one_tile_per_chunk_and_player(self, monkeypatch):
+        monkeypatch.setattr(search, "CHUNK_CAP", 64)  # eight strategies per player a tile
+        # (chunk, player, kernel rows of each call) per prefilter call; keeping
+        # the chunks alive keeps their ids distinct
+        calls = []
         simulated = []
         simulate = search._kernels.simulate_min_even
+        improvable = search._memoryless_improvable
 
-        def spy(*args, rows):
+        def kernel_spy(*args, rows):
             simulated.append(len(rows[0]))
             return simulate(*args, rows=rows)
-        monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
-        # 2,000 rows times 256 memoryless deviations are 512,000 kernel rows
-        game = random_mtg(random.Random(5), 2, 8, 2, 2, 3)
-        result = find_cne(game, 1, budget=2000)
-        assert (result.status, result.examined, result.profile) == ("budget-exhausted", 2000,
-                                                                    None)
-        assert simulated and max(simulated) <= search.CHUNK_CAP
 
-    def test_cne_prefilter_skipped_past_chunk_cap(self, monkeypatch):
+        def prefilter_spy(idx_game, chunk, rows, player, *rest):
+            simulated.clear()
+            out = improvable(idx_game, chunk, rows, player, *rest)
+            calls.append((chunk, player, list(simulated)))
+            return out
+        monkeypatch.setattr(search._kernels, "simulate_min_even", kernel_spy)
+        monkeypatch.setattr(search, "_memoryless_improvable", prefilter_spy)
+        # eight memoryless strategies per player, one tile side
+        game = random_mtg(random.Random(19), 2, 3, 2, 3, 4)
+        result = find_cne(game, 2, budget=600)
+        assert (result.status, result.examined, result.profile) == \
+            _reference_scan(game, "cne", 2, budget=600)
+        asked = [(id(chunk), player) for chunk, player, _ in calls]
+        assert len(set(asked)) == len(asked) and len({chunk for chunk, _ in asked}) > 4
+        assert all(len(rows) == 1 and rows[0] <= 64 for _, _, rows in calls)
+
+    @pytest.mark.parametrize("n_states, runs", [(8, True), (9, False)])
+    def test_cne_prefilter_runs_up_to_one_tile_side(self, n_states, runs, monkeypatch):
         called = []
-        monkeypatch.setattr(search, "_memoryless_improvable", lambda *args: called.append(1))
-        # 2^18 memoryless deviations, more than one slice of CHUNK_CAP rows holds
-        game = random_mtg(random.Random(5), 2, 18, 2, 2, 3)
+        improvable = search._memoryless_improvable
+
+        def spy(*args):
+            called.append(1)
+            return improvable(*args)
+        monkeypatch.setattr(search, "_memoryless_improvable", spy)
+        # 2^8 = 256 memoryless strategies fit a tile side of round(2^(17/2)) = 362;
+        # 2^9 = 512 do not
+        assert search._tile_side(2) == 362
+        game = random_mtg(random.Random(2), 2, n_states, 2, 2, 3)
         result = find_cne(game, 1, budget=200)
         assert (result.status, result.examined) == ("budget-exhausted", 200)
-        assert not called
+        assert bool(called) == runs
 
     def test_random_two_player_searches_reverify(self):
         rng = random.Random(33)
@@ -332,19 +354,31 @@ class TestScreenedSearchEqualsReference:
                                                                jobs=jobs)
         return result.status, result.examined, result.profile
 
-    @pytest.mark.parametrize("n_players, n_states, bound", [(2, 2, 2), (2, 3, 1), (3, 3, 1)])
+    @pytest.mark.parametrize("n_players, n_states, bound",
+                             [(2, 2, 2), (2, 3, 1), (3, 3, 1), (3, 2, 1)])
     def test_random_games(self, n_players, n_states, bound, monkeypatch):
         monkeypatch.setattr(search, "CHUNK_CAP", 16)  # four strategies per player a tile
+        prefiltered = []
+        improvable = search._memoryless_improvable
+
+        def spy(*args):
+            prefiltered.append(1)
+            return improvable(*args)
+        monkeypatch.setattr(search, "_memoryless_improvable", spy)
         rng = random.Random(10 * n_players + n_states)
+        # the four memoryless strategies of a 2-state game fill one tile side,
+        # so the CNE prefilter runs; with 3 states it would not
+        kinds = ("gne", "target", "target") + ("cne",) * (n_states == 2)
         for _ in range(8):
             game = random_mtg(rng, n_players=n_players, n_states=n_states,
                               n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
             aimed = {p: frozenset(rng.sample(game.topologies, rng.randint(0, 2)))
                      for p in game.players}
             reachable = wintop_map(game, random_profile(rng, game, bound))
-            for kind, targets in (("gne", None), ("target", aimed), ("target", reachable)):
+            for kind, targets in zip(kinds, (None, aimed, reachable, None)):
                 want = _reference_scan(game, kind, bound, budget=3000, targets=targets)
                 assert self._run(game, kind, bound, 3000, targets) == want
+        assert bool(prefiltered) == (n_states == 2)
 
     @pytest.mark.parametrize("n_players, n_states", [(2, 3), (3, 2)])
     def test_gne_screen_keeps_exactly_the_equilibria(self, n_players, n_states):
