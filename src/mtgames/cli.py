@@ -4,6 +4,9 @@ Machine-readable JSON goes to stdout (the contract: identical invocations
 produce byte-identical documents); a short human summary goes to stderr.
 Exit codes: 0 analysis completed (the verdict is in the output), 1 input
 error, 2 search budget exhausted.
+
+A call builds only its command's parser (all when the first argument names
+none): building every subparser cost more than most short commands do.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .strategy import outcome, wintop_map
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
+COMMANDS = ("validate", "outcome", "wintop", "check", "find", "reduce", "symmetrize", "oracle")
 
 
 def _emit(doc: dict) -> None:
@@ -59,76 +63,84 @@ def _emit_check_arenas(report, game, profile, out_dir: str) -> None:
         mio.write_text(directory / name, arena.dump() + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with only ``command``'s subparser when it names a command."""
     parser = argparse.ArgumentParser(
         prog="mtgames",
         description="Analysis workbench for multi-topology concurrent parity games")
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command if command in COMMANDS else None
+    # a one-command parser's usage still lists every command, as the full one's does
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=only and "{" + ",".join(COMMANDS) + "}")
 
-    p = sub.add_parser("validate", help="check a game file against the data-model invariants")
-    p.add_argument("game")
+    def add(name: str, help: str) -> argparse.ArgumentParser | None:
+        if only in (None, name):
+            return sub.add_parser(name, help=help)
 
-    p = sub.add_parser("outcome", help="print the lasso a profile produces in one topology")
-    p.add_argument("game")
-    p.add_argument("profile")
-    p.add_argument("--topology", required=True)
+    if p := add("validate", "check a game file against the data-model invariants"):
+        p.add_argument("game")
 
-    p = sub.add_parser("wintop", help="winning topologies of every player under a profile")
-    p.add_argument("game")
-    p.add_argument("profile")
+    if p := add("outcome", "print the lasso a profile produces in one topology"):
+        p.add_argument("game")
+        p.add_argument("profile")
+        p.add_argument("--topology", required=True)
 
-    p = sub.add_parser("check", help="verify an equilibrium property of a profile")
-    p.add_argument("kind", choices=["ne", "cne", "gne"])
-    p.add_argument("game")
-    p.add_argument("profile")
-    p.add_argument("--topology", help="required for ne")
-    p.add_argument("--emit-arenas", metavar="DIR",
-                   help="also dump the deviation arenas the check consults")
+    if p := add("wintop", "winning topologies of every player under a profile"):
+        p.add_argument("game")
+        p.add_argument("profile")
 
-    p = sub.add_parser("find", help="bounded-memory existence search")
-    p.add_argument("kind", choices=["cne", "gne", "target"])
-    p.add_argument("game")
-    p.add_argument("--memory", type=int, required=True)
-    p.add_argument("--targets", help="target file, required for kind=target")
-    p.add_argument("--budget", type=int, default=None,
-                   help="abort after examining this many candidate profiles")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--profile-out", help="also write a found profile to this file")
+    if p := add("check", "verify an equilibrium property of a profile"):
+        p.add_argument("kind", choices=["ne", "cne", "gne"])
+        p.add_argument("game")
+        p.add_argument("profile")
+        p.add_argument("--topology", help="required for ne")
+        p.add_argument("--emit-arenas", metavar="DIR",
+                       help="also dump the deviation arenas the check consults")
 
-    p = sub.add_parser("reduce", help="build a partial-information challenge game")
-    p.add_argument("kind", choices=["cne", "gne"])
-    p.add_argument("game")
-    p.add_argument("--targets", required=True)
-    p.add_argument("--out", required=True)
+    if p := add("find", "bounded-memory existence search"):
+        p.add_argument("kind", choices=["cne", "gne", "target"])
+        p.add_argument("game")
+        p.add_argument("--memory", type=int, required=True)
+        p.add_argument("--targets", help="target file, required for kind=target")
+        p.add_argument("--budget", type=int, default=None,
+                       help="abort after examining this many candidate profiles")
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--profile-out", help="also write a found profile to this file")
 
-    p = sub.add_parser("symmetrize", help="expand a 1-topology game over player permutations")
-    p.add_argument("game")
-    p.add_argument("--out", required=True)
+    if p := add("reduce", "build a partial-information challenge game"):
+        p.add_argument("kind", choices=["cne", "gne"])
+        p.add_argument("game")
+        p.add_argument("--targets", required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("oracle", help="run a brute-force cross-check")
-    orc = p.add_subparsers(dest="oracle", required=True)
+    if p := add("symmetrize", "expand a 1-topology game over player permutations"):
+        p.add_argument("game")
+        p.add_argument("--out", required=True)
 
-    o = orc.add_parser("omega", help="rank parity vs semantic objective on short lassos")
-    o.add_argument("game")
-    o.add_argument("--kind", choices=["cne", "gne"], required=True)
-    o.add_argument("--targets", required=True)
-    o.add_argument("--cycle-bound", type=int, default=8)
+    if p := add("oracle", "run a brute-force cross-check"):
+        orc = p.add_subparsers(dest="oracle", required=True)
 
-    o = orc.add_parser("gamma", help="sampled play-correspondence check")
-    o.add_argument("game")
-    o.add_argument("--kind", choices=["cne", "gne"], required=True)
-    o.add_argument("--targets", required=True)
-    o.add_argument("--samples", type=int, default=100)
-    o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--memory", type=int, default=2)
+        o = orc.add_parser("omega", help="rank parity vs semantic objective on short lassos")
+        o.add_argument("game")
+        o.add_argument("--kind", choices=["cne", "gne"], required=True)
+        o.add_argument("--targets", required=True)
+        o.add_argument("--cycle-bound", type=int, default=8)
 
-    o = orc.add_parser("deviation", help="bounded exhaustive deviation scan vs exact checker")
-    o.add_argument("game")
-    o.add_argument("profile")
-    o.add_argument("--deviator", required=True)
-    o.add_argument("--target-set", required=True,
-                   help="comma-separated topology names")
-    o.add_argument("--memory", type=int, default=2)
+        o = orc.add_parser("gamma", help="sampled play-correspondence check")
+        o.add_argument("game")
+        o.add_argument("--kind", choices=["cne", "gne"], required=True)
+        o.add_argument("--targets", required=True)
+        o.add_argument("--samples", type=int, default=100)
+        o.add_argument("--seed", type=int, default=0)
+        o.add_argument("--memory", type=int, default=2)
+
+        o = orc.add_parser("deviation", help="bounded exhaustive deviation scan vs exact checker")
+        o.add_argument("game")
+        o.add_argument("profile")
+        o.add_argument("--deviator", required=True)
+        o.add_argument("--target-set", required=True,
+                       help="comma-separated topology names")
+        o.add_argument("--memory", type=int, default=2)
 
     return parser
 
@@ -185,11 +197,11 @@ def _run(args) -> int:
             targets = mio.load_targets(args.targets, game)
             result = find_profile_with_wintop(game, targets, args.memory,
                                               budget=args.budget, jobs=args.jobs)
+        if result.profile is not None and args.profile_out:
+            mio.save_profile(result.profile, game, args.profile_out)
         _emit({"command": "find", "kind": args.kind,
                **_search_result_doc(result, game)})
         _info(f"find {args.kind}: {result.status} after {result.examined} candidates")
-        if result.profile is not None and args.profile_out:
-            mio.save_profile(result.profile, game, args.profile_out)
         return EXIT_BUDGET if result.status == "budget-exhausted" else EXIT_OK
 
     if args.command == "reduce":
@@ -241,8 +253,8 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _run(args)
     except InputError as exc:

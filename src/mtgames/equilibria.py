@@ -316,14 +316,16 @@ def _check(kind: str, game: Mtg, profile: Profile, oracle: DeviationOracle | Non
                              topology=topology)
 
 
-def check_ne(game: Mtg, topology: str, profile: Profile) -> EquilibriumReport:
+def check_ne(game: Mtg, topology: str, profile: Profile,
+             oracle: DeviationOracle | None = None) -> EquilibriumReport:
     """Nash equilibrium of the single concurrent game in ``topology``.
 
-    A losing player benefits iff she can win ``topology`` by deviating.
+    A losing player benefits iff she can win ``topology`` by deviating, the
+    GNE question for that pair: an oracle shared with ``check_gne`` has it.
     """
     if topology not in game.topologies:
         raise InputError(f"unknown topology {topology!r}")
-    return _check("ne", game, profile, None, topology)
+    return _check("ne", game, profile, oracle, topology)
 
 
 def check_gne(game: Mtg, profile: Profile,

@@ -6,9 +6,10 @@ Three oracles are exposed (also via the command line):
   objective clauses with the rank parity on every reachable lasso whose cycle
   has at most a given length. Both sides depend only on a cycle's state set,
   and cycles never mix commitments or obedience bits, so the enumeration runs
-  slice by slice with a subset dynamic program. One BFS tree from the start
-  gives the reachable states and each lasso's prefix: the tree path to the
-  cycle's first state.
+  slice by slice with a subset dynamic program. It numbers a slice's states
+  0..n-1 and keys on (state id, visited-set bitmask), so no state is hashed
+  inside the loop. One BFS tree from the start gives the reachable states
+  and each lasso's prefix: the tree path to the cycle's first state.
 * ``gamma``: sample finite-memory commitments and check the projected
   challenge-game play against the plays it must mirror.
 * ``deviation``: exhaustively sweep deviator strategies up to a memory bound
@@ -36,27 +37,30 @@ from .strategy import Profile, StrategyBlock, wintop
 
 
 def _reachable_cycle_sets(nodes: list, succ: dict, bound: int, name) -> list[tuple[list, list]]:
-    """Each state set of closed walks of length <= bound, as sorted ``name``s, with one walk.
+    """Each state set of closed walks of length <= bound within ``nodes``, with one walk.
 
-    Dynamic program over (current node, visited set); two walks meeting the
+    Dynamic program over (node id, visited-set bitmask): two walks meeting the
     same pair have interchangeable continuations, so the state space is tiny.
+    Sets come as sorted ``name``s; ids map back to states only for the output.
     """
-    found: dict[frozenset, list] = {}
-    for start in nodes:
-        # layer: (node, frozenset) -> witness path from start (node sequence)
-        layer: dict[tuple, list] = {(start, frozenset({start})): [start]}
+    ids = {q: i for i, q in enumerate(nodes)}
+    out = [[ids[w] for w in succ[q] if w in ids] for q in nodes]
+    found: dict[int, list[int]] = {}
+    for start in range(len(nodes)):
+        # layer: (node, visited bitmask) -> witness path from start (node ids)
+        layer = {(start, 1 << start): [start]}
         for _ in range(bound):
-            nxt: dict[tuple, list] = {}
+            nxt: dict[tuple[int, int], list[int]] = {}
             for (v, seen), path in layer.items():
-                for w in succ[v]:
-                    if w == start:
-                        if seen not in found:
-                            found[seen] = path
-                    key = (w, seen | {w})
+                for w in out[v]:
+                    if w == start and seen not in found:
+                        found[seen] = path
+                    key = (w, seen | 1 << w)
                     if key not in nxt:
                         nxt[key] = path + [w]
             layer = nxt
-    return sorted(((sorted(map(name, seen)), walk) for seen, walk in found.items()),
+    return sorted(((sorted(name(q) for i, q in enumerate(nodes) if seen >> i & 1),
+                    [nodes[i] for i in walk]) for seen, walk in found.items()),
                   key=lambda c: c[0])
 
 
@@ -95,11 +99,9 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
     checked = 0
     disagreements = []
     for nodes in sorted(slices.values(), key=lambda nodes: name(nodes[0])):
-        members = set(nodes)
         # commitments are constant and the obedience bit is monotone, so every
         # cycle stays inside one slice; walks never need to leave it
-        inner = {q: [w for w in succ_all[q] if w in members] for q in nodes}
-        for cycle_states, walk in _reachable_cycle_sets(nodes, inner, cycle_bound, name):
+        for cycle_states, walk in _reachable_cycle_sets(nodes, succ_all, cycle_bound, name):
             prefix = []
             v = walk[0]
             while (v := parent[v]) is not None:

@@ -341,3 +341,28 @@ def reference_single_target(game: Mtg, profile: Profile, deviator: str,
     walk = prefix + cycle + [cycle[0]]
     actions = [arena.labels[u][arena.succ[u].index(w)] for u, w in zip(walk, walk[1:])]
     return True, lasso_strategy(game, actions, len(prefix))
+
+
+def reference_cycle_sets(nodes: list, succ: dict, bound: int, name) -> list[tuple[list, list]]:
+    """Each state set of closed walks of length <= bound, as sorted ``name``s, with one walk.
+
+    The frozenset-keyed dynamic program over (current node, visited set) that
+    ``oracles._reachable_cycle_sets`` replaced; ``succ`` must stay within ``nodes``.
+    """
+    found: dict[frozenset, list] = {}
+    for start in nodes:
+        # layer: (node, frozenset) -> witness path from start (node sequence)
+        layer: dict[tuple, list] = {(start, frozenset({start})): [start]}
+        for _ in range(bound):
+            nxt: dict[tuple, list] = {}
+            for (v, seen), path in layer.items():
+                for w in succ[v]:
+                    if w == start:
+                        if seen not in found:
+                            found[seen] = path
+                    key = (w, seen | {w})
+                    if key not in nxt:
+                        nxt[key] = path + [w]
+            layer = nxt
+    return sorted(((sorted(map(name, seen)), walk) for seen, walk in found.items()),
+                  key=lambda c: c[0])

@@ -240,6 +240,45 @@ class TestCheckNe:
                      priority={k: v for k, v in fig3.priority.items() if k[0] == "t1"})
         assert check_ne(single, "t1", Profile((constant_strategy(single, "1"),))).verdict
 
+    def test_oracle_changes_no_report(self):
+        """Through an oracle that the GNE and CNE checks filled first, as without one."""
+        def summary(report, game):
+            w = report.witness
+            return (report.verdict, report.wintop, report.topology,
+                    None if w is None else (w.player, w.targets, w.strategy.encoding(game)))
+        refuted = 0
+        for _, game, profile in random_questions(11, 30):
+            oracle = DeviationOracle(game)
+            check_gne(game, profile, oracle=oracle)
+            check_cne(game, profile, oracle=oracle)
+            for t in game.topologies:
+                got = check_ne(game, t, profile, oracle=oracle)
+                assert summary(got, game) == summary(check_ne(game, t, profile), game)
+                refuted += not got.verdict
+        assert refuted > 0
+
+    def test_asks_nothing_after_a_true_gne_check(self, monkeypatch):
+        calls = []
+        real = equilibria._can_win_set
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(equilibria, "_can_win_set", spy)
+        shared = 0
+        for _, game, profile in random_questions(5, 40):
+            oracle = DeviationOracle(game)
+            if not check_gne(game, profile, oracle=oracle).verdict:
+                continue
+            calls.clear()
+            for t in game.topologies:
+                assert check_ne(game, t, profile, oracle=oracle).verdict
+            assert calls == []
+            for t in game.topologies:
+                check_ne(game, t, profile)
+            shared += len(calls)
+        assert shared > 0  # without the oracle the same checks do ask
+
 
 class TestCheckGne:
     def test_turn_taking_is_greedy_stable(self, router, turn_taking):

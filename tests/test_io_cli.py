@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -485,6 +488,12 @@ class TestMalformedInput:
                                       "--deviator", "p0", "--target-set", "t70"], capsys)
         assert "80 topologies" in line
 
+    def test_profile_out_failure_prints_no_result(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.profile"
+        line = assert_one_error_line(["find", "gne", str(data_path("router.game")),
+                                      "--memory", "1", "--profile-out", str(out)], capsys)
+        assert str(out) in line
+
     def test_find_target_needs_targets(self, capsys):
         line = assert_one_error_line(["find", "target", str(data_path("router.game")),
                                       "--memory", "1"], capsys)
@@ -519,6 +528,63 @@ class TestMalformedInput:
     def test_non_positive_counts(self, capsys, args, message):
         args = [str(data_path(a)) if a.endswith((".game", ".tt")) else a for a in args]
         assert assert_one_error_line(args, capsys) == f"error: {message}"
+
+
+def parse_outcome(call, argv):
+    """(stdout, stderr, exit code) of ``call(argv)``, which ends in argparse's exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+class TestParser:
+    XOR = "xor.game"  # not a path: each case ends in parsing or in a failed load
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "-h"] for command in cli.COMMANDS),
+        *(["oracle", kind, "-h"] for kind in ("omega", "gamma", "deviation")),
+        ["find", "gne", XOR], ["outcome", XOR, "p"], ["find"], ["oracle"],
+        ["oracle", "omega", XOR],
+        ["find", "gne", XOR, "--memory", "1", "extra"], ["validate", XOR, "extra"],
+        ["oracle", "omega", XOR, "--kind", "gne", "--targets", "t", "--extra"],
+        ["check", "xx", XOR, "p"], ["find", "gne", XOR, "--memory", "one"],
+        ["bogus"], ["bogus", "find"], ["-x"], [], ["-h"], ["--help"], ["-h", "find"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_text_and_exit_code_as_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = parse_outcome(cli.build_parser().parse_args, argv)
+        assert want[2] in (0, 2) and want[0] + want[1]
+        assert parse_outcome(cli.main, argv) == want
+
+    @pytest.mark.parametrize("argv, built", [
+        (["validate", XOR], ["validate"]),
+        (["find", "gne", XOR, "--memory", "1"], ["find"]),
+        (["oracle", "omega", XOR, "--kind", "gne", "--targets", "t"],
+         ["oracle", "omega", "gamma", "deviation"]),
+        (["bogus"], [*cli.COMMANDS, "omega", "gamma", "deviation"]),
+    ])
+    def test_a_call_builds_only_its_command_parser(self, argv, built, monkeypatch, capsys):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        capsys.readouterr()
+        assert sorted(names) == sorted(built)
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["mtgames", "validate", str(data_path("xor.game"))])
+        code, doc = run_cli(None, capsys)
+        assert code == 0 and doc == {"command": "validate", "defects": [], "ok": True}
+        monkeypatch.setattr(sys, "argv", ["mtgames", "bogus"])
+        _, err, code = parse_outcome(cli.main, None)
+        assert code == 2 and "invalid choice: 'bogus'" in err
 
 
 def test_mtgames_environment_variables_are_ignored():

@@ -1,15 +1,18 @@
 import dataclasses
+import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from brute import reference_cycle_sets
 from mtgames import reductions
 from mtgames.core import InputError
-from mtgames.oracles import gamma_sample, omega_rank_agreement
+from mtgames.oracles import _reachable_cycle_sets, gamma_sample, omega_rank_agreement
 from mtgames.reductions import (START, DeviationChoice, HLasso, build_cne_game,
                                 build_gne_game, challenge_sets, gamma_roundtrip,
                                 rank_parity, semantic_objective, simulate_h)
@@ -194,6 +197,37 @@ class TestSemanticObjective:
         assert res.checked == 96 and res.disagreements == []
         assert len(items) == 1  # one pass over the transitions, not one per lasso
         assert len(judged) == res.checked  # every lasso is still checked as a legal play
+
+    @pytest.mark.parametrize("bound", range(1, 9))
+    def test_cycle_sets_equal_the_frozenset_reference_on_router(self, router_cne, router_gne,
+                                                               bound):
+        for h in (router_cne, router_gne):
+            succ = h.successor_sets()
+            name = functools.partial(reductions._h_state_id, game=h.game)
+            slices: dict[tuple, list] = {}
+            for q in h.states[1:]:
+                slices.setdefault((q.p, q.T, q.t, q.b), []).append(q)
+            found = 0
+            for nodes in slices.values():
+                inner = {q: [w for w in succ[q] if w in nodes] for q in nodes}
+                want = reference_cycle_sets(nodes, inner, bound, name)
+                assert _reachable_cycle_sets(nodes, inner, bound, name) == want
+                # successors outside the slice are left out, as the reference's input leaves them
+                assert _reachable_cycle_sets(nodes, succ, bound, name) == want
+                found += len(want)
+            assert found > 0
+
+    def test_cycle_sets_equal_the_frozenset_reference_on_random_graphs(self):
+        rng = random.Random(3)
+        sizes = set()
+        for _ in range(60):
+            nodes = [f"q{i}" for i in rng.sample(range(20), rng.randint(1, 7))]
+            succ = {q: rng.sample(nodes, rng.randint(0, len(nodes))) for q in nodes}
+            for bound in range(1, 7):
+                want = reference_cycle_sets(nodes, succ, bound, str)
+                assert _reachable_cycle_sets(nodes, succ, bound, str) == want
+                sizes.update(len(states) for states, _ in want)
+        assert sizes == set(range(1, 7))
 
     def test_omega_records_a_disagreement(self, router_cne):
         q = router_cne.transitions[(START, ("blue", frozenset({"A"}), "B"))]
