@@ -25,15 +25,22 @@ was simulated.
 
 The multi-player questions of the GNE and the target search are one-player
 residual questions that depend on the other players' strategies alone, so
-``_kernels.closed_walk_exists`` decides them once per distinct strategy: a
+``_kernels.closed_walk_exists`` decides them once per strategy and search: a
 target row is simulated only if no player's strategy rules it out, and a
 GNE candidate survives iff every player's winning set equals the set she
-can win alone, which is exact. The CNE search keeps a memoryless-deviation
-prefilter, a necessary condition that rests on the same fact: each
-memoryless deviation is simulated once per tuple of the other players'
-strategies, in a tile with the deviator's chunk swapped for the memoryless
-block. It is skipped when that block is larger than one player's tile
-side. No multi-player row past the budget is simulated. Whatever the
+can win alone, which is exact. A screen with one fixed player (every
+target screen, and the GNE screen of two players) is kept for the whole
+search, so a block is screened once however many size vectors contain it,
+and one kernel call decides a window of consecutive chunks of one block, at
+most ``_WINDOW`` strategies. The outer player's chunks stream one window
+ahead, so a budgeted search screens at most one window past the chunks it
+reaches. Router's ``find target --memory 2`` decides its 8,208 residual
+graphs, one per player and strategy, in 6 calls. The CNE search keeps a
+memoryless-deviation prefilter, a necessary condition that rests on the
+same fact: each memoryless deviation is simulated once per tuple of the
+other players' strategies, in a tile with the deviator's chunk swapped for
+the memoryless block. It is skipped when that block is larger than one
+player's tile side. No multi-player row past the budget is simulated. Whatever the
 search returns has passed the full equilibrium check, so a found profile
 re-verifies; absence after exhausting the space is NOT a proof of
 non-existence beyond the memory bound, and the result says so.
@@ -59,6 +66,7 @@ from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 CHUNK_CAP = 1 << 17
 _SMALL_BLOCK = 1 << 20
 _SWEEP_RANGE = 1 << 16  # block indices per one-player sweep task
+_WINDOW = 4096  # strategies per one-fixed-player closed-walk screen call
 
 EXHAUSTED_NOTE = ("no profile within the memory bound; absence at this bound "
                   "is not a proof of non-existence")
@@ -84,16 +92,21 @@ class _PlayerChunk:
     """One player's canonical strategies in a chunk: block indices and (B, M, S) tables.
 
     The one-player sweep's chunks carry no tables: their strategies were
-    simulated inside ``_kernels.sweep_block``, if at all. ``walks`` keeps the
-    closed-walk screen of these strategies as the one fixed player (see
-    ``_walk_masks``), so a cached inner chunk computes it once for every
-    outer chunk it meets.
+    simulated inside ``_kernels.sweep_block``, if at all. A multi-player
+    search reads each block a window of consecutive chunks at a time, at most
+    ``_WINDOW`` strategies. A chunk's tables are rows ``at`` onwards of its
+    ``window``, the window's (update, act, screens) triple: screens maps a
+    fixed player to the closed-walk screen of every strategy of the window
+    (see ``_walk_masks``). The search keeps screens by memory size and window
+    across size vectors, so each is computed once; they hold no chunk, so
+    chunks are freed by reference counting alone.
     """
 
     indices: np.ndarray
     upd: np.ndarray | None
     act: np.ndarray | None
-    walks: np.ndarray | None = None
+    window: tuple | None = None
+    at: int = 0
 
 
 @dataclass
@@ -118,47 +131,54 @@ class _Chunk:
         return np.ravel_multi_index(self.positions(rows, co), [self.lens[q] for q in co])
 
 
-def _player_chunk_lists(game: Mtg, sizes: tuple[int, ...], cap_per_player: int):
-    """Lazy nested iteration over per-player canonical chunks, outer player slowest.
-
-    Small blocks are materialized once and reused; a huge inner block would be
-    re-filtered per outer chunk, which is the price of lazy enumeration.
-    """
-    blocks = [StrategyBlock(game, m) for m in sizes]
-    cache: dict[int, list] = {}
-
-    def chunks_of(p: int):
-        chunks = (_PlayerChunk(*chunk)
-                  for chunk in blocks[p].canonical_chunks(chunk_size=cap_per_player))
-        # inner players are re-iterated once per outer chunk; keep small blocks
-        # materialized so the canonical filter does not rerun
-        if p > 0 and blocks[p].total <= _SMALL_BLOCK:
-            if p not in cache:
-                cache[p] = list(chunks)
-            return cache[p]
-        return chunks
-
-    def rec(p: int, acc: list):
-        if p == len(blocks):
-            yield _Chunk(sizes=sizes, per_player=list(acc))
-            return
-        for pc in chunks_of(p):
-            acc.append(pc)
-            yield from rec(p + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
 def _tile_side(n_players: int) -> int:
     """Strategies per player in a tile of ``_candidate_chunks``: about ``CHUNK_CAP`` rows a tile."""
     return max(4, int(round(CHUNK_CAP ** (1.0 / n_players))))
 
 
+def _block_chunks(block: StrategyBlock, side: int, screens: dict):
+    """The block's chunks of ``side`` indices, read one window of chunks at a time.
+
+    A window's screens are kept in ``screens`` by memory size and window, so
+    they outlive the chunks, which an outer player reads again per size vector.
+    """
+    width = side * max(1, _WINDOW // side)
+    for indices, upd, act in block.canonical_chunks(chunk_size=width):
+        window = (upd, act, screens.setdefault((block.m, int(indices[0]) // width), {}))
+        cuts = [0, *(np.flatnonzero(np.diff(indices // side)) + 1).tolist(), len(indices)]
+        for lo, hi in itertools.pairwise(cuts):
+            yield _PlayerChunk(indices[lo:hi], upd[lo:hi], act[lo:hi], window, lo)
+
+
+def _nested(sizes: tuple[int, ...], chunks_of, acc: tuple = ()):
+    """Every cross product of one chunk per player, the first player slowest."""
+    if len(acc) == len(sizes):
+        yield _Chunk(sizes=sizes, per_player=list(acc))
+        return
+    for pc in chunks_of(len(acc), sizes[len(acc)]):
+        yield from _nested(sizes, chunks_of, acc + (pc,))
+
+
 def _candidate_chunks(game: Mtg, bound: int):
-    n = len(game.players)
-    for sizes in _size_vectors(n, bound):
-        for chunk in _player_chunk_lists(game, sizes, _tile_side(n)):
+    """The search's tiles, in enumeration order, for every size vector up to ``bound``.
+
+    The outer player's block streams. An inner player's small block is
+    materialized once per search and shared by every size vector and inner
+    player; a huge one is re-filtered per outer chunk, which is the price of
+    lazy enumeration.
+    """
+    side, lists, screens = _tile_side(len(game.players)), {}, {}
+
+    def chunks_of(p: int, m: int):
+        block = StrategyBlock(game, m)
+        if p == 0 or block.total > _SMALL_BLOCK:
+            return _block_chunks(block, side, screens)
+        if m not in lists:
+            lists[m] = list(_block_chunks(block, side, screens))
+        return lists[m]
+
+    for sizes in _size_vectors(len(game.players), bound):
+        for chunk in _nested(sizes, chunks_of):
             if chunk.batch:
                 yield chunk
 
@@ -205,25 +225,29 @@ def _walk_masks(idx_game, chunk: _Chunk, fixed: list[int], wants: np.ndarray) ->
 
     The players ``fixed`` play one strategy each from their chunks and the
     others are free; tuples are in row-major order of the fixed players'
-    chunk positions. The kernel runs once per distinct tuple. With one fixed
-    player the result is kept on that player's chunk, since a search asks
-    one question per fixed player.
+    chunk positions. The kernel runs once per distinct tuple. A search asks
+    one question per fixed player, so with one fixed player it decides the
+    chunk's whole window the first time and keeps the result for the rest of
+    the search.
     """
     pcs = [chunk.per_player[q] for q in fixed]
-    if len(fixed) == 1 and pcs[0].walks is not None:
-        return pcs[0].walks
-    tables = [None] * len(chunk.per_player)
-    rows = [None] * len(chunk.per_player)
-    lens = [chunk.lens[q] for q in fixed]
-    for q, pc, grid in zip(fixed, pcs, np.indices(lens).reshape(len(fixed), -1)):
-        tables[q] = (pc.upd, pc.act)
-        rows[q] = grid
-    masks = _topology_bits(_kernels.closed_walk_exists(
-        idx_game.delta, idx_game.prio, tables, rows, idx_game.initial,
-        idx_game.n_actions, wants))
-    if len(fixed) == 1:
-        pcs[0].walks = masks
-    return masks
+    pairs, walks = [(pc.upd, pc.act) for pc in pcs], None
+    if len(fixed) == 1 and pcs[0].window is not None:
+        upd, act, walks = pcs[0].window
+        pairs = [(upd, act)]
+    if walks is None or fixed[0] not in walks:
+        tables = [None] * len(chunk.per_player)
+        rows = [None] * len(chunk.per_player)
+        grids = np.indices([len(upd) for upd, _ in pairs]).reshape(len(fixed), -1)
+        for q, pair, grid in zip(fixed, pairs, grids):
+            tables[q], rows[q] = pair, grid
+        masks = _topology_bits(_kernels.closed_walk_exists(
+            idx_game.delta, idx_game.prio, tables, rows, idx_game.initial,
+            idx_game.n_actions, wants))
+        if walks is None:
+            return masks
+        walks[fixed[0]] = masks
+    return walks[fixed[0]][pcs[0].at:pcs[0].at + len(pcs[0].indices)]
 
 
 def _alone_masks(idx_game, chunk: _Chunk, rows: np.ndarray, player: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from pathlib import Path
@@ -459,6 +460,150 @@ class TestScreenedSearchEqualsReference:
             if want[0] == "budget-exhausted":
                 return
         pytest.fail("no search ended inside a tile with both pruned and simulated rows")
+
+
+def _screen_spy(monkeypatch):
+    """Record (player, memory size, strategy tables) of every one-fixed-player screen."""
+    screened = []
+    walks = search._kernels.closed_walk_exists
+
+    def spy(delta, prio, tables, rows, *rest):
+        fixed = [q for q, pair in enumerate(tables) if pair is not None]
+        if len(fixed) == 1:
+            (q,), (upd, act) = fixed, tables[fixed[0]]
+            screened.extend((q, upd.shape[1], upd[r].tobytes() + act[r].tobytes())
+                            for r in rows[q])
+        return walks(delta, prio, tables, rows, *rest)
+    monkeypatch.setattr(search._kernels, "closed_walk_exists", spy)
+    return screened
+
+
+def _reached(game, budget):
+    """Per (player, memory size): the strategies of the chunks a budgeted search reaches."""
+    reached, examined = {}, 0
+    for chunk in search._candidate_chunks(game, 2):
+        for q, (m, pc) in enumerate(zip(chunk.sizes, chunk.per_player)):
+            reached.setdefault((q, m), set()).update(
+                u.tobytes() + a.tobytes() for u, a in zip(pc.upd, pc.act))
+        examined += chunk.batch
+        if examined >= budget:
+            return reached
+
+
+class TestScreenOncePerSearch:
+    """Each (player, memory size, strategy) is screened at most once a search, a window a call."""
+
+    def test_router_screens_each_strategy_once(self, router, monkeypatch):
+        screened = _screen_spy(monkeypatch)
+        targets = io.load_targets(io.data_path("router-all.tt"), router)
+        results = []
+        for jobs in (1, 2):
+            screened.clear()
+            result = find_profile_with_wintop(router, targets, 2, jobs=jobs)
+            results.append((result.status, result.examined, result.profile))
+            # both players' 8 memoryless and 4,096 memory-2 strategies, once each
+            assert len(screened) == len(set(screened)) == 2 * (8 + 4096)
+        assert results[0] == results[1] and results[0][:2] == ("found", 3544647)
+
+    @pytest.mark.parametrize("window", [None, 1000])
+    def test_budgeted_search_screens_one_window_past_what_it_reaches(self, xor, window,
+                                                                     monkeypatch):
+        if window is not None:
+            monkeypatch.setattr(search, "_WINDOW", window)  # two chunks of 362 a window
+        screened = _screen_spy(monkeypatch)
+        reached = _reached(xor, 100)
+        results = []
+        for jobs in (1, 2):
+            screened.clear()
+            result = find_gne(xor, 2, budget=100, jobs=jobs)
+            results.append((result.status, result.examined, result.profile))
+            assert len(screened) == len(set(screened))
+            by_block = {}
+            for q, m, strategy in screened:
+                by_block.setdefault((q, m), set()).add(strategy)
+            assert by_block.keys() == reached.keys()
+            for key, strategies in by_block.items():
+                assert reached[key] <= strategies
+                assert len(strategies) <= len(reached[key]) + search._WINDOW
+        assert results[0] == results[1] == ("budget-exhausted", 100, None)
+
+    def test_searches_leave_no_reference_cycle(self, router, xor):
+        game3 = random_mtg(random.Random(3), n_players=3, n_states=2, n_actions=2,
+                           n_topologies=2, max_priority=3)
+        targets = io.load_targets(io.data_path("router-all.tt"), router)
+        debug = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            find_profile_with_wintop(router, targets, 2)
+            find_gne(xor, 2, budget=2000)
+            find_cne(xor, 2, budget=2000)
+            find_profile_with_wintop(game3, {p: frozenset() for p in game3.players}, 2,
+                                     budget=2000)
+            find_gne(game3, 2, budget=2000)
+            find_cne(game3, 1, budget=2000)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            gc.enable()
+        assert "_PlayerChunk" not in cyclic and "_Chunk" not in cyclic
+
+
+PINNED_SEARCHES = Path(__file__).resolve().parent / "data" / "pinned-searches.json"
+
+
+def _pinned_searches():
+    """(name, tile cap, game, kind, targets, budget) of the searches ``PINNED_SEARCHES`` records.
+
+    Target and GNE searches at bound 2 on random 2- and 3-player games, with
+    and without a budget. The 2-state 2-player games run at ``CHUNK_CAP = 64``,
+    eight strategies a tile side, so that they cross many chunks too; the
+    others at the default, ``None``. The file holds what ``_pinned_outputs()``
+    gave before each closed-walk screen was kept for the whole search.
+    """
+    rng = random.Random(2027)
+    for i in range(12):
+        n_players, n_states = ((2, 2), (2, 3), (3, 2))[i % 3]
+        cap = 64 if (n_players, n_states) == (2, 2) else None
+        game = random_mtg(rng, n_players=n_players, n_states=n_states,
+                          n_topologies=rng.randint(2, 4), max_priority=rng.randint(3, 6))
+        reachable = wintop_map(game, random_profile(rng, game, 2))
+        aimed = {p: frozenset(rng.sample(game.topologies, rng.randint(0, 2)))
+                 for p in game.players}
+        budgets = (rng.randrange(100, 20000),) + ((None,) if n_states == 2 else ())
+        for kind, targets in (("gne", None), ("reachable", reachable), ("aimed", aimed)):
+            for budget in budgets:
+                if budget is None and (n_players, kind) in ((3, "gne"), (3, "aimed")):
+                    continue  # up to 17,576,000 rows
+                yield f"{i}-{kind}-{budget}", cap, game, kind, targets, budget
+
+
+def _pinned_outputs():
+    """Name -> [status, examined, profile document or None] of each of ``_pinned_searches``."""
+    out = {}
+    for name, cap, game, kind, targets, budget in _pinned_searches():
+        saved, search.CHUNK_CAP = search.CHUNK_CAP, cap or search.CHUNK_CAP
+        try:
+            result = (find_gne(game, 2, budget=budget) if kind == "gne" else
+                      find_profile_with_wintop(game, targets, 2, budget=budget))
+        finally:
+            search.CHUNK_CAP = saved
+        profile = result.profile and io.profile_to_dict(result.profile, game)
+        out[name] = [result.status, result.examined, profile]
+    return out
+
+
+@pytest.mark.parametrize("window", [None, 160])
+def test_pinned_searches_keep_their_outputs(window, monkeypatch):
+    """Status, ``examined`` and profile as recorded, whatever the screen's window."""
+    if window is not None:
+        # 20 chunks a window at CHUNK_CAP = 64 with 2 players, 3 at the default
+        # with 3 players, and 1 at the default with 2
+        monkeypatch.setattr(search, "_WINDOW", window)
+    assert _pinned_outputs() == json.loads(PINNED_SEARCHES.read_text())
 
 
 GOLDEN_SEARCHES = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "search.json"
