@@ -9,7 +9,6 @@ from .equilibria import (DeviationOracle, DeviationWitness, EquilibriumReport,
 from .reductions import (DeviationChoice, HLasso, HState, PartialInfoGame,
                          build_cne_game, build_gne_game, gamma_roundtrip,
                          semantic_objective)
-from .search import SearchResult, find_cne, find_gne, find_profile_with_wintop
 from .solvers import solve_conjunction, solve_one_player
 from .strategy import (MooreStrategy, Profile, enumerate_strategies, outcome,
                        winners, wintop, wintop_map)
@@ -27,3 +26,10 @@ __all__ = [
     "semantic_objective", "solve_conjunction", "solve_one_player", "step",
     "symmetrize", "validate", "winners", "wintop", "wintop_map",
 ]
+
+
+def __getattr__(name: str):  # PEP 562: import the search API, and numpy with it, on first use
+    if name in ("SearchResult", "find_cne", "find_gne", "find_profile_with_wintop"):
+        from . import search
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,8 @@ Exit codes: 0 analysis completed (the verdict is in the output), 1 input
 error, 2 search budget exhausted.
 
 A call builds only its command's parser (all when the first argument names
-none): building every subparser cost more than most short commands do.
+none): building every subparser cost more than most short commands do. For
+the same reason only ``find`` and ``oracle`` import the modules that load numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from . import io as mio
 from .core import InputError, symmetrize, validate
 from .equilibria import (build_knowledge_arena, check_cne, check_gne, check_ne,
                          deviation_questions)
-from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
 from .reductions import build_cne_game, build_gne_game
-from .search import SearchResult, find_cne, find_gne, find_profile_with_wintop
 from .strategy import outcome, wintop_map
 
 EXIT_OK = 0
@@ -36,18 +35,6 @@ def _emit(doc: dict) -> None:
 
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _search_result_doc(result: SearchResult, game) -> dict:
-    doc = {"status": result.status, "examined": result.examined,
-           "memory_bound": result.memory_bound}
-    if result.note:
-        doc["note"] = result.note
-    if result.profile is not None:
-        doc["profile"] = mio.profile_to_dict(result.profile, game)
-    if result.report is not None:
-        doc["report"] = mio.report_to_dict(result.report, game)
-    return doc
 
 
 def _emit_check_arenas(report, game, profile, out_dir: str) -> None:
@@ -163,8 +150,7 @@ def _run(args) -> int:
 
     if args.command == "wintop":
         profile = mio.load_profile(args.profile, game)
-        wt = wintop_map(game, profile)
-        doc = {p: [t for t in game.topologies if t in wt[p]] for p in game.players}
+        doc = mio.targets_to_dict(wintop_map(game, profile), game)
         _emit({"command": "wintop", "wintop": doc})
         for p, ts in doc.items():
             _info(f"{p}: {{{', '.join(ts)}}}")
@@ -187,6 +173,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "find":
+        from .search import find_cne, find_gne, find_profile_with_wintop
         if args.kind == "gne":
             result = find_gne(game, args.memory, budget=args.budget, jobs=args.jobs)
         elif args.kind == "cne":
@@ -199,8 +186,15 @@ def _run(args) -> int:
                                               budget=args.budget, jobs=args.jobs)
         if result.profile is not None and args.profile_out:
             mio.save_profile(result.profile, game, args.profile_out)
-        _emit({"command": "find", "kind": args.kind,
-               **_search_result_doc(result, game)})
+        doc = {"command": "find", "kind": args.kind, "status": result.status,
+               "examined": result.examined, "memory_bound": result.memory_bound}
+        if result.note:
+            doc["note"] = result.note
+        if result.profile is not None:
+            doc["profile"] = mio.profile_to_dict(result.profile, game)
+        if result.report is not None:
+            doc["report"] = mio.report_to_dict(result.report, game)
+        _emit(doc)
         _info(f"find {args.kind}: {result.status} after {result.examined} candidates")
         return EXIT_BUDGET if result.status == "budget-exhausted" else EXIT_OK
 
@@ -222,6 +216,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "oracle":
+        from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
         if args.oracle == "omega":
             targets = mio.load_targets(args.targets, game)
             h = build_cne_game(game, targets) if args.kind == "cne" else build_gne_game(game, targets)

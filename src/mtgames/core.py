@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ActionProfile = tuple[str, ...]
 
@@ -248,6 +250,7 @@ def compile_tables(game: Mtg) -> IndexedMtg:
     Every kernel-backed path calls this first. Its callers hold topology sets
     as int64 bitmasks, so it refuses games with more than 63 topologies.
     """
+    import numpy as np
     if len(game.topologies) > 63:
         raise InputError(f"the game has {len(game.topologies)} topologies; searches and "
                          f"the deviation oracle handle at most 63")

@@ -6,15 +6,17 @@ priority map topology -> player -> state -> integer. Profiles list, per
 player, the memory states, the initial memory and the update/act tables as
 explicit row lists. Target files map each player to a list of topologies.
 
-Writers emit canonical JSON (sorted keys, fixed indentation) so identical
-inputs produce byte-identical output, and every emitted document re-parses
-through the loaders in this module.
+Loaders refuse a repeated object key or table row rather than keep the last.
+Every document written, to stdout or to a file, goes through ``dumps_canonical``:
+canonical JSON (sorted keys, fixed indentation), so identical inputs produce
+byte-identical output that re-parses through the loaders in this module.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .core import InputError, Lasso, Mtg, validate
@@ -29,8 +31,34 @@ def data_path(name: str):
     return resources.files("mtgames.data").joinpath(name)
 
 
+_encode_leaf = json.JSONEncoder().encode  # C-encoded numbers, booleans and null
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    An indent sends ``json`` to its pure-Python encoder. This walks containers
+    once and writes each leaf with ``json``'s C encoders, which raise json's own
+    ``TypeError`` for a value json refuses. A container holding itself is not caught.
+    """
+    return _text(obj, "\n") + "\n"
+
+
+def _text(obj, newline: str) -> str:
+    """``obj`` as JSON, its inner lines indented two spaces past ``newline``'s."""
+    if type(obj) is int:  # the common leaves by exact type: ints here, strings inline below
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):  # the C encoder converts, or refuses, a non-string key as json does
+        parts = [(_encode_str(k) if type(k) is str else _encode_leaf({k: 0})[1:-4]) + ": "
+                 + (_encode_str(v) if type(v) is str else _text(v, inner))
+                 for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        parts = [_encode_str(v) if type(v) is str else _text(v, inner) for v in obj]
+    else:
+        return _encode_str(obj) if isinstance(obj, str) else _encode_leaf(obj)
+    start, end = "{}" if isinstance(obj, dict) else "[]"
+    return start + inner + ("," + inner).join(parts) + newline + end if parts else start + end
 
 
 def write_text(path, text: str) -> None:
@@ -42,12 +70,17 @@ def write_text(path, text: str) -> None:
 
 
 def load_json(path) -> dict:
+    def unique(pairs: list) -> dict:  # json alone keeps a repeated key's last value
+        if len(doc := dict(pairs)) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise InputError(f"{path}: duplicate key {key!r} in one object")
+        return doc
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # the files are UTF-8 JSON
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -153,7 +186,10 @@ def parse_game(doc: dict, where: str = "game") -> Mtg:
         for row in _require_list(block, "transitions", f"{where}.topologies[{name}]"):
             at = f"{where}.topologies[{name}] transition row"
             prof = _require_names(row, "profile", at)
-            transition[(name, _require_name(row, "from", at), prof)] = _require_name(row, "to", at)
+            key = (name, _require_name(row, "from", at), prof)
+            if key in transition:
+                raise InputError(f"{at}: second row for ({key[1]}, {', '.join(prof)})")
+            transition[key] = _require_name(row, "to", at)
     priority = {}
     for t, by_player in prios.items():
         if not isinstance(by_player, dict) or not all(isinstance(x, dict)
@@ -197,8 +233,11 @@ def _table_rows(doc: dict, key: str, value: str, where: str) -> dict:
         if not isinstance(row, dict) or any(f not in row for f in fields):
             raise InputError(f"{where}: {key} row {i} must be an object with keys "
                              + ", ".join(map(repr, fields)))
-        table[(_name(row["memory"], f"{key} row {i} memory", where),
-               _name(row["state"], f"{key} row {i} state", where))] = row[value]
+        cell = (_name(row["memory"], f"{key} row {i} memory", where),
+                _name(row["state"], f"{key} row {i} state", where))
+        if cell in table:
+            raise InputError(f"{where}: {key} row {i} repeats the row for {cell}")
+        table[cell] = row[value]
     return table
 
 
@@ -280,8 +319,7 @@ def report_to_dict(report: EquilibriumReport, game: Mtg) -> dict:
                    "targets": [t for t in game.topologies if t in report.witness.targets],
                    "strategy": strategy_to_dict(report.witness.strategy, game)}
     doc = {"kind": report.kind, "verdict": report.verdict,
-           "wintop": {p: [t for t in game.topologies if t in report.wintop[p]]
-                      for p in game.players},
+           "wintop": targets_to_dict(report.wintop, game),
            "witness": witness}
     if report.topology is not None:
         doc["topology"] = report.topology
@@ -340,7 +378,7 @@ def h_to_dict(h: PartialInfoGame) -> dict:
             entry = {"from": ids[q], "coalition": list(prof), "deviator": a,
                      "to": ids[q2]}
         transitions.append(entry)
-    transitions.sort(key=lambda e: json.dumps(e, sort_keys=True))
+    transitions.sort(key=json.JSONEncoder(sort_keys=True).encode)  # one encoder for all rows
     observations = {p: [sorted(ids[q] for q in cls) for cls in h.observations[p]]
                     for p in h.players}
     return {"kind": h.kind, "players": list(h.players),

@@ -10,11 +10,12 @@ exactly a memoryless (positional) strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .core import InputError, Lasso, Mtg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MISSING = object()
 
@@ -58,6 +59,10 @@ class MooreStrategy:
                     raise InputError(f"{where}: act table missing row ({m}, {s})")
                 if a not in game.actions:
                     raise InputError(f"{where}: act value {a!r} not an action")
+        if len(self.update) + len(self.act) > 2 * len(self.memory) * len(game.states):
+            name, table = max(("update", self.update), ("act", self.act), key=lambda e: len(e[1]))
+            stray = next(c for c in table if c[0] not in self.memory or c[1] not in game.states)
+            raise InputError(f"{where}: {name} table row {stray} outside memory x states")
 
     def encoding(self, game: Mtg) -> tuple:
         """Hashable content key, used for caching deviation analyses."""
@@ -71,6 +76,7 @@ class MooreStrategy:
 
         Memory index 0 is the initial memory state.
         """
+        import numpy as np
         order = [self.init] + [m for m in self.memory if m != self.init]
         mi = {m: i for i, m in enumerate(order)}
         n_m, n_s = len(order), len(game.states)
@@ -189,7 +195,7 @@ class StrategyBlock:
         self.n_update_tables = m ** self.cells
         self.n_act_tables = self.n_actions ** self.cells
         self.total = self.n_update_tables * self.n_act_tables
-        if self.total > np.iinfo(np.int64).max:
+        if self.total > (1 << 63) - 1:
             raise InputError(f"strategies with memory {m} over {self.n_states} states and "
                              f"{self.n_actions} actions are too many to index in 64 bits")
 
@@ -199,12 +205,13 @@ class StrategyBlock:
         Only the kept indices' act tables are decoded; their update tables
         come from the distinct ones ``_kernels.canonical_range`` decoded.
         """
+        from . import _kernels
         shape = (-1, self.m, self.n_states)
         for lo in range(0, self.total, chunk_size):
             hi = min(lo + chunk_size, self.total)
             keep, upd, row = _kernels.canonical_range(lo, hi, self.m, self.n_states,
                                                       self.n_actions)
-            kept = np.nonzero(keep)[0]
+            kept = keep.nonzero()[0]
             if len(kept):
                 indices = lo + kept
                 act = _kernels.decode_tables(indices % self.n_act_tables, self.cells,

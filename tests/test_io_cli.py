@@ -51,11 +51,15 @@ class TestGameFiles:
         with pytest.raises(InputError, match="^g: priorities must be a nested object$"):
             mio.parse_game(doc, where="g")
 
-    def test_loader_rejects_malformed_json(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b'{"players": "\xff"}'],
+                             ids=["syntax", "not-utf8"])
+    def test_loader_rejects_malformed_json(self, tmp_path, capsys, content):
         path = tmp_path / "junk.game"
-        path.write_text("{not json")
+        path.write_bytes(content)
         with pytest.raises(InputError):
             mio.load_game(path)
+        assert assert_one_error_line(["validate", str(path)], capsys).startswith(
+            f"error: {path}: not valid JSON: ")
 
 
 class TestProfileFiles:
@@ -512,6 +516,57 @@ class TestMalformedInput:
                                       str(data_path("turn-taking.profile")),
                                       "--emit-arenas", str(existing)], capsys)
         assert str(existing) in line
+
+    def test_repeated_transition_row(self, tmp_path, capsys):
+        doc = json.loads(data_path("router.game").read_text())
+        rows = doc["topologies"][0]["transitions"]
+        row = rows[0]
+        rows.append({**row, "to": next(s for s in doc["states"] if s != row["to"])})
+        path = tmp_path / "bad.game"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["validate", str(path)], capsys)
+        assert line == (f"error: {path}.topologies[A] transition row: second row for "
+                        f"({row['from']}, {', '.join(row['profile'])})")
+
+    @pytest.mark.parametrize("table, field, other", [("act", "action", "0"),
+                                                      ("update", "next", "m2")])
+    def test_repeated_strategy_row(self, tmp_path, capsys, table, field, other):
+        doc = json.loads(data_path("turn-taking.profile").read_text())
+        rows = doc["players"]["red"][table]
+        assert rows[0][field] != other  # read as the last one wins, the row would change red
+        rows.append({**rows[0], field: other})
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
+                                     capsys)
+        cell = (rows[0]["memory"], rows[0]["state"])
+        assert line == f"error: {path}.red: {table} row {len(rows) - 1} repeats the row for {cell}"
+
+    @pytest.mark.parametrize("table", ["act", "update"])
+    def test_row_outside_memory_and_states(self, tmp_path, capsys, table):
+        doc = json.loads(data_path("turn-taking.profile").read_text())
+        rows = doc["players"]["blue"][table]
+        rows.append({**rows[0], "memory": "nosuch"})
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(doc))
+        line = assert_one_error_line(["wintop", str(data_path("router.game")), str(path)],
+                                     capsys)
+        cell = ("nosuch", rows[0]["state"])
+        assert line == f"error: {path}.blue: {table} table row {cell} outside memory x states"
+
+    def test_duplicate_key_in_a_targets_file(self, tmp_path, capsys):
+        path = tmp_path / "dup.tt"
+        path.write_text('{"blue": ["A"], "blue": ["A", "B"], "red": ["A", "B"]}')
+        line = assert_one_error_line(["find", "target", str(data_path("router.game")),
+                                      "--targets", str(path), "--memory", "1"], capsys)
+        assert line == f"error: {path}: duplicate key 'blue' in one object"
+
+    def test_duplicate_key_deep_in_a_game(self, tmp_path, capsys):
+        text = data_path("router.game").read_text()
+        path = tmp_path / "dup.game"
+        path.write_text(text.replace('"from": ', '"to": "ready", "from": ', 1))
+        line = assert_one_error_line(["validate", str(path)], capsys)
+        assert line == f"error: {path}: duplicate key 'to' in one object"
 
     @pytest.mark.parametrize("args, message", [
         (["find", "gne", "fig3.game", "--memory", "1", "--jobs", "0"],
