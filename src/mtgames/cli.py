@@ -91,7 +91,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--targets", help="target file, required for kind=target")
         p.add_argument("--budget", type=int, default=None,
                        help="abort after examining this many candidate profiles")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--profile-out", help="also write a found profile to this file")
 
     if p := add("reduce", "build a partial-information challenge game"):
@@ -133,6 +132,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    # an option the command does not read would otherwise be ignored silently
+    if args.command == "check" and args.kind != "ne" and args.topology is not None:
+        raise InputError("--topology applies only to check ne")
+    if args.command == "find" and args.kind != "target" and args.targets is not None:
+        raise InputError("--targets applies only to find target")
     if args.command == "validate":
         defects = validate(mio.parse_game(mio.load_json(args.game), where=args.game))
         _emit({"command": "validate", "defects": defects, "ok": not defects})
@@ -175,15 +179,14 @@ def _run(args) -> int:
     if args.command == "find":
         from .search import find_cne, find_gne, find_profile_with_wintop
         if args.kind == "gne":
-            result = find_gne(game, args.memory, budget=args.budget, jobs=args.jobs)
+            result = find_gne(game, args.memory, budget=args.budget)
         elif args.kind == "cne":
-            result = find_cne(game, args.memory, budget=args.budget, jobs=args.jobs)
+            result = find_cne(game, args.memory, budget=args.budget)
         else:
             if not args.targets:
                 raise InputError("find target needs --targets")
             targets = mio.load_targets(args.targets, game)
-            result = find_profile_with_wintop(game, targets, args.memory,
-                                              budget=args.budget, jobs=args.jobs)
+            result = find_profile_with_wintop(game, targets, args.memory, budget=args.budget)
         if result.profile is not None and args.profile_out:
             mio.save_profile(result.profile, game, args.profile_out)
         doc = {"command": "find", "kind": args.kind, "status": result.status,

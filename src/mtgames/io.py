@@ -6,7 +6,8 @@ priority map topology -> player -> state -> integer. Profiles list, per
 player, the memory states, the initial memory and the update/act tables as
 explicit row lists. Target files map each player to a list of topologies.
 
-Loaders refuse a repeated object key or table row rather than keep the last.
+Loaders refuse a repeated object key, table row, challenge-game state or
+transition rather than keep the last.
 Every document written, to stdout or to a file, goes through ``dumps_canonical``:
 canonical JSON (sorted keys, fixed indentation), so identical inputs produce
 byte-identical output that re-parses through the loaders in this module.
@@ -410,6 +411,10 @@ def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
                        p=_member(_require(entry, "p", at), game.players, "player", at), T=T,
                        t=_member(_require(entry, "t", at), tops, "topology", at),
                        b=_typed(_require(entry, "b", at), bool, "b", at))
+        if sid in by_id:
+            raise InputError(f"{at}: repeats state id {sid!r}")
+        if q in rank:
+            raise InputError(f"{at}: same state as {where}.states[{states.index(q)}]")
         by_id[sid] = q
         rank[q] = _typed(_require(entry, "rank", at), int, "rank", at)
         states.append(q)
@@ -434,13 +439,16 @@ def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
                           _member(_require(entry, "resolver", at), tops, "topology", at))
             else:
                 action = (p, _member(_require(dev, "topology", at), tops, "topology", at))
-            transitions[(START, action)] = q2
+            key = (START, action)
         else:
             prof = _require_list(entry, "coalition", at)
             if len(prof) != len(game.players):
                 raise InputError(f"{at}: coalition must give one action per player")
             prof = tuple(_member(a, game.actions, "action", at) for a in prof)
-            transitions[(state(source, at), (prof, _member(dev, game.actions, "action", at)))] = q2
+            key = (state(source, at), (prof, _member(dev, game.actions, "action", at)))
+        if key in transitions:
+            raise InputError(f"{at}: repeats the source and action of an earlier transition")
+        transitions[key] = q2
     obs, at = _require(doc, "observations", where), f"{where}.observations"
     if not isinstance(obs, dict) or set(obs) != set(players):
         raise InputError(f"{at}: expected an object keyed by exactly the roles {list(players)}")

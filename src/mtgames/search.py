@@ -8,13 +8,14 @@ changes slowest, and within a tile profiles are in lexicographic order of
 the per-player strategy indices, first player most significant. In router's
 (2, 2) block, for example, (blue 1, red 0) comes before (blue 0, red 362).
 
-Candidates are screened in chunks. Every task returns one shape, a chunk
-with its screened rows and their topology bitmasks, and one result loop reads
-them all. A one-player game's chunks are the kept strategies of index ranges
-that ``_kernels.sweep_block`` filters and simulates in one call. Whether such a
-candidate survives depends on its winning set w alone: a GNE's w is the set
-of topologies the player can win one at a time, a target's w is its target,
-and a CNE's w has no winnable one-topology extension. ``DeviationOracle``
+Candidates are screened in chunks, in the calling thread. Each path yields
+one shape in enumeration order, a chunk with its screened rows and their
+topology bitmasks, and one result loop reads them all and decides the
+budget. A one-player game's chunks are the kept strategies of index ranges
+that ``_kernels.sweep_block`` filters and simulates in one call. Whether
+such a candidate survives depends on its winning set w alone: a GNE's w is
+the set of topologies the player can win one at a time, a target's w is its
+target, and a CNE's w has no winnable one-topology extension. ``DeviationOracle``
 decides these at unbounded memory, in at most T + 1 questions for GNE and T
 per distinct w for CNE. When the one GNE or target set cannot be won, the
 sweep only counts each range's canonical strategies with
@@ -40,7 +41,7 @@ memoryless-deviation prefilter, a necessary condition that rests on the
 same fact: each memoryless deviation is simulated once per tuple of the
 other players' strategies, in a tile with the deviator's chunk swapped for
 the memoryless block. It is skipped when that block is larger than one
-player's tile side. No multi-player row past the budget is simulated. Whatever the
+player's tile side. No row past the budget is simulated. Whatever the
 search returns has passed the full equilibrium check, so a found profile
 re-verifies; absence after exhausting the space is NOT a proof of
 non-existence beyond the memory bound, and the result says so.
@@ -50,9 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,36 +287,14 @@ def _materialize(game: Mtg, chunk: _Chunk, b: int) -> Profile:
                                                chunk.positions(b))))
 
 
-def _ordered_map(fn, tasks, jobs: int):
-    """``map(fn, tasks)`` on ``jobs`` threads, in order, with at most ``2 * jobs`` tasks in flight.
-
-    ``tasks`` is drawn in the calling thread. Closing the generator cancels
-    the tasks not yet started.
-    """
-    if jobs == 1:
-        yield from map(fn, tasks)
-        return
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    pending: deque = deque()
-    try:
-        for task in tasks:
-            pending.append(pool.submit(fn, task))
-            if len(pending) == 2 * jobs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             jobs: int, targets: dict[str, frozenset[str]] | None = None) -> SearchResult:
     if memory_bound < 1:
         raise InputError(f"memory bound must be >= 1, got {memory_bound}")
     if budget is not None and budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
-    if jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        raise InputError(f"jobs must be 1, got {jobs}: searches run in the calling thread")
     idx_game = compile_tables(game)
     oracle = DeviationOracle(game)
     n_players = len(game.players)
@@ -360,41 +336,40 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
         report = (check_gne if kind == "gne" else check_cne)(game, profile, oracle=oracle)
         return report if report.verdict else None
 
+    examined = 0  # rows the result loop below has counted
+
+    def left() -> int | None:
+        """Rows the budget leaves, if it is set; no row past them is simulated or read."""
+        return None if budget is None else budget - examined
+
+    # each path yields (chunk, rows, masks) in order, after the loop has counted the last one
     if n_players == 1:
-        # fused enumerate-and-simulate sweep over index ranges of each block;
-        # the kept strategies of a range form a one-player chunk
-        def tasks():
+        def evaluated():
+            # fused enumerate-and-simulate sweep over index ranges of each block;
+            # the kept strategies of a range form a one-player chunk
             for m in range(1, memory_bound + 1):
                 total = StrategyBlock(game, m).total
                 for lo in range(0, total, _SWEEP_RANGE):
-                    yield m, lo, min(lo + _SWEEP_RANGE, total)
-
-        def evaluate(task):
-            m, lo, hi = task
-            if winnable:
-                # only the range the budget ends in can keep more than ``budget`` rows
-                keep, bits = _kernels.sweep_block(idx_game.delta, idx_game.prio, [None], 0, m,
-                                                  lo, hi, idx_game.initial, idx_game.n_actions,
-                                                  limit=budget)
-            else:
-                # no candidate can survive: count the kept rows, simulate none
-                keep = _kernels.canonical_range(lo, hi, m, idx_game.prio.shape[2],
-                                                idx_game.n_actions)[0]
-            kept = np.nonzero(keep)[0]
-            chunk = _Chunk(sizes=(m,), per_player=[_PlayerChunk(lo + kept, None, None)])
-            if not winnable:
-                return chunk, kept[:0], np.zeros((0, 1), dtype=np.int64)
-            return chunk, np.arange(len(kept)), bits[kept, None]
+                    hi = min(lo + _SWEEP_RANGE, total)
+                    if winnable:
+                        keep, bits = _kernels.sweep_block(
+                            idx_game.delta, idx_game.prio, [None], 0, m, lo, hi,
+                            idx_game.initial, idx_game.n_actions, limit=left())
+                        kept = np.nonzero(keep)[0]
+                        rows, masks = np.arange(len(kept)), bits[kept, None]
+                    else:
+                        # no candidate can survive: count the kept rows, simulate none
+                        kept = np.nonzero(_kernels.canonical_range(
+                            lo, hi, m, idx_game.prio.shape[2], idx_game.n_actions)[0])[0]
+                        rows, masks = kept[:0], np.zeros((0, 1), dtype=np.int64)
+                    yield _Chunk((m,), [_PlayerChunk(lo + kept, None, None)]), rows, masks
     else:
         if kind == "target":
             # the parity each player's minimum must have in each topology
             target_wants = np.array([[int(t not in targets[p]) for p in game.players]
                                      for t in game.topologies])
 
-        def tasks():
-            # runs in the consuming thread, like survivors_of, so the screen
-            # results kept on the chunks need no lock
-            planned = 0
+        def evaluated():
             for chunk in _candidate_chunks(game, memory_bound):
                 picks = None
                 if kind == "target":
@@ -402,16 +377,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                     # other players rules out each row that contains it
                     picks = [np.nonzero(_walk_masks(idx_game, chunk, [p], target_wants)
                                         == all_mask)[0] for p in range(n_players)]
-                if budget is not None and planned + chunk.batch >= budget:
-                    # the budget ends in this chunk: simulate no row past it
-                    yield chunk, picks, budget - planned
-                    return
-                planned += chunk.batch
-                yield chunk, picks, chunk.batch
-
-        def evaluate(task):
-            chunk, picks, limit = task
-            return (chunk, *_wintop_masks(idx_game, chunk, picks, limit))
+                yield (chunk, *_wintop_masks(idx_game, chunk, picks, left()))
 
     def survivors_of(chunk: _Chunk, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
         if kind == "target":
@@ -432,44 +398,46 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 ok &= (w == all_mask) | ~_memoryless_improvable(idx_game, chunk, rows, p, w, dev)
         return np.nonzero(ok)[0]
 
-    examined = 0
-    with closing(_ordered_map(evaluate, tasks(), jobs)) as stream:
-        for result in stream:
-            chunk, rows, masks = result
-            batch = chunk.batch
-            if budget is not None and examined + batch > budget:
-                batch = budget - examined
-                n = np.searchsorted(rows, batch)
-                rows, masks = rows[:n], masks[:n]
-            for i in survivors_of(chunk, rows, masks):
-                b = int(rows[i])
-                profile = _materialize(game, chunk, b)
-                report = finalize(profile)
-                if report is not None:
-                    return SearchResult("found", profile, report, examined + b + 1,
-                                        memory_bound)
-            examined += batch
-            if budget is not None and examined >= budget:
-                return SearchResult("budget-exhausted", None, None, examined, memory_bound)
+    for chunk, rows, masks in evaluated():
+        batch = chunk.batch if budget is None else min(chunk.batch, left())
+        n = np.searchsorted(rows, batch)
+        rows, masks = rows[:n], masks[:n]
+        for i in survivors_of(chunk, rows, masks):
+            b = int(rows[i])
+            profile = _materialize(game, chunk, b)
+            report = finalize(profile)
+            if report is not None:
+                return SearchResult("found", profile, report, examined + b + 1, memory_bound)
+        examined += batch
+        if left() == 0:
+            return SearchResult("budget-exhausted", None, None, examined, memory_bound)
     return SearchResult("exhausted-space", None, None, examined, memory_bound,
                         note=EXHAUSTED_NOTE)
 
 
 def find_gne(game: Mtg, memory_bound: int, budget: int | None = None,
              jobs: int = 1) -> SearchResult:
-    """First profile (in enumeration order) that is a greedy equilibrium."""
+    """First profile (in enumeration order) that is a greedy equilibrium.
+
+    A search runs in the calling thread, so ``jobs`` must be 1; the parameter
+    goes once the benchmark harness in ``perfbench/`` stops passing it.
+    """
     return _search(game, memory_bound, "gne", budget, jobs)
 
 
 def find_cne(game: Mtg, memory_bound: int, budget: int | None = None,
              jobs: int = 1) -> SearchResult:
-    """First profile (in enumeration order) that is a conservative equilibrium."""
+    """First profile (in enumeration order) that is a conservative equilibrium.
+
+    ``jobs`` must be 1, as for ``find_gne``."""
     return _search(game, memory_bound, "cne", budget, jobs)
 
 
 def find_profile_with_wintop(game: Mtg, targets: dict[str, frozenset[str]],
                              memory_bound: int, budget: int | None = None,
                              jobs: int = 1) -> SearchResult:
-    """First profile whose winning-topology sets match the targets exactly."""
+    """First profile whose winning-topology sets match the targets exactly.
+
+    ``jobs`` must be 1, as for ``find_gne``."""
     return _search(game, memory_bound, "target", budget, jobs,
                    targets=target_tuple(game, targets))

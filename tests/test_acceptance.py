@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings. Timing budgets are for one worker (``jobs=1``) on the
-numpy kernels, which need no warm-up.
+lines and timings. Timing budgets are for searches in the calling thread on
+the numpy kernels, which need no warm-up.
 """
 
 import itertools

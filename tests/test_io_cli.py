@@ -13,6 +13,7 @@ import mtgames
 from mtgames import cli
 from mtgames import io as mio
 from mtgames.core import InputError
+from mtgames.equilibria import check_cne
 from mtgames.generate import random_mtg, random_profile
 from mtgames.io import data_path
 from mtgames.reductions import PartialInfoGame, build_cne_game, build_gne_game
@@ -169,6 +170,32 @@ class TestReductionFiles:
         with pytest.raises(InputError, match=message):
             mio.h_from_dict(doc, where="h.json")
 
+    def test_repeated_state_id_rejected(self, router):
+        doc = self._router_h_doc(router)
+        doc["states"].append({**doc["states"][1], "rank": doc["states"][1]["rank"] + 1})
+        i, sid = len(doc["states"]) - 1, doc["states"][1]["id"]
+        with pytest.raises(InputError, match=rf"^h\.json\.states\[{i}\]: repeats state id '{sid}'"):
+            mio.h_from_dict(doc, where="h.json")
+
+    def test_one_state_under_two_ids_rejected(self, router):
+        doc = self._router_h_doc(router)
+        doc["states"].append({**doc["states"][1], "id": "alias"})
+        i = len(doc["states"]) - 1
+        with pytest.raises(InputError,
+                           match=rf"^h\.json\.states\[{i}\]: same state as h\.json\.states\[1\]"):
+            mio.h_from_dict(doc, where="h.json")
+
+    @pytest.mark.parametrize("source", ["start", "interior"])
+    def test_repeated_transition_rejected(self, router, source):
+        doc = self._router_h_doc(router)
+        first = next(e for e in doc["transitions"] if (e["from"] == "start") == (source == "start"))
+        other = next(s["id"] for s in doc["states"] if s["id"] not in (first["to"], "start"))
+        doc["transitions"].append({**first, "to": other})
+        i = len(doc["transitions"]) - 1
+        with pytest.raises(InputError, match=rf"^h\.json\.transitions\[{i}\]: repeats the source "
+                                             "and action of an earlier transition"):
+            mio.h_from_dict(doc, where="h.json")
+
     @pytest.mark.parametrize("key", ["to", "from"])
     def test_unknown_state_id_rejected(self, router, key):
         doc = self._router_h_doc(router)
@@ -260,15 +287,10 @@ class TestCli:
         text = (out_dir / names[0]).read_text()
         assert " SPOILER prio=" in text and ":: C(K(ready, {A,B}, mem=['m0']), a=" in text
 
-    @pytest.mark.parametrize("args", [["gne", "fig3.game"], ["cne", "xor.game"]],
-                             ids=["gne-fig3", "cne-xor"])
-    def test_find_stdout_independent_of_jobs(self, capsys, args):
-        kind, game = args
-        outs = []
-        for jobs in ("1", "2"):
-            cli.main(["find", kind, str(data_path(game)), "--memory", "2", "--jobs", jobs])
-            outs.append(capsys.readouterr().out)
-        assert outs[0] and outs[0] == outs[1]
+    def test_find_cne_on_xor(self, capsys, xor):
+        code, doc = run_cli(["find", "cne", str(data_path("xor.game")), "--memory", "2"], capsys)
+        assert code == 0 and doc["status"] == "found" and doc["report"]["verdict"] is True
+        assert check_cne(xor, mio.profile_from_dict(doc["profile"], xor)).verdict
 
     def test_find_gne_exhausts_on_fig3(self, capsys):
         code, doc = run_cli(["find", "gne", str(data_path("fig3.game")),
@@ -569,19 +591,37 @@ class TestMalformedInput:
         assert line == f"error: {path}: duplicate key 'to' in one object"
 
     @pytest.mark.parametrize("args, message", [
-        (["find", "gne", "fig3.game", "--memory", "1", "--jobs", "0"],
-         "jobs must be >= 1, got 0"),
-        (["find", "gne", "fig3.game", "--memory", "1", "--jobs", "-3"],
-         "jobs must be >= 1, got -3"),
         (["oracle", "gamma", "router.game", "--kind", "gne", "--targets", "router-all.tt",
           "--samples", "-1"], "samples must be >= 1, got -1"),
         (["oracle", "gamma", "router.game", "--kind", "gne", "--targets", "router-all.tt",
           "--memory", "0"], "memory bound must be >= 1, got 0"),
         (["oracle", "omega", "router.game", "--kind", "gne", "--targets", "router-all.tt",
           "--cycle-bound", "-1"], "cycle bound must be >= 1, got -1"),
-    ], ids=["jobs-zero", "jobs-negative", "gamma-samples", "gamma-memory", "omega-cycle-bound"])
+    ], ids=["gamma-samples", "gamma-memory", "omega-cycle-bound"])
     def test_non_positive_counts(self, capsys, args, message):
         args = [str(data_path(a)) if a.endswith((".game", ".tt")) else a for a in args]
+        assert assert_one_error_line(args, capsys) == f"error: {message}"
+
+    def test_jobs_is_not_an_option(self):
+        out, err, code = parse_outcome(cli.main, ["find", "gne", str(data_path("xor.game")),
+                                                  "--memory", "1", "--jobs", "2"])
+        assert (out, code) == ("", 2)
+        assert err.startswith("usage: mtgames ")
+        assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["check", "gne", "router.game", "turn-taking.profile", "--topology", "Nope"],
+         "--topology applies only to check ne"),
+        (["check", "cne", "router.game", "turn-taking.profile", "--topology", "A"],
+         "--topology applies only to check ne"),
+        (["find", "gne", "router.game", "--memory", "1", "--targets", "/nonexistent"],
+         "--targets applies only to find target"),
+        (["find", "cne", "router.game", "--memory", "1", "--targets", "router-all.tt"],
+         "--targets applies only to find target"),
+    ], ids=["check-gne-topology", "check-cne-topology", "find-gne-targets", "find-cne-targets"])
+    def test_option_of_another_command(self, capsys, args, message):
+        args = [str(data_path(a)) if a.endswith((".game", ".tt", ".profile")) else a
+                for a in args]
         assert assert_one_error_line(args, capsys) == f"error: {message}"
 
 

@@ -9,7 +9,6 @@ from mtgames import _kernels
 from mtgames.core import Mtg, compile_tables
 from mtgames.equilibria import can_deviator_win_set
 from mtgames.generate import random_mtg, random_profile, random_strategy
-from mtgames.search import find_profile_with_wintop
 from mtgames.strategy import (MooreStrategy, Profile, StrategyBlock, constant_strategy,
                               wintop)
 
@@ -199,14 +198,6 @@ class TestProductWalk:
             strategies.append([random_strategy(rng, game, memory) for _ in range(4)])
         tables = [_stacked_tables(game, strats) for strats in strategies]
         _check_rows(game, tables, strategies, range(4))
-
-    def test_router_target_search_independent_of_jobs(self, router):
-        targets = {"blue": frozenset({"A", "B"}), "red": frozenset({"A", "B"})}
-        one = find_profile_with_wintop(router, targets, 2, jobs=1)
-        two = find_profile_with_wintop(router, targets, 2, jobs=2)
-        assert one.status == two.status == "found"
-        assert one.examined == two.examined
-        assert one.profile == two.profile
 
 
 def _check_sweep(game, var_player, co, m, lo, hi):

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,24 @@ class TestFindGne:
             find_gne(fig3, 1, jobs=0)
         with pytest.raises(InputError, match="budget must be >= 1, got 0"):
             find_gne(fig3, 1, budget=0)
+
+    def test_jobs_must_be_one(self, fig3, router):
+        targets = io.load_targets(io.data_path("router-all.tt"), router)
+        for search_with_jobs in (lambda: find_gne(fig3, 1, jobs=2),
+                                 lambda: find_cne(fig3, 1, jobs=2),
+                                 lambda: find_profile_with_wintop(router, targets, 1, jobs=2)):
+            with pytest.raises(InputError, match="^jobs must be 1, got 2"):
+                search_with_jobs()
+
+    def test_searches_load_no_thread_pool(self):
+        src = str(Path(search.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        script = "import sys, mtgames.search; print('concurrent.futures' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
 
 
 class TestFindCne:
@@ -108,17 +129,15 @@ class TestSearchMechanics:
         early = find_gne(router, 1, budget=full.examined - 1)
         assert early.status == "budget-exhausted"
 
-    def test_result_independent_of_worker_count(self, router, fig3):
-        base = find_gne(router, 2, jobs=1)
-        multi = find_gne(router, 2, jobs=4)
-        assert base.status == multi.status == "found"
-        assert base.profile == multi.profile
-        assert base.examined == multi.examined
-        assert find_gne(fig3, 2, jobs=1).examined == find_gne(fig3, 2, jobs=4).examined
-        budgeted = [find_gne(fig3, 3, budget=500, jobs=jobs) for jobs in (1, 2)]
-        assert len({(r.status, r.examined, r.profile) for r in budgeted}) == 1
+    def test_pinned_statuses_and_counts(self, router, fig3):
+        found = find_gne(router, 2)
+        assert (found.status, found.examined) == ("found", 37)
+        assert check_gne(router, found.profile).verdict
+        assert find_gne(fig3, 2).examined == 4104
+        spent = find_gne(fig3, 3, budget=500)
+        assert (spent.status, spent.examined, spent.profile) == ("budget-exhausted", 500, None)
 
-    def test_early_stop_starts_few_tasks(self, router, monkeypatch):
+    def test_early_stop_simulates_one_chunk(self, router, monkeypatch):
         started = []
         masks = search._wintop_masks
 
@@ -126,9 +145,9 @@ class TestSearchMechanics:
             started.append(1)
             return masks(*args)
         monkeypatch.setattr(search, "_wintop_masks", spy)
-        result = find_gne(router, 2, jobs=2)
+        result = find_gne(router, 2)
         assert result.status == "found" and result.examined <= 64  # the (1, 1) chunk
-        assert len(started) <= 2 * 2
+        assert len(started) == 1
 
     def test_budget_bounds_the_rows_simulated(self, xor, monkeypatch):
         simulated = []
@@ -138,11 +157,9 @@ class TestSearchMechanics:
             simulated.append(len(rows[0]))
             return simulate(*args, rows=rows)
         monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
-        for jobs in (1, 2):  # the same result either way
-            simulated.clear()
-            result = find_gne(xor, 2, budget=150000, jobs=jobs)
-            assert result.status == "budget-exhausted" and result.examined == 150000
-            assert len(simulated) > 1 and sum(simulated) <= 150000
+        result = find_gne(xor, 2, budget=150000)
+        assert result.status == "budget-exhausted" and result.examined == 150000
+        assert len(simulated) > 1 and sum(simulated) <= 150000
 
     def test_budget_bounds_the_rows_swept(self, monkeypatch):
         simulated = []
@@ -155,8 +172,9 @@ class TestSearchMechanics:
         # the stable set {t1, t2, t3} can be won, but not within memory 2
         result = find_gne(_rotation_game(3), 2, budget=5000)
         assert result.status == "budget-exhausted" and result.examined == 5000
-        # memory 1 in full, then at most the first 5,000 kept rows of memory 2
-        assert 81 < sum(simulated) <= 81 + 5000
+        # memory 1's 81 kept rows in full, then the first 4,919 kept rows of
+        # memory 2: no row past the budget
+        assert simulated[0] == 81 and sum(simulated) == 5000
 
     def test_unwinnable_allowed_sets_simulate_nothing(self, fig3, monkeypatch):
         called = []
@@ -170,24 +188,10 @@ class TestSearchMechanics:
         for budget, want in ((None, ("exhausted-space", total)), (500, ("budget-exhausted", 500)),
                              (total, ("budget-exhausted", total)),
                              (total + 1, ("exhausted-space", total))):
-            for jobs in (1, 2):
-                for result in (find_gne(fig3, 3, budget=budget, jobs=jobs),
-                               find_profile_with_wintop(fig3, both, 3, budget=budget, jobs=jobs)):
-                    assert (result.status, result.examined, result.profile) == (*want, None)
+            for result in (find_gne(fig3, 3, budget=budget),
+                           find_profile_with_wintop(fig3, both, 3, budget=budget)):
+                assert (result.status, result.examined, result.profile) == (*want, None)
         assert not called
-
-    def test_ordered_map_keeps_order_and_bounds_work_in_flight(self):
-        pulled = []
-
-        def tasks():
-            for i in range(100):
-                pulled.append(i)
-                yield i
-        stream = search._ordered_map(lambda i: i * i, tasks(), 3)
-        assert [next(stream) for _ in range(5)] == [i * i for i in range(5)]
-        stream.close()
-        assert len(pulled) <= 5 + 2 * 3
-        assert list(search._ordered_map(lambda i: -i, range(7), 2)) == [-i for i in range(7)]
 
     def test_monotone_in_memory_bound(self, router):
         first = find_gne(router, 1)
@@ -347,12 +351,11 @@ class TestScreenedSearchEqualsReference:
     """The closed-walk screen changes no status, count or profile, across many tiles."""
 
     @staticmethod
-    def _run(game, kind, bound, budget=None, targets=None, jobs=1):
+    def _run(game, kind, bound, budget=None, targets=None):
         if kind == "target":
-            result = find_profile_with_wintop(game, targets, bound, budget=budget, jobs=jobs)
+            result = find_profile_with_wintop(game, targets, bound, budget=budget)
         else:
-            result = (find_gne if kind == "gne" else find_cne)(game, bound, budget=budget,
-                                                               jobs=jobs)
+            result = (find_gne if kind == "gne" else find_cne)(game, bound, budget=budget)
         return result.status, result.examined, result.profile
 
     @pytest.mark.parametrize("n_players, n_states, bound",
@@ -428,7 +431,6 @@ class TestScreenedSearchEqualsReference:
                     before = len(calls)
                     assert self._run(game, kind, bound, budget, targets) == want
                     swept.add(len(calls) > before)
-                    assert self._run(game, kind, bound, budget, targets, jobs=2) == want
                     statuses.add(want[0])
                     if budget == count:
                         assert want[0] in ("found", "budget-exhausted")
@@ -496,14 +498,11 @@ class TestScreenOncePerSearch:
     def test_router_screens_each_strategy_once(self, router, monkeypatch):
         screened = _screen_spy(monkeypatch)
         targets = io.load_targets(io.data_path("router-all.tt"), router)
-        results = []
-        for jobs in (1, 2):
-            screened.clear()
-            result = find_profile_with_wintop(router, targets, 2, jobs=jobs)
-            results.append((result.status, result.examined, result.profile))
-            # both players' 8 memoryless and 4,096 memory-2 strategies, once each
-            assert len(screened) == len(set(screened)) == 2 * (8 + 4096)
-        assert results[0] == results[1] and results[0][:2] == ("found", 3544647)
+        result = find_profile_with_wintop(router, targets, 2)
+        # both players' 8 memoryless and 4,096 memory-2 strategies, once each
+        assert len(screened) == len(set(screened)) == 2 * (8 + 4096)
+        assert (result.status, result.examined) == ("found", 3544647)
+        assert wintop_map(router, result.profile) == targets
 
     @pytest.mark.parametrize("window", [None, 1000])
     def test_budgeted_search_screens_one_window_past_what_it_reaches(self, xor, window,
@@ -512,20 +511,16 @@ class TestScreenOncePerSearch:
             monkeypatch.setattr(search, "_WINDOW", window)  # two chunks of 362 a window
         screened = _screen_spy(monkeypatch)
         reached = _reached(xor, 100)
-        results = []
-        for jobs in (1, 2):
-            screened.clear()
-            result = find_gne(xor, 2, budget=100, jobs=jobs)
-            results.append((result.status, result.examined, result.profile))
-            assert len(screened) == len(set(screened))
-            by_block = {}
-            for q, m, strategy in screened:
-                by_block.setdefault((q, m), set()).add(strategy)
-            assert by_block.keys() == reached.keys()
-            for key, strategies in by_block.items():
-                assert reached[key] <= strategies
-                assert len(strategies) <= len(reached[key]) + search._WINDOW
-        assert results[0] == results[1] == ("budget-exhausted", 100, None)
+        result = find_gne(xor, 2, budget=100)
+        assert len(screened) == len(set(screened))
+        by_block = {}
+        for q, m, strategy in screened:
+            by_block.setdefault((q, m), set()).add(strategy)
+        assert by_block.keys() == reached.keys()
+        for key, strategies in by_block.items():
+            assert reached[key] <= strategies
+            assert len(strategies) <= len(reached[key]) + search._WINDOW
+        assert (result.status, result.examined, result.profile) == ("budget-exhausted", 100, None)
 
     def test_searches_leave_no_reference_cycle(self, router, xor):
         game3 = random_mtg(random.Random(3), n_players=3, n_states=2, n_actions=2,

@@ -140,7 +140,8 @@ NUMPY_FREE = [
     ["validate", "{router}"],
     ["outcome", "{router}", "{profile}", "--topology", "A"],
     ["wintop", "{router}", "{profile}"],
-    *(["check", kind, "{router}", "{profile}", "--topology", "A"] for kind in ("ne", "gne", "cne")),
+    ["check", "ne", "{router}", "{profile}", "--topology", "A"],
+    *(["check", kind, "{router}", "{profile}"] for kind in ("gne", "cne")),
     *(["reduce", kind, "{router}", "--targets", "{tt}", "--out", "{out}/h.json"]
       for kind in ("cne", "gne")),
     ["symmetrize", "{base}", "--out", "{out}/sym.game"],
