@@ -3,7 +3,7 @@
 Machine-readable JSON goes to stdout (the contract: identical invocations
 produce byte-identical documents); a short human summary goes to stderr.
 Exit codes: 0 analysis completed (the verdict is in the output), 1 input
-error, 2 search budget exhausted.
+error (a usage error too), 2 search budget exhausted.
 
 A call builds only its command's parser (all when the first argument names
 none): building every subparser cost more than most short commands do. For
@@ -50,9 +50,17 @@ def _emit_check_arenas(report, game, profile, out_dir: str) -> None:
         mio.write_text(directory / name, arena.dump() + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors exit 1: exit 2 means a spent search budget."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser, with only ``command``'s subparser when it names a command."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # its subparsers are of its class
         prog="mtgames",
         description="Analysis workbench for multi-topology concurrent parity games")
     only = command if command in COMMANDS else None

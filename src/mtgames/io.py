@@ -6,8 +6,9 @@ priority map topology -> player -> state -> integer. Profiles list, per
 player, the memory states, the initial memory and the update/act tables as
 explicit row lists. Target files map each player to a list of topologies.
 
-Loaders refuse a repeated object key, table row, challenge-game state or
-transition rather than keep the last.
+Loaders refuse a repeated object key or table row rather than keep the last.
+A challenge-game document is rebuilt from its kind, game and targets, and must
+be exactly the rebuild's document.
 Every document written, to stdout or to a file, goes through ``dumps_canonical``:
 canonical JSON (sorted keys, fixed indentation), so identical inputs produce
 byte-identical output that re-parses through the loaders in this module.
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .core import InputError, Lasso, Mtg, validate
 from .equilibria import DeviationWitness, EquilibriumReport
-from .reductions import (COALITION, DEVIATOR, RESOLVER, START, HState, PartialInfoGame,
-                         _h_state_id)
+from .reductions import START, PartialInfoGame, build_cne_game, build_gne_game
 from .strategy import MooreStrategy, Profile
 
 
@@ -127,13 +128,6 @@ def _members(value, names, what: str, where: str) -> frozenset[str]:
     if not isinstance(value, list):
         raise InputError(f"{where}: expected a list of {what} names, got {type(value).__name__}")
     return frozenset(_member(v, names, what, where) for v in value)
-
-
-def _typed(value, kind: type, what: str, where: str):
-    """``value`` if it is a ``kind``; a bool does not pass as an int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InputError(f"{where}: {what} must be {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,8 @@ def report_to_dict(report: EquilibriumReport, game: Mtg) -> dict:
 
 def report_from_dict(doc: dict, game: Mtg, where: str = "report") -> EquilibriumReport:
     kind = _member(_require(doc, "kind", where), ("ne", "gne", "cne"), "report kind", where)
-    verdict = _typed(_require(doc, "verdict", where), bool, "verdict", where)
+    if not isinstance(verdict := _require(doc, "verdict", where), bool):
+        raise InputError(f"{where}: verdict must be bool, got {type(verdict).__name__}")
     wintop = targets_from_dict(_require(doc, "wintop", where), game, f"{where}.wintop")
     topology = None
     if kind == "ne":
@@ -350,7 +345,7 @@ def report_from_dict(doc: dict, game: Mtg, where: str = "report") -> Equilibrium
 
 def h_to_dict(h: PartialInfoGame) -> dict:
     game = h.game
-    ids = {q: _h_state_id(q, game) for q in h.states}
+    ids = h.ids
     states = []
     for q in h.states:
         if q == START:
@@ -390,77 +385,37 @@ def h_to_dict(h: PartialInfoGame) -> dict:
 
 
 def h_from_dict(doc: dict, where: str = "reduction") -> PartialInfoGame:
-    game = game_from_dict(_require(doc, "game", where), where=f"{where}.game")
+    """The challenge game of ``doc``, which must be exactly what ``h_to_dict`` writes.
+
+    Only the kind, the game and the targets are read. The instance is rebuilt
+    from them, and ``doc`` must equal the rebuild's document, JSON types included.
+    """
     kind = _member(_require(doc, "kind", where), ("gne", "cne"), "reduction kind", where)
-    players = _require_names(doc, "players", where)
-    expected = (COALITION, DEVIATOR, RESOLVER) if kind == "cne" else (COALITION, DEVIATOR)
-    if players != expected:
-        raise InputError(f"{where}: unexpected player roles {players}")
-    tops = game.topologies
-    by_id: dict[str, object] = {}
-    rank = {}
-    states = []
-    for i, entry in enumerate(_require_list(doc, "states", where)):
-        at = f"{where}.states[{i}]"
-        sid = _require_name(entry, "id", at)
-        if sid == START:
-            q = START
-        else:
-            T = _members(_require(entry, "T", at), tops, "topology", at) if kind == "cne" else None
-            q = HState(s=_member(_require(entry, "s", at), game.states, "state", at),
-                       p=_member(_require(entry, "p", at), game.players, "player", at), T=T,
-                       t=_member(_require(entry, "t", at), tops, "topology", at),
-                       b=_typed(_require(entry, "b", at), bool, "b", at))
-        if sid in by_id:
-            raise InputError(f"{at}: repeats state id {sid!r}")
-        if q in rank:
-            raise InputError(f"{at}: same state as {where}.states[{states.index(q)}]")
-        by_id[sid] = q
-        rank[q] = _typed(_require(entry, "rank", at), int, "rank", at)
-        states.append(q)
-    if START not in by_id:
-        raise InputError(f"{where}: no state has id {START!r}")
+    game = game_from_dict(_require(doc, "game", where), where=f"{where}.game")
+    targets = targets_from_dict(_require(doc, "targets", where), game, f"{where}.targets")
+    h = build_cne_game(game, targets) if kind == "cne" else build_gne_game(game, targets)
+    if (path := _first_difference(doc, h_to_dict(h), where)) is not None:
+        raise InputError(f"{path}: differs from the {kind} challenge game of its game and targets")
+    return h
 
-    def state(sid, at: str):
-        if _name(sid, "state id", at) not in by_id:
-            raise InputError(f"{at}: unknown state id {sid!r}")
-        return by_id[sid]
 
-    transitions = {}
-    for i, entry in enumerate(_require_list(doc, "transitions", where)):
-        at = f"{where}.transitions[{i}]"
-        q2 = state(_require(entry, "to", at), at)
-        source = _require(entry, "from", at)
-        dev = _require(entry, "deviator", at)
-        if source == START:
-            p = _member(_require(dev, "player", at), game.players, "player", at)
-            if kind == "cne":
-                action = (p, _members(_require(dev, "challenge", at), tops, "topology", at),
-                          _member(_require(entry, "resolver", at), tops, "topology", at))
-            else:
-                action = (p, _member(_require(dev, "topology", at), tops, "topology", at))
-            key = (START, action)
-        else:
-            prof = _require_list(entry, "coalition", at)
-            if len(prof) != len(game.players):
-                raise InputError(f"{at}: coalition must give one action per player")
-            prof = tuple(_member(a, game.actions, "action", at) for a in prof)
-            key = (state(source, at), (prof, _member(dev, game.actions, "action", at)))
-        if key in transitions:
-            raise InputError(f"{at}: repeats the source and action of an earlier transition")
-        transitions[key] = q2
-    obs, at = _require(doc, "observations", where), f"{where}.observations"
-    if not isinstance(obs, dict) or set(obs) != set(players):
-        raise InputError(f"{at}: expected an object keyed by exactly the roles {list(players)}")
-    observations = {}
-    for p in players:
-        if not isinstance(obs[p], list) or not all(isinstance(c, list) for c in obs[p]):
-            raise InputError(f"{at}: classes of {p} must be lists of state ids")
-        observations[p] = [frozenset(state(i, at) for i in cls) for cls in obs[p]]
-    targets = targets_from_dict(_require(doc, "targets", where), game, where)
-    return PartialInfoGame(kind=kind, players=players, states=states, initial=START,
-                           transitions=transitions, rank=rank,
-                           observations=observations, game=game, targets=targets)
+def _first_difference(got, want, path: str) -> str | None:
+    """The path of the first node of ``got`` unlike ``want``'s, a ``true`` unlike a ``1``."""
+    if type(got) is not type(want):
+        return path
+    if isinstance(want, dict):
+        pairs = ((f"{path}.{k}", got.get(k, _ABSENT), want.get(k, _ABSENT))
+                 for k in sorted(got.keys() | want.keys()))
+    elif isinstance(want, list):
+        pairs = ((f"{path}[{i}]", g, w)
+                 for i, (g, w) in enumerate(zip_longest(got, want, fillvalue=_ABSENT)))
+    else:
+        return None if got == want else path
+    found = (_first_difference(g, w, at) for at, g, w in pairs)
+    return next((at for at in found if at is not None), None)
+
+
+_ABSENT = object()  # stands in for a missing key or list item: unlike every JSON value
 
 
 def load_h(path) -> PartialInfoGame:

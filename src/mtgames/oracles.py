@@ -27,7 +27,7 @@ from . import _kernels
 from .core import InputError, Mtg, compile_tables
 from .equilibria import can_deviator_win_set
 from .generate import random_profile, random_strategy
-from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame, _h_state_id,
+from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame,
                          gamma_roundtrip, rank_parity, semantic_objective)
 from .strategy import Profile, StrategyBlock, wintop
 
@@ -95,7 +95,7 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
             slices.setdefault((q.p, q.T, q.t, q.b), []).append(q)
 
     # slices and cycle sets go by state name, the same in every process
-    name = {q: _h_state_id(q, h.game) for q in parent}.__getitem__
+    name = h.ids.__getitem__
     checked = 0
     disagreements = []
     for nodes in sorted(slices.values(), key=lambda nodes: name(nodes[0])):

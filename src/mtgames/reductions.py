@@ -65,6 +65,7 @@ class PartialInfoGame:
     observations: dict[str, list[frozenset]]
     game: Mtg
     targets: dict[str, frozenset[str]]
+    ids: dict[object, str]  # each state's name, the same in every process
     _succ: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def successor_sets(self) -> dict:
@@ -78,16 +79,19 @@ class PartialInfoGame:
     def start_choices(self) -> list[tuple]:
         """The start state's commitments, ordered by the names of the states they lead to."""
         return sorted((key[1] for key in self.transitions if key[0] == START),
-                      key=lambda c: _h_state_id(self.transitions[(START, c)], self.game))
+                      key=lambda c: self.ids[self.transitions[(START, c)]])
 
 
-def _h_state_id(q, game: Mtg) -> str:
-    """A state's name, the same in every process: ``str(q)`` lists ``T`` in hash order."""
-    if q == START:
-        return START
+def _h_state_id(q: HState, game: Mtg) -> str:
+    """An interior state's name, alike in every process: ``str(q)`` lists ``T`` in hash order."""
     T = "" if q.T is None else "+".join(t for t in game.topologies if t in q.T)
     bits = [q.s, q.p] + ([T] if q.T is not None else []) + [q.t, str(int(q.b))]
     return "|".join(bits)
+
+
+def _h_state_text(q: HState, game: Mtg) -> str:
+    T = "" if q.T is None else f", T={[t for t in game.topologies if t in q.T]}"
+    return f"(s={q.s!r}, p={q.p!r}{T}, t={q.t!r}, b={q.b})"
 
 
 def target_tuple(game: Mtg, targets: dict[str, set[str] | frozenset[str]]
@@ -159,11 +163,16 @@ def _build(game: Mtg, targets: dict[str, frozenset[str]], kind: str) -> PartialI
     di = {p: i for i, p in enumerate(game.players)}
     transitions: dict = {}
     states: list = [START]
-    index = {START: 0}
+    ids = {START: START}
+    named = {START: START}
 
     def intern(q: HState) -> HState:
-        if q not in index:
-            index[q] = len(states)
+        if q not in ids:
+            ids[q] = sid = _h_state_id(q, game)
+            if (other := named.setdefault(sid, q)) is not q:  # a name holding '|' or '+'
+                raise InputError(f"states {_h_state_text(other, game)} and "
+                                 f"{_h_state_text(q, game)} of the {kind} challenge game "
+                                 f"share the id {sid!r}")
             states.append(q)
         return q
 
@@ -225,7 +234,7 @@ def _build(game: Mtg, targets: dict[str, frozenset[str]], kind: str) -> PartialI
 
     return PartialInfoGame(kind=kind, players=players, states=states, initial=START,
                            transitions=transitions, rank=rank, observations=observations,
-                           game=game, targets=targets)
+                           game=game, targets=targets, ids=ids)
 
 
 def build_cne_game(game: Mtg, targets: dict[str, frozenset[str]]) -> PartialInfoGame:

@@ -139,6 +139,22 @@ class TestBuildGne:
             assert len(h.states) - 1 <= 2 * 3 * 1 * 2
 
 
+class TestStateIds:
+    @pytest.mark.parametrize("kind, first, second, sid", [
+        ("gne", "(s='a', p='b|c', t='t', b=True)", "(s='a|b', p='c', t='t', b=True)",
+         "a|b|c|t|1"),
+        ("cne", "(s='s', p='p', T=['x', 'y'], t='x', b=True)",
+         "(s='s', p='p', T=['x+y'], t='x', b=True)", "s|p|x+y|x|1"),
+    ], ids=["gne", "cne"])
+    def test_two_states_under_one_id_rejected(self, colliding, kind, first, second, sid):
+        game, targets = colliding[kind]
+        build = build_cne_game if kind == "cne" else build_gne_game
+        with pytest.raises(InputError) as exc:
+            build(game, targets)
+        assert str(exc.value) == (f"states {first} and {second} of the {kind} challenge game "
+                                  f"share the id {sid!r}")
+
+
 class TestSemanticObjective:
     def test_resolver_outside_challenge_fails(self, router_cne):
         q = router_cne.transitions[(START, ("blue", frozenset({"A"}), "B"))]
