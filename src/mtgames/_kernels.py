@@ -28,14 +28,17 @@ independent implementation, cross-checked in the tests.
 
 The multi-player searches also ask questions that fix only some players'
 strategies: can the free players make the play end with these parities?
-``closed_walk_exists`` answers them for a batch of residual graphs at once,
-and ``equilibria.can_deviator_win_set`` is its exact cross-check.
+``closed_walk_exists`` answers a stack of them for a batch of residual
+graphs at once, on packed bit rows closed by Warshall's algorithm, and
+``equilibria.can_deviator_win_set`` is its exact cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -183,7 +186,7 @@ def _fold_cycles(nxt: np.ndarray, pos: np.ndarray, table: np.ndarray,
 def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
                        tables: list[tuple[np.ndarray, np.ndarray] | None], rows: list,
                        s0: int, n_actions: int, wants: np.ndarray) -> np.ndarray:
-    """Decide a batch of residual graphs; return flags (batch, top).
+    """Decide a batch of residual graphs; return flags (batch, top), or (batch, K, top).
 
     Players with an ``(update, act)`` pair in ``tables``, each of shape
     ``(D_p, M_p, S)``, are fixed: ``rows[p]`` is an index vector saying which
@@ -193,16 +196,19 @@ def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
     for the parity wanted of player ``q``'s minimum priority in topology
     ``t``, or -1 for no constraint. Entry ``[b, t]`` is True iff graph ``b``
     has a closed walk, reachable from the start, whose minimum priority has
-    the wanted parity for every constrained player of ``t``.
+    the wanted parity for every constrained player of ``t``. A stack of K
+    such patterns, ``(K, T, n)``, answers each in ``[b, k, t]``.
 
     This is the SCC emptiness test of Emerson and Lei ("Modalities for model
-    checking", 1987). Each vector of candidate minima ``e`` (one value of the
-    wanted parity per constrained player) restricts the graph to the nodes
-    where every priority is at least its ``e``; the restricted closure,
-    computed by repeated squaring, gives mutual reachability, and ``e`` is
-    met iff some reachable node shares a cycle with a node of priority
-    exactly ``e_q`` for every ``q``. Graphs go in sub-batches of at most
-    ``64 * SUB_BATCH`` adjacency entries.
+    checking", 1987). A graph's successor sets, the OR of the free players'
+    choices, are packed bit rows of ``ceil(N / 8)`` bytes (node ``v`` is bit
+    ``v % 8`` of byte ``v // 8``), closed by Warshall's algorithm: N steps of
+    ``R |= bit_k(R) & R[k]``. A vector of candidate minima ``e``, one of the
+    wanted parity per constrained player, keeps the nodes whose priorities
+    are at least its ``e``; it is met iff a reachable node shares a kept
+    cycle with a node of priority ``e_q`` for each ``q`` (with one such
+    player: a reachable hit on a cycle). Patterns share adjacency and closures.
+    Graphs go in sub-batches of at most ``64 * SUB_BATCH`` node pairs.
     """
     n_top, n_pla, n_states = prio.shape
     fixed = [p for p, pair in enumerate(tables) if pair is not None]
@@ -215,64 +221,70 @@ def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
     n_nodes = n_states * math.prod(mem_sizes)
 
     # node (mem_0 * M_1 + mem_1) * ... * S + s; each fixed player's share of
-    # the successor's memory and of the joint action comes from one of its
-    # (memory, state) cells
+    # the successor's memory and of the (state, joint action) key into
+    # delta[t] comes from one of its (memory, state) cells
     state = np.arange(n_nodes) % n_states
     digits = np.indices(mem_sizes).reshape(len(fixed), -1)[:, np.arange(n_nodes) // n_states]
-    next_node = np.zeros((batch, n_nodes), dtype=np.int64)
-    joint = np.zeros((batch, n_nodes), dtype=np.int64)
+    next_node, key = 0, state * delta.shape[2]
     for f, p in enumerate(fixed):
         upd, act = (t.reshape(len(t), -1)[:, digits[f] * n_states + state] for t in tables[p])
-        next_node += upd[rows[p]] * (n_states * math.prod(mem_sizes[f + 1:]))
-        joint += act[rows[p]] * n_actions ** (n_pla - 1 - p)
-    offsets = np.zeros(1, dtype=np.int64)  # the free players' shares, one per joint choice
+        next_node = next_node + np.take(upd * (n_states * math.prod(mem_sizes[f + 1:])),
+                                        rows[p], axis=0)
+        key = key + np.take(act * n_actions ** (n_pla - 1 - p), rows[p], axis=0)
+    shares = [0]  # the free players' shares of the joint action, one per joint choice
     for p in free:
-        offsets = (offsets[:, None] + np.arange(n_actions) * n_actions ** (n_pla - 1 - p)).ravel()
-    joint = joint[:, :, None] + offsets
+        shares = [c + a * n_actions ** (n_pla - 1 - p) for c in shares for a in range(n_actions)]
+    bit = np.packbits(np.eye(n_nodes, dtype=bool), axis=1, bitorder="little")  # node -> bit row
 
-    out = np.zeros((batch, n_top), dtype=bool)
+    stack = np.asarray(wants).reshape(-1, n_top, n_pla)
+    out = np.zeros((batch, len(stack), n_top), dtype=bool)
     sub = max(1, SUB_BATCH * 64 // (n_nodes * n_nodes))
     for t in range(n_top):
-        cand = [(q, sorted({int(v) for v in prio[t, q] if v % 2 == wants[t, q]}))
-                for q in range(n_pla) if wants[t, q] >= 0]
-        at = prio[t][:, state]  # (players, nodes)
+        at = prio[t][:, state].tolist()  # per player, per node
+        # per set of kept nodes, a bitmask, the (pattern, hit nodes per
+        # constrained player) of each candidate vector that keeps it
+        tests: dict = {}
+        for k, want in enumerate(stack[:, t].tolist()):
+            cons = [q for q, w in enumerate(want) if w >= 0]
+            out[:, k, t] = not cons  # a finite graph always has a reachable cycle
+            masks = [[(sum(1 << u for u, x in enumerate(at[q]) if x >= v),
+                       sum(1 << u for u, x in enumerate(at[q]) if x == v))
+                      for v in sorted({v for v in at[q] if v % 2 == want[q]})] for q in cons]
+            for e in itertools.product(*masks) if cons else ():
+                keep = functools.reduce(operator.and_, (ge for ge, _ in e))
+                hits = [keep & eq for _, eq in e]
+                if all(hits):
+                    tests.setdefault(keep, []).append((k, sorted(
+                        ([u for u in range(n_nodes) if h >> u & 1] for h in hits), key=len)))
         for lo in range(0, batch, sub):
             hi = min(lo + sub, batch)
-            succ = next_node[lo:hi, :, None] + delta[t][state[:, None], joint[lo:hi]]
-            adj = np.zeros((hi - lo, n_nodes, n_nodes), dtype=bool)
-            np.put_along_axis(adj, succ, True, axis=2)
-            full = _closure(adj)
-            reach = full[:, s0]  # the start itself matters only on a cycle
-            found = np.zeros(hi - lo, dtype=bool)
-            for e in itertools.product(*(vals for _, vals in cand)):
-                keep = np.ones(n_nodes, dtype=bool)
-                for (q, _), v in zip(cand, e):
-                    keep &= at[q] >= v
-                hits = [at[q][keep] == v for (q, _), v in zip(cand, e)]
-                if not all(h.any() for h in hits):
-                    continue
-                nodes = np.nonzero(keep)[0]
-                closed = full if len(nodes) == n_nodes else _closure(adj[:, nodes][:, :, nodes])
-                mutual = closed & closed.transpose(0, 2, 1)
-                good = reach[:, nodes]
-                for h in hits:
-                    good &= mutual[:, :, h].any(axis=2)
-                found |= good.any(axis=1)
-            out[lo:hi, t] = found
-    return out
+            adj = functools.reduce(np.bitwise_or, (np.take(bit, next_node[lo:hi] + np.take(
+                delta[t], key[lo:hi] + c), axis=0) for c in shares))
+            full = _warshall(adj, range(n_nodes))
+            reach = np.unpackbits(full[:, s0], axis=1, count=n_nodes, bitorder="little")
+            for keep, asks in tests.items():
+                asks = [(out[lo:hi, k, t], hits) for k, hits in asks if not out[lo:hi, k, t].all()]
+                if not asks:
+                    continue  # every graph has met these patterns already
+                nodes = [u for u in range(n_nodes) if keep >> u & 1]
+                closed = full if len(nodes) == n_nodes else _warshall(
+                    adj & np.frombuffer(keep.to_bytes(adj.shape[2], "little"), np.uint8), nodes)
+                for found, (first, *others) in asks:
+                    for u in first:  # reachable, and on a cycle with a hit of each other player
+                        good = reach[:, u]
+                        for hits in others or [[u]]:
+                            good = good & functools.reduce(np.bitwise_or, (
+                                closed[:, u, v >> 3] >> (v & 7) & closed[:, v, u >> 3] >> (u & 7)
+                                for v in hits))
+                        found |= good.view(bool)
+    return out if np.ndim(wants) == 3 else out[:, 0]
 
 
-def _closure(adj: np.ndarray) -> np.ndarray:
-    """Pairs joined by a walk of length at least one, per graph of a (B, N, N) batch."""
-    reach = adj
-    span = 1
-    while span < adj.shape[1]:
-        f = reach.astype(np.float32)
-        wider = reach | (np.matmul(f, f) > 0)
-        span *= 2
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
+def _warshall(adj: np.ndarray, nodes) -> np.ndarray:
+    """(B, N, W) bit rows: bit v of row u iff a walk of length >= 1 via ``nodes`` leads u to v."""
+    reach = adj.copy()
+    for k in nodes:  # every row that reaches k gains row k
+        reach |= (reach[..., k >> 3] >> (k & 7) & 1)[..., None] * reach[..., k, None, :]
     return reach
 
 

@@ -124,10 +124,13 @@ def _member(value, names, what: str, where: str) -> str:
 
 
 def _members(value, names, what: str, where: str) -> frozenset[str]:
-    """The list ``value`` of ``names``, as a set."""
+    """The list ``value`` of distinct ``names``, as a set."""
     if not isinstance(value, list):
         raise InputError(f"{where}: expected a list of {what} names, got {type(value).__name__}")
-    return frozenset(_member(v, names, what, where) for v in value)
+    members = frozenset(_member(v, names, what, where) for v in value)
+    if len(members) < len(value):
+        raise InputError(f"{where}: repeats the {what} {max(value, key=value.count)!r}")
+    return members
 
 
 # ---------------------------------------------------------------------------

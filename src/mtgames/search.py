@@ -24,19 +24,21 @@ sweep only counts each range's canonical strategies with
 take about 0.15 s in process on a 2-core x86-64 VM, against 1.5 s when each
 was simulated.
 
-The multi-player questions of the GNE and the target search are one-player
-residual questions that depend on the other players' strategies alone, so
-``_kernels.closed_walk_exists`` decides them once per strategy and search: a
-target row is simulated only if no player's strategy rules it out, and a
-GNE candidate survives iff every player's winning set equals the set she
-can win alone, which is exact. A screen with one fixed player (every
-target screen, and the GNE screen of two players) is kept for the whole
-search, so a block is screened once however many size vectors contain it,
-and one kernel call decides a window of consecutive chunks of one block, at
-most ``_WINDOW`` strategies. The outer player's chunks stream one window
-ahead, so a budgeted search screens at most one window past the chunks it
-reaches. Router's ``find target --memory 2`` decides its 8,208 residual
-graphs, one per player and strategy, in 6 calls. The CNE search keeps a
+The multi-player questions of the GNE and the target search are residual
+questions that depend on the other players' strategies alone, so
+``_kernels.closed_walk_exists`` decides each once per tuple of strategies
+and search. A GNE candidate survives iff every player's winning set equals
+the set the player can win alone, which is exact. A row's play is a closed
+walk of each player's residual graph with, in each topology, the parity
+pattern (who loses) its targets or, for a GNE, its alone sets force; so a
+row is simulated only if each player's table of patterns admits it. A
+2-player GNE search screens a size vector only from ``_SCREEN_ROWS`` rows,
+its measured break-even; with three players the tables cost more than the
+rows they spare. One kernel call decides a window of consecutive
+chunks of one block, at most ``_WINDOW`` strategies, and the outer
+player's chunks stream one window ahead, so a budgeted search screens at
+most one window past the chunks it reaches. Router's ``find target
+--memory 2`` decides its 8,208 residual graphs in 6 calls. The CNE search keeps a
 memoryless-deviation prefilter, a necessary condition that rests on the
 same fact: each memoryless deviation is simulated once per tuple of the
 other players' strategies, in a tile with the deviator's chunk swapped for
@@ -49,6 +51,7 @@ non-existence beyond the memory bound, and the result says so.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,6 +68,7 @@ CHUNK_CAP = 1 << 17
 _SMALL_BLOCK = 1 << 20
 _SWEEP_RANGE = 1 << 16  # block indices per one-player sweep task
 _WINDOW = 4096  # strategies per one-fixed-player closed-walk screen call
+_SCREEN_ROWS = 1 << 14  # rows of a size vector from which a 2-player GNE screen pays
 
 EXHAUSTED_NOTE = ("no profile within the memory bound; absence at this bound "
                   "is not a proof of non-existence")
@@ -93,9 +97,9 @@ class _PlayerChunk:
     simulated inside ``_kernels.sweep_block``, if at all. A multi-player
     search reads each block a window of consecutive chunks at a time, at most
     ``_WINDOW`` strategies. A chunk's tables are rows ``at`` onwards of its
-    ``window``, the window's (update, act, screens) triple: screens maps a
-    fixed player to the closed-walk screen of every strategy of the window
-    (see ``_walk_masks``). The search keeps screens by memory size and window
+    ``window``, the window's (update, act, key, screens) tuple: key is its
+    (memory size, window number) and screens holds the closed-walk screens
+    that fix it first (see ``_walk_masks``). The search keeps screens by key
     across size vectors, so each is computed once; they hold no chunk, so
     chunks are freed by reference counting alone.
     """
@@ -137,12 +141,13 @@ def _tile_side(n_players: int) -> int:
 def _block_chunks(block: StrategyBlock, side: int, screens: dict):
     """The block's chunks of ``side`` indices, read one window of chunks at a time.
 
-    A window's screens are kept in ``screens`` by memory size and window, so
-    they outlive the chunks, which an outer player reads again per size vector.
+    A window's screens are kept in ``screens`` by its key, so they outlive
+    the chunks, which an outer player reads again per size vector.
     """
     width = side * max(1, _WINDOW // side)
     for indices, upd, act in block.canonical_chunks(chunk_size=width):
-        window = (upd, act, screens.setdefault((block.m, int(indices[0]) // width), {}))
+        key = (block.m, int(indices[0]) // width)
+        window = (upd, act, key, screens.setdefault(key, {}))
         cuts = [0, *(np.flatnonzero(np.diff(indices // side)) + 1).tolist(), len(indices)]
         for lo, hi in itertools.pairwise(cuts):
             yield _PlayerChunk(indices[lo:hi], upd[lo:hi], act[lo:hi], window, lo)
@@ -189,32 +194,22 @@ def _topology_bits(flags: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _wintop_masks(idx_game, chunk: _Chunk, picks: list[np.ndarray] | None = None,
+def _wintop_masks(idx_game, chunk: _Chunk, rows: np.ndarray | None = None,
                   limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``chunk`` and their (rows, players) bitmasks over topologies.
 
     Each player's chunk tables go to the simulation kernel once, with every
-    row's positions in them. With ``picks``, one array of chunk positions per
-    player, only the rows that play picked strategies alone are simulated,
-    against the picked tables. Rows are returned in ascending order; with
-    ``limit``, none from ``limit`` on is simulated.
+    row's positions in them. ``rows``, ascending, are the rows to simulate,
+    all of them by default; with ``limit``, none from ``limit`` on is.
     """
-    if picks is None:
-        rows = np.arange(chunk.batch)
-        tables = [(pc.upd, pc.act) for pc in chunk.per_player]
-        index = chunk.positions(rows)
-    else:
-        sub = [len(k) for k in picks]
-        index = list(np.unravel_index(np.arange(math.prod(sub)), sub))
-        rows = np.ravel_multi_index([k[i] for k, i in zip(picks, index)], chunk.lens)
-        tables = [(pc.upd[k], pc.act[k]) for pc, k in zip(chunk.per_player, picks)]
+    rows = np.arange(chunk.batch) if rows is None else rows
     if limit is not None:
-        n = np.searchsorted(rows, limit)
-        rows, index = rows[:n], [i[:n] for i in index]
+        rows = rows[:np.searchsorted(rows, limit)]
     if not len(rows):
-        return rows, np.zeros((0, len(tables)), dtype=np.int64)
-    wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables,
-                                      idx_game.initial, idx_game.n_actions, rows=index)
+        return rows, np.zeros((0, len(chunk.lens)), dtype=np.int64)
+    tables = [(pc.upd, pc.act) for pc in chunk.per_player]
+    wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables, idx_game.initial,
+                                      idx_game.n_actions, rows=chunk.positions(rows))
     return rows, _topology_bits(wins)
 
 
@@ -223,37 +218,57 @@ def _walk_masks(idx_game, chunk: _Chunk, fixed: list[int], wants: np.ndarray) ->
 
     The players ``fixed`` play one strategy each from their chunks and the
     others are free; tuples are in row-major order of the fixed players'
-    chunk positions. The kernel runs once per distinct tuple. A search asks
-    one question per fixed player, so with one fixed player it decides the
-    chunk's whole window the first time and keeps the result for the rest of
-    the search.
+    chunk positions, and a stack of K patterns in ``wants`` gives (tuples, K)
+    masks. Each answer is kept for the whole search in the first fixed
+    player's window: with one fixed player, the kernel decides that window
+    the first time; with more, each tuple of chunks.
     """
     pcs = [chunk.per_player[q] for q in fixed]
-    pairs, walks = [(pc.upd, pc.act) for pc in pcs], None
-    if len(fixed) == 1 and pcs[0].window is not None:
-        upd, act, walks = pcs[0].window
-        pairs = [(upd, act)]
-    if walks is None or fixed[0] not in walks:
+    whole, screens = len(fixed) == 1, pcs[0].window[3]
+    key = (*fixed, wants.tobytes(), *(pc.window[2] for pc in pcs[1:]),
+           *(() if whole else (pc.at for pc in pcs)))
+    if key not in screens:
+        pairs = [pcs[0].window[:2]] if whole else [(pc.upd, pc.act) for pc in pcs]
         tables = [None] * len(chunk.per_player)
         rows = [None] * len(chunk.per_player)
         grids = np.indices([len(upd) for upd, _ in pairs]).reshape(len(fixed), -1)
         for q, pair, grid in zip(fixed, pairs, grids):
             tables[q], rows[q] = pair, grid
-        masks = _topology_bits(_kernels.closed_walk_exists(
+        screens[key] = _topology_bits(np.moveaxis(_kernels.closed_walk_exists(
             idx_game.delta, idx_game.prio, tables, rows, idx_game.initial,
-            idx_game.n_actions, wants))
-        if walks is None:
-            return masks
-        walks[fixed[0]] = masks
-    return walks[fixed[0]][pcs[0].at:pcs[0].at + len(pcs[0].indices)]
+            idx_game.n_actions, wants), -1, 1))
+    masks = screens[key]
+    return masks[pcs[0].at:pcs[0].at + len(pcs[0].indices)] if whole else masks
 
 
-def _alone_masks(idx_game, chunk: _Chunk, rows: np.ndarray, player: int) -> np.ndarray:
-    """Per row: bitmask of the topologies ``player`` can win alone against the row's others."""
-    co = [q for q in range(len(chunk.per_player)) if q != player]
-    wants = np.full((idx_game.prio.shape[0], len(chunk.per_player)), -1)
+def _alone_masks(idx_game, chunk: _Chunk, player: int) -> np.ndarray:
+    """Per tuple of the other players' chunk positions: the topologies ``player`` can win alone."""
+    wants = np.full(idx_game.prio.shape[:2], -1)
     wants[:, player] = 0
-    return _walk_masks(idx_game, chunk, co, wants)[chunk.co_index(rows, player)]
+    return _walk_masks(idx_game, chunk, [q for q in range(len(chunk.lens)) if q != player], wants)
+
+
+def _admitted(idx_game, chunk: _Chunk, patterns: np.ndarray, kind: str) -> np.ndarray:
+    """Whether each player's table of ``patterns`` admits a row, over the chunk's (lens) rows.
+
+    A target row needs the one pattern its targets force, a GNE row the
+    pattern its alone sets force, in every topology of its play.
+    """
+    n_top, n_players, _ = idx_game.prio.shape
+    all_mask = (1 << n_top) - 1
+    # each player's values, (..., K), shaped to broadcast over the rows
+    tables = [_walk_masks(idx_game, chunk, [p], patterns).reshape(
+        [n if q == p else 1 for q, n in enumerate(chunk.lens)] + [-1]) for p in range(n_players)]
+    if kind == "target":
+        return functools.reduce(np.logical_and, (table[..., 0] == all_mask for table in tables))
+    alone = [_alone_masks(idx_game, chunk, p).reshape(
+        [1 if q == p else n for q, n in enumerate(chunk.lens)]) for p in range(n_players)]
+    bad = 0
+    for k in range(len(patterns)):
+        need = functools.reduce(np.bitwise_and, (all_mask & ~a if k >> q & 1 else a
+                                                 for q, a in enumerate(alone)))
+        bad = bad | need & ~functools.reduce(np.bitwise_and, (table[..., k] for table in tables))
+    return bad == 0
 
 
 def _memoryless_improvable(idx_game, chunk: _Chunk, rows: np.ndarray, player: int,
@@ -364,20 +379,19 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                         rows, masks = kept[:0], np.zeros((0, 1), dtype=np.int64)
                     yield _Chunk((m,), [_PlayerChunk(lo + kept, None, None)]), rows, masks
     else:
-        if kind == "target":
-            # the parity each player's minimum must have in each topology
-            target_wants = np.array([[int(t not in targets[p]) for p in game.players]
-                                     for t in game.topologies])
+        # bit q of a screen's pattern k: player q loses; a target search asks one
+        patterns = np.array([[[int(t not in targets[p]) for p in game.players]
+                              for t in game.topologies]] if kind == "target" else
+                            [[[k >> q & 1 for q in range(n_players)]] * n_top
+                             for k in range(1 << n_players)])
 
         def evaluated():
             for chunk in _candidate_chunks(game, memory_bound):
-                picks = None
-                if kind == "target":
-                    # a strategy that fails a topology against every play of the
-                    # other players rules out each row that contains it
-                    picks = [np.nonzero(_walk_masks(idx_game, chunk, [p], target_wants)
-                                        == all_mask)[0] for p in range(n_players)]
-                yield (chunk, *_wintop_masks(idx_game, chunk, picks, left()))
+                rows = None
+                if kind == "target" or (kind == "gne" and n_players == 2 and math.prod(
+                        StrategyBlock(game, m).total for m in chunk.sizes) >= _SCREEN_ROWS):
+                    rows = np.flatnonzero(_admitted(idx_game, chunk, patterns, kind))
+                yield (chunk, *_wintop_masks(idx_game, chunk, rows, left()))
 
     def survivors_of(chunk: _Chunk, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
         if kind == "target":
@@ -388,7 +402,8 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
             if kind == "gne":
                 # a player wins alone every topology she wins now, so the
                 # candidate is a GNE iff each player wins all she can alone
-                ok &= w == (alone if n_players == 1 else _alone_masks(idx_game, chunk, rows, p))
+                ok &= w == (alone if n_players == 1 else _alone_masks(
+                    idx_game, chunk, p)[chunk.co_index(rows, p)])
             elif n_players == 1:
                 # a CNE candidate's set has no winnable one-topology extension
                 ws, inverse = np.unique(w, return_inverse=True)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from mtgames.arena import SEEKER, Arena
 from mtgames.core import Mtg
@@ -227,6 +230,110 @@ def residual_closed_walk(game: Mtg, fixed: dict[int, MooreStrategy], topology: s
                               for q, want in wants.items()):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the closed-walk kernel's reference
+
+
+def float_closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
+                       tables: list[tuple[np.ndarray, np.ndarray] | None], rows: list,
+                       s0: int, n_actions: int, wants: np.ndarray) -> np.ndarray:
+    """Decide a batch of residual graphs; return flags (batch, top): the reference kernel.
+
+    This is ``_kernels.closed_walk_exists`` as it was before it held its
+    graphs as packed bit rows: bool adjacency, closed by repeated squaring
+    in float32. It takes one ``(T, n)`` pattern of wants.
+
+    Players with an ``(update, act)`` pair in ``tables``, each of shape
+    ``(D_p, M_p, S)``, are fixed: ``rows[p]`` is an index vector saying which
+    of them graph ``b`` fixes. Players whose entry is ``None`` are free. A
+    graph of topology ``t`` has a node per (fixed players' memories, state)
+    and an edge per free players' joint action. ``wants[t, q]`` is 0 or 1
+    for the parity wanted of player ``q``'s minimum priority in topology
+    ``t``, or -1 for no constraint. Entry ``[b, t]`` is True iff graph ``b``
+    has a closed walk, reachable from the start, whose minimum priority has
+    the wanted parity for every constrained player of ``t``.
+
+    This is the SCC emptiness test of Emerson and Lei ("Modalities for model
+    checking", 1987). Each vector of candidate minima ``e`` (one value of the
+    wanted parity per constrained player) restricts the graph to the nodes
+    where every priority is at least its ``e``; the restricted closure,
+    computed by repeated squaring, gives mutual reachability, and ``e`` is
+    met iff some reachable node shares a cycle with a node of priority
+    exactly ``e_q`` for every ``q``. Graphs go in sub-batches of at most
+    2^19 adjacency entries.
+    """
+    n_top, n_pla, n_states = prio.shape
+    fixed = [p for p, pair in enumerate(tables) if pair is not None]
+    free = [p for p, pair in enumerate(tables) if pair is None]
+    if not fixed or len(tables) != n_pla or {len(rows[p]) for p in fixed} != {len(rows[fixed[0]])}:
+        raise ValueError(f"expected {n_pla} tables, at least one fixed, with row "
+                         "indices of one length")
+    batch = len(rows[fixed[0]])
+    mem_sizes = [tables[p][0].shape[1] for p in fixed]
+    n_nodes = n_states * math.prod(mem_sizes)
+
+    # node (mem_0 * M_1 + mem_1) * ... * S + s; each fixed player's share of
+    # the successor's memory and of the joint action comes from one of its
+    # (memory, state) cells
+    state = np.arange(n_nodes) % n_states
+    digits = np.indices(mem_sizes).reshape(len(fixed), -1)[:, np.arange(n_nodes) // n_states]
+    next_node = np.zeros((batch, n_nodes), dtype=np.int64)
+    joint = np.zeros((batch, n_nodes), dtype=np.int64)
+    for f, p in enumerate(fixed):
+        upd, act = (t.reshape(len(t), -1)[:, digits[f] * n_states + state] for t in tables[p])
+        next_node += upd[rows[p]] * (n_states * math.prod(mem_sizes[f + 1:]))
+        joint += act[rows[p]] * n_actions ** (n_pla - 1 - p)
+    offsets = np.zeros(1, dtype=np.int64)  # the free players' shares, one per joint choice
+    for p in free:
+        offsets = (offsets[:, None] + np.arange(n_actions) * n_actions ** (n_pla - 1 - p)).ravel()
+    joint = joint[:, :, None] + offsets
+
+    out = np.zeros((batch, n_top), dtype=bool)
+    sub = max(1, (1 << 13) * 64 // (n_nodes * n_nodes))
+    for t in range(n_top):
+        cand = [(q, sorted({int(v) for v in prio[t, q] if v % 2 == wants[t, q]}))
+                for q in range(n_pla) if wants[t, q] >= 0]
+        at = prio[t][:, state]  # (players, nodes)
+        for lo in range(0, batch, sub):
+            hi = min(lo + sub, batch)
+            succ = next_node[lo:hi, :, None] + delta[t][state[:, None], joint[lo:hi]]
+            adj = np.zeros((hi - lo, n_nodes, n_nodes), dtype=bool)
+            np.put_along_axis(adj, succ, True, axis=2)
+            full = _float_closure(adj)
+            reach = full[:, s0]  # the start itself matters only on a cycle
+            found = np.zeros(hi - lo, dtype=bool)
+            for e in itertools.product(*(vals for _, vals in cand)):
+                keep = np.ones(n_nodes, dtype=bool)
+                for (q, _), v in zip(cand, e):
+                    keep &= at[q] >= v
+                hits = [at[q][keep] == v for (q, _), v in zip(cand, e)]
+                if not all(h.any() for h in hits):
+                    continue
+                nodes = np.nonzero(keep)[0]
+                closed = full if len(nodes) == n_nodes else _float_closure(adj[:, nodes][:, :, nodes])
+                mutual = closed & closed.transpose(0, 2, 1)
+                good = reach[:, nodes]
+                for h in hits:
+                    good &= mutual[:, :, h].any(axis=2)
+                found |= good.any(axis=1)
+            out[lo:hi, t] = found
+    return out
+
+
+def _float_closure(adj: np.ndarray) -> np.ndarray:
+    """Pairs joined by a walk of length at least one, per graph of a (B, N, N) batch."""
+    reach = adj
+    span = 1
+    while span < adj.shape[1]:
+        f = reach.astype(np.float32)
+        wider = reach | (np.matmul(f, f) > 0)
+        span *= 2
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return reach
 
 
 # ---------------------------------------------------------------------------

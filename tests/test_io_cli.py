@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,14 @@ class TestReportSerialization:
         assert back.witness.player == report.witness.player
         assert back.witness.targets == report.witness.targets
         assert back.witness.strategy == report.witness.strategy
+
+    def test_witness_targets_repeat_a_topology(self, fig3):
+        from mtgames.equilibria import check_gne
+        report = check_gne(fig3, Profile((constant_strategy(fig3, "1"),)))
+        doc = mio.report_to_dict(report, fig3)
+        doc["witness"]["targets"] *= 2
+        with pytest.raises(InputError, match=r"^report\.witness: repeats the topology 't\d'$"):
+            mio.report_from_dict(doc, fig3)
 
     def test_success_report_round_trips(self, router, turn_taking):
         from mtgames.equilibria import check_ne
@@ -451,6 +460,16 @@ class TestMalformedInput:
         line = assert_one_error_line(["find", "target", str(data_path("router.game")),
                                       "--targets", str(path), "--memory", "1"], capsys)
         assert str(path) in line and "'blue'" in line
+
+    def test_target_set_repeats_a_topology(self, tmp_path, capsys, router):
+        path = tmp_path / "dup.tt"
+        path.write_text(json.dumps({"blue": ["A", "A", "B"], "red": []}))
+        message = f"{path}: target set for 'blue': repeats the topology 'A'"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            mio.load_targets(path, router)
+        line = assert_one_error_line(["find", "target", str(data_path("router.game")),
+                                      "--targets", str(path), "--memory", "1"], capsys)
+        assert line == f"error: {message}"
 
     def test_oracle_deviation_memory_zero(self, capsys):
         line = assert_one_error_line(["oracle", "deviation", str(data_path("router.game")),

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from brute import raw_step_wintop, residual_closed_walk
+from brute import float_closed_walk_exists, raw_step_wintop, residual_closed_walk
 from mtgames import _kernels
 from mtgames.core import Mtg, compile_tables
 from mtgames.equilibria import can_deviator_win_set
@@ -554,6 +554,44 @@ class TestClosedWalk:
         # joined 1 <-> 2, one cycle through both is even for both
         succ = [(1, 2), (1, 2), (1, 2)]
         assert self._decide(succ, prio, [0, 0])
+
+    # (players, states, memory of each fixed player): 7, 8, 9, 16, 17, 64 and
+    # 72 nodes, on both sides of each byte of a bit row
+    SHAPES = {7: (2, 7, (1,)), 8: (2, 4, (2,)), 9: (3, 3, (3, 1)), 16: (2, 8, (2,)),
+              17: (2, 17, (1,)), 64: (2, 16, (4,)), 72: (3, 8, (3, 3))}
+
+    @pytest.mark.parametrize("n_nodes", sorted(SHAPES))
+    def test_bit_rows_match_the_float_closure(self, n_nodes):
+        """Random batches against the reference kernel, and against brute force up to 9 nodes.
+
+        Each call decides a stack of three patterns with unconstrained
+        entries, which must equal three calls of one pattern each."""
+        n_pla, n_states, memory = self.SHAPES[n_nodes]
+        rng = random.Random(n_nodes)
+        for _ in range(6 if n_nodes <= 17 else 2):
+            game = random_mtg(rng, n_players=n_pla, n_states=n_states, n_topologies=2,
+                              max_priority=rng.randint(2, 5))
+            strategies = {p: [random_strategy(rng, game, m) for _ in range(5)]
+                          for p, m in enumerate(memory)}
+            stack = np.array([[[rng.choice((-1, 0, 1)) for _ in range(n_pla)]
+                               for _ in game.topologies] for _ in range(3)])
+            got = _closed_walks(game, strategies, stack)
+            idx = compile_tables(game)
+            tables = [_stacked(game, strategies[p]) if p in strategies else None
+                      for p in range(n_pla)]
+            rows = [np.arange(5) if p in strategies else None for p in range(n_pla)]
+            for k, wants in enumerate(stack):
+                want = float_closed_walk_exists(idx.delta, idx.prio, tables, rows, idx.initial,
+                                                idx.n_actions, wants)
+                assert np.array_equal(got[:, k], want), (k, wants)
+                assert np.array_equal(_closed_walks(game, strategies, wants), want)
+                if n_nodes > 9:
+                    continue
+                for b in range(5):
+                    for ti, t in enumerate(game.topologies):
+                        assert want[b, ti] == residual_closed_walk(
+                            game, {p: strategies[p][b] for p in strategies}, t,
+                            {q: int(w) for q, w in enumerate(wants[ti]) if w >= 0})
 
     def test_arguments_are_checked(self):
         game = random_mtg(random.Random(64), n_players=2)

@@ -149,7 +149,34 @@ class TestSearchMechanics:
         assert result.status == "found" and result.examined <= 64  # the (1, 1) chunk
         assert len(started) == 1
 
-    def test_budget_bounds_the_rows_simulated(self, xor, monkeypatch):
+    def test_budget_bounds_the_rows_simulated(self, monkeypatch):
+        # a 3-state, 4-topology game whose GNE screen admits about a tenth of
+        # the rows of each chunk it screens
+        rng = random.Random(145)
+        n_states, n_top, max_priority = rng.randint(2, 3), rng.randint(2, 4), rng.randint(2, 6)
+        game = random_mtg(rng, n_players=2, n_states=n_states, n_topologies=n_top,
+                          max_priority=max_priority)
+        simulated, admitted = [], []
+        simulate, admit = search._kernels.simulate_min_even, search._admitted
+
+        def spy(*args, rows):
+            simulated.append(len(rows[0]))
+            return simulate(*args, rows=rows)
+
+        def admit_spy(*args):
+            ok = admit(*args)
+            admitted.append(int(ok.sum()))
+            return ok
+        monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
+        monkeypatch.setattr(search, "_admitted", admit_spy)
+        result = find_gne(game, 2, budget=100000)
+        assert result.status == "budget-exhausted" and result.examined == 100000
+        # the budget ends 34,400 rows into the (2, 2) tile of 131,044 rows: of
+        # its 11,520 admitted rows only the 3,840 before the budget are simulated
+        assert admitted[-1] == 11520 and simulated[-1] == 3840
+        assert len(simulated) > 1 and sum(simulated) == 64 + sum(admitted) - 11520 + 3840
+
+    def test_xor_screen_admits_no_row(self, xor, monkeypatch):
         simulated = []
         simulate = search._kernels.simulate_min_even
 
@@ -158,8 +185,14 @@ class TestSearchMechanics:
             return simulate(*args, rows=rows)
         monkeypatch.setattr(search._kernels, "simulate_min_even", spy)
         result = find_gne(xor, 2, budget=150000)
-        assert result.status == "budget-exhausted" and result.examined == 150000
-        assert len(simulated) > 1 and sum(simulated) <= 150000
+        assert (result.status, result.examined) == ("budget-exhausted", 150000)
+        # only the 64 rows of the memoryless size vector, under the screen's
+        # break-even, are simulated; the screen admits none of the others
+        assert simulated == [64]
+        monkeypatch.setattr(search, "_SCREEN_ROWS", 0)
+        simulated.clear()
+        assert find_gne(xor, 2, budget=150000).examined == 150000
+        assert simulated == []
 
     def test_budget_bounds_the_rows_swept(self, monkeypatch):
         simulated = []
@@ -396,12 +429,31 @@ class TestScreenedSearchEqualsReference:
                 rows, masks = search._wintop_masks(idx_game, chunk)
                 screen = np.ones(len(rows), dtype=bool)
                 for p in range(n_players):
-                    screen &= masks[:, p] == search._alone_masks(idx_game, chunk, rows, p)
+                    alone = search._alone_masks(idx_game, chunk, p)[chunk.co_index(rows, p)]
+                    screen &= masks[:, p] == alone
                 for b in rows:
                     profile = search._materialize(game, chunk, int(b))
                     assert screen[b] == check_gne(game, profile).verdict
                 kept += int(screen.sum())
         assert 0 < kept
+
+    @pytest.mark.parametrize("n_players, n_states", [(2, 3), (3, 2)])
+    def test_pattern_screen_prunes_no_equilibrium(self, n_players, n_states):
+        rng = random.Random(95 + n_players)
+        patterns = np.arange(1 << n_players)[:, None, None] >> np.arange(n_players) & 1
+        pruned = 0
+        for _ in range(4):
+            game = random_mtg(rng, n_players=n_players, n_states=n_states,
+                              n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 4))
+            idx_game = search.compile_tables(game)
+            stack = np.broadcast_to(patterns, (len(patterns), *idx_game.prio.shape[:2]))
+            for chunk in search._candidate_chunks(game, 1):
+                ok = search._admitted(idx_game, chunk, stack, "gne").ravel()
+                for b in np.flatnonzero(~ok):
+                    profile = search._materialize(game, chunk, int(b))
+                    assert not check_gne(game, profile).verdict
+                pruned += int((~ok).sum())
+        assert pruned > 0
 
     @pytest.mark.parametrize("n_states, bound, max_top", [(2, 2, 3), (1, 3, 3), (2, 2, 5)],
                              ids=["2-2", "1-3", "2-2-5"])
@@ -465,7 +517,7 @@ class TestScreenedSearchEqualsReference:
 
 
 def _screen_spy(monkeypatch):
-    """Record (player, memory size, strategy tables) of every one-fixed-player screen."""
+    """Record (player, memory size, strategy tables, question) of every one-fixed-player screen."""
     screened = []
     walks = search._kernels.closed_walk_exists
 
@@ -473,8 +525,8 @@ def _screen_spy(monkeypatch):
         fixed = [q for q, pair in enumerate(tables) if pair is not None]
         if len(fixed) == 1:
             (q,), (upd, act) = fixed, tables[fixed[0]]
-            screened.extend((q, upd.shape[1], upd[r].tobytes() + act[r].tobytes())
-                            for r in rows[q])
+            screened.extend((q, upd.shape[1], upd[r].tobytes() + act[r].tobytes(),
+                             np.asarray(rest[-1]).tobytes()) for r in rows[q])
         return walks(delta, prio, tables, rows, *rest)
     monkeypatch.setattr(search._kernels, "closed_walk_exists", spy)
     return screened
@@ -493,7 +545,8 @@ def _reached(game, budget):
 
 
 class TestScreenOncePerSearch:
-    """Each (player, memory size, strategy) is screened at most once a search, a window a call."""
+    """Each (player, memory size, strategy) is screened at most once a search per question, a
+    window a call."""
 
     def test_router_screens_each_strategy_once(self, router, monkeypatch):
         screened = _screen_spy(monkeypatch)
@@ -514,13 +567,30 @@ class TestScreenOncePerSearch:
         result = find_gne(xor, 2, budget=100)
         assert len(screened) == len(set(screened))
         by_block = {}
-        for q, m, strategy in screened:
+        for q, m, strategy, _ in screened:
             by_block.setdefault((q, m), set()).add(strategy)
         assert by_block.keys() == reached.keys()
         for key, strategies in by_block.items():
             assert reached[key] <= strategies
             assert len(strategies) <= len(reached[key]) + search._WINDOW
         assert (result.status, result.examined, result.profile) == ("budget-exhausted", 100, None)
+
+    def test_alone_screens_decide_each_graph_once(self, monkeypatch):
+        """A 3-player GNE search keeps its two-fixed-player screens for the whole search."""
+        decided = []
+        walks = search._kernels.closed_walk_exists
+
+        def spy(delta, prio, tables, rows, *rest):
+            fixed = [q for q, pair in enumerate(tables) if pair is not None]
+            decided.extend((*fixed, np.asarray(rest[-1]).tobytes(),
+                            *(tables[q][0][i].tobytes() + tables[q][1][i].tobytes()
+                              for q, i in zip(fixed, graph)))
+                           for graph in zip(*(rows[q] for q in fixed)))
+            return walks(delta, prio, tables, rows, *rest)
+        monkeypatch.setattr(search._kernels, "closed_walk_exists", spy)
+        result = find_gne(random_mtg(random.Random(21), 3, 2, 2, 4, 6), 2, budget=100000)
+        assert (result.status, result.examined) == ("found", 11945)
+        assert len(decided) == len(set(decided)) == 6184
 
     def test_searches_leave_no_reference_cycle(self, router, xor):
         game3 = random_mtg(random.Random(3), n_players=3, n_states=2, n_actions=2,
