@@ -128,7 +128,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         o.add_argument("--seed", type=int, default=0)
         o.add_argument("--memory", type=int, default=2)
 
-        o = orc.add_parser("deviation", help="bounded exhaustive deviation scan vs exact checker")
+        o = orc.add_parser("deviation", help="bounded deviation scan vs exact checker")
         o.add_argument("game")
         o.add_argument("profile")
         o.add_argument("--deviator", required=True)
@@ -228,31 +228,29 @@ def _run(args) -> int:
 
     if args.command == "oracle":
         from .oracles import compare_deviation_checker, gamma_sample, omega_rank_agreement
+        if args.oracle == "deviation":
+            profile = mio.load_profile(args.profile, game)
+            targets = mio._members(args.target_set.split(","), game.topologies, "topology",
+                                   "--target-set")
+            cmp = compare_deviation_checker(game, profile, args.deviator, targets,
+                                            memory_bound=args.memory)
+            _emit({"command": "oracle-deviation", "checker": cmp.checker,
+                   "brute_force": cmp.brute, "hard_failure": cmp.hard_failure,
+                   "witness_ok": cmp.witness_ok})
+            _info(f"checker={cmp.checker} brute={cmp.brute} hard_failure={cmp.hard_failure}")
+            return EXIT_OK
+        targets = mio.load_targets(args.targets, game)
+        h = build_cne_game(game, targets) if args.kind == "cne" else build_gne_game(game, targets)
         if args.oracle == "omega":
-            targets = mio.load_targets(args.targets, game)
-            h = build_cne_game(game, targets) if args.kind == "cne" else build_gne_game(game, targets)
             res = omega_rank_agreement(h, cycle_bound=args.cycle_bound)
             _emit({"command": "oracle-omega", "checked": res.checked,
                    "disagreements": res.disagreements})
             _info(f"checked {res.checked} cycle sets, {len(res.disagreements)} disagreement(s)")
             return EXIT_OK
-        if args.oracle == "gamma":
-            targets = mio.load_targets(args.targets, game)
-            h = build_cne_game(game, targets) if args.kind == "cne" else build_gne_game(game, targets)
-            res = gamma_sample(game, h, samples=args.samples, seed=args.seed,
-                               memory=args.memory)
-            _emit({"command": "oracle-gamma", "samples": res.samples,
-                   "mismatches": len(res.mismatches)})
-            _info(f"{res.samples} samples, {len(res.mismatches)} mismatch(es)")
-            return EXIT_OK
-        profile = mio.load_profile(args.profile, game)
-        targets = frozenset(args.target_set.split(","))
-        cmp = compare_deviation_checker(game, profile, args.deviator, targets,
-                                        memory_bound=args.memory)
-        _emit({"command": "oracle-deviation", "checker": cmp.checker,
-               "brute_force": cmp.brute, "hard_failure": cmp.hard_failure,
-               "witness_ok": cmp.witness_ok})
-        _info(f"checker={cmp.checker} brute={cmp.brute} hard_failure={cmp.hard_failure}")
+        res = gamma_sample(game, h, samples=args.samples, seed=args.seed, memory=args.memory)
+        _emit({"command": "oracle-gamma", "samples": res.samples,
+               "mismatches": len(res.mismatches)})
+        _info(f"{res.samples} samples, {len(res.mismatches)} mismatch(es)")
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -12,8 +12,9 @@ Three oracles are exposed (also via the command line):
   and each lasso's prefix: the tree path to the cycle's first state.
 * ``gamma``: sample finite-memory commitments and check the projected
   challenge-game play against the plays it must mirror.
-* ``deviation``: exhaustively sweep deviator strategies up to a memory bound
-  with the batch kernels and compare against the exact deviation checker.
+* ``deviation``: sweep the deviator's strategies up to a memory bound with
+  the batch kernels, in enumeration order, stop at the first that wins every
+  target, and compare the answer against the exact deviation checker.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .core import InputError, Mtg, compile_tables
-from .equilibria import can_deviator_win_set
+from .equilibria import _question, can_deviator_win_set
 from .generate import random_profile, random_strategy
 from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame,
                          gamma_roundtrip, rank_parity, semantic_objective)
@@ -158,59 +159,34 @@ def gamma_sample(game: Mtg, h: PartialInfoGame, samples: int, seed: int,
 # deviation brute force
 
 
-def deviator_wintop_masks(game: Mtg, profile: Profile, deviator: str,
-                          memory_bound: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Winning-topology bitmasks of every deviator strategy up to the bound.
-
-    Returns one ``(memory_size, indices, masks)`` triple per memory size;
-    ``masks[i]`` has bit ``t`` set iff strategy ``indices[i]`` of that block
-    wins topology ``t`` (in topology order) against the fixed co-strategies.
-    """
-    if deviator not in game.players:
-        raise InputError(f"unknown player {deviator!r}")
-    if memory_bound < 1:
-        raise InputError(f"memory bound must be >= 1, got {memory_bound}")
-    profile.check(game)
-    idx = compile_tables(game)
-    di = game.players.index(deviator)
-    fixed: list = [strat.tables(game) for strat in profile.by_player]
-    fixed[di] = None
-    out = []
-    chunk = 1 << 17
-    for m in range(1, memory_bound + 1):
-        block = StrategyBlock(game, m)
-        all_idx = []
-        all_masks = []
-        for lo in range(0, block.total, chunk):
-            hi = min(lo + chunk, block.total)
-            keep, bits = _kernels.sweep_block(idx.delta, idx.prio, fixed, di, m,
-                                              lo, hi, idx.initial, idx.n_actions)
-            kept = np.nonzero(keep)[0]
-            all_idx.append(kept + lo)
-            all_masks.append(bits[kept])
-        out.append((m, np.concatenate(all_idx) if all_idx else np.zeros(0, dtype=np.int64),
-                    np.concatenate(all_masks) if all_masks else np.zeros(0, dtype=np.int64)))
-    return out
-
-
 def brute_force_deviation(game: Mtg, profile: Profile, deviator: str,
                           targets: frozenset[str], memory_bound: int
                           ) -> tuple[bool, object | None]:
-    """Exhaustive bounded search for a deviation winning every target topology.
+    """The first deviation, in enumeration order, that wins every target topology.
 
+    The question is checked as the exact checker checks it. Each memory size's
+    block is swept range by range with ``_kernels.sweep_block``, and the scan
+    stops at the first kept strategy whose winning set covers the targets.
     Sound but incomplete in the negative direction: a False verdict only says
     no strategy with at most ``memory_bound`` memory states works.
     """
-    want = 0
-    for t in sorted(targets):
-        if t not in game.topologies:
-            raise InputError(f"unknown topology {t!r} in targets")
-        want |= 1 << game.topologies.index(t)
-    for m, indices, masks in deviator_wintop_masks(game, profile, deviator, memory_bound):
-        hit = np.nonzero((masks & want) == want)[0]
-        if len(hit):
-            block = StrategyBlock(game, m)
-            return True, block.strategy_at(int(indices[hit[0]]))
+    targets = _question(game, profile, deviator, targets)
+    if memory_bound < 1:
+        raise InputError(f"memory bound must be >= 1, got {memory_bound}")
+    idx = compile_tables(game)
+    want = sum(1 << game.topologies.index(t) for t in targets)
+    di = game.players.index(deviator)
+    fixed = [None if q == di else strat.tables(game) for q, strat in enumerate(profile.by_player)]
+    chunk = 1 << 17
+    for m in range(1, memory_bound + 1):
+        block = StrategyBlock(game, m)
+        for lo in range(0, block.total, chunk):
+            keep, bits = _kernels.sweep_block(idx.delta, idx.prio, fixed, di, m,
+                                              lo, min(lo + chunk, block.total),
+                                              idx.initial, idx.n_actions)
+            hit = np.flatnonzero(keep & ((bits & want) == want))
+            if len(hit):
+                return True, block.strategy_at(lo + int(hit[0]))
     return False, None
 
 

@@ -33,20 +33,21 @@ walk of each player's residual graph with, in each topology, the parity
 pattern (who loses) its targets or, for a GNE, its alone sets force; so a
 row is simulated only if each player's table of patterns admits it. A
 2-player GNE search screens a size vector only from ``_SCREEN_ROWS`` rows,
-its measured break-even; with three players the tables cost more than the
-rows they spare. One kernel call decides a window of consecutive
-chunks of one block, at most ``_WINDOW`` strategies, and the outer
-player's chunks stream one window ahead, so a budgeted search screens at
-most one window past the chunks it reaches. Router's ``find target
---memory 2`` decides its 8,208 residual graphs in 6 calls. The CNE search keeps a
-memoryless-deviation prefilter, a necessary condition that rests on the
-same fact: each memoryless deviation is simulated once per tuple of the
-other players' strategies, in a tile with the deviator's chunk swapped for
-the memoryless block. It is skipped when that block is larger than one
-player's tile side. No row past the budget is simulated. Whatever the
-search returns has passed the full equilibrium check, so a found profile
-re-verifies; absence after exhausting the space is NOT a proof of
-non-existence beyond the memory bound, and the result says so.
+its measured break-even, and takes a screened window's alone sets from its
+table; with three players the tables cost more than the rows they spare.
+One kernel call decides a window of consecutive chunks of one block, at
+most ``_WINDOW`` strategies, and the outer player's chunks stream one
+window ahead, so a budgeted search screens at most one window past the
+chunks it reaches. Router's ``find target --memory 2`` decides its 8,208
+residual graphs in 6 calls. The CNE search keeps a memoryless-deviation
+prefilter, a necessary condition that rests on the same fact: each
+memoryless deviation is simulated once per tuple of the other players'
+strategies, in a tile with the deviator's chunk swapped for the memoryless
+block. It is skipped when that block is larger than one player's tile
+side. No row past the budget is simulated. Whatever the search returns has
+passed the full equilibrium check, so a found profile re-verifies; absence
+after exhausting the space is NOT a proof of non-existence beyond the
+memory bound, and the result says so.
 """
 
 from __future__ import annotations
@@ -241,11 +242,20 @@ def _walk_masks(idx_game, chunk: _Chunk, fixed: list[int], wants: np.ndarray) ->
     return masks[pcs[0].at:pcs[0].at + len(pcs[0].indices)] if whole else masks
 
 
-def _alone_masks(idx_game, chunk: _Chunk, player: int) -> np.ndarray:
-    """Per tuple of the other players' chunk positions: the topologies ``player`` can win alone."""
+def _alone_masks(idx_game, chunk: _Chunk, player: int,
+                 patterns: np.ndarray | None = None) -> np.ndarray:
+    """Per tuple of the other players' chunk positions: the topologies ``player`` can win alone.
+
+    A screened 2-player window's table of the 4 ``patterns`` holds them: the
+    other player's columns where ``player`` wins, as every walk gives it one parity.
+    """
+    others = [q for q in range(len(chunk.lens)) if q != player]
+    if patterns is not None:
+        table = _walk_masks(idx_game, chunk, others, patterns)
+        return table[:, 0] | table[:, 2 >> player]
     wants = np.full(idx_game.prio.shape[:2], -1)
     wants[:, player] = 0
-    return _walk_masks(idx_game, chunk, [q for q in range(len(chunk.lens)) if q != player], wants)
+    return _walk_masks(idx_game, chunk, others, wants)
 
 
 def _admitted(idx_game, chunk: _Chunk, patterns: np.ndarray, kind: str) -> np.ndarray:
@@ -261,7 +271,7 @@ def _admitted(idx_game, chunk: _Chunk, patterns: np.ndarray, kind: str) -> np.nd
         [n if q == p else 1 for q, n in enumerate(chunk.lens)] + [-1]) for p in range(n_players)]
     if kind == "target":
         return functools.reduce(np.logical_and, (table[..., 0] == all_mask for table in tables))
-    alone = [_alone_masks(idx_game, chunk, p).reshape(
+    alone = [_alone_masks(idx_game, chunk, p, patterns if n_players == 2 else None).reshape(
         [1 if q == p else n for q, n in enumerate(chunk.lens)]) for p in range(n_players)]
     bad = 0
     for k in range(len(patterns)):
@@ -385,12 +395,16 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                             [[[k >> q & 1 for q in range(n_players)]] * n_top
                              for k in range(1 << n_players)])
 
+        def screen(chunk: _Chunk) -> np.ndarray | None:
+            """``patterns`` if the chunk is screened: a target search's every chunk, and a
+            2-player GNE search's from ``_SCREEN_ROWS`` rows of its size vector."""
+            return patterns if kind == "target" or (kind == "gne" and n_players == 2 and math.prod(
+                StrategyBlock(game, m).total for m in chunk.sizes) >= _SCREEN_ROWS) else None
+
         def evaluated():
             for chunk in _candidate_chunks(game, memory_bound):
-                rows = None
-                if kind == "target" or (kind == "gne" and n_players == 2 and math.prod(
-                        StrategyBlock(game, m).total for m in chunk.sizes) >= _SCREEN_ROWS):
-                    rows = np.flatnonzero(_admitted(idx_game, chunk, patterns, kind))
+                rows = (None if screen(chunk) is None else
+                        np.flatnonzero(_admitted(idx_game, chunk, patterns, kind)))
                 yield (chunk, *_wintop_masks(idx_game, chunk, rows, left()))
 
     def survivors_of(chunk: _Chunk, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -403,7 +417,7 @@ def _search(game: Mtg, memory_bound: int, kind: str, budget: int | None,
                 # a player wins alone every topology she wins now, so the
                 # candidate is a GNE iff each player wins all she can alone
                 ok &= w == (alone if n_players == 1 else _alone_masks(
-                    idx_game, chunk, p)[chunk.co_index(rows, p)])
+                    idx_game, chunk, p, screen(chunk))[chunk.co_index(rows, p)])
             elif n_players == 1:
                 # a CNE candidate's set has no winnable one-topology extension
                 ws, inverse = np.unique(w, return_inverse=True)

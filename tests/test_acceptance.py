@@ -9,14 +9,12 @@ import itertools
 import random
 import time
 
-import numpy as np
-
 from mtgames import io as mio
 from mtgames.core import symmetrize
 from mtgames.equilibria import DeviationOracle, can_deviator_win_set, check_cne, check_gne, check_ne
 from mtgames.generate import random_mtg
 from mtgames.io import data_path
-from mtgames.oracles import deviator_wintop_masks, gamma_sample, omega_rank_agreement
+from mtgames.oracles import brute_force_deviation, gamma_sample, omega_rank_agreement
 from mtgames.reductions import build_cne_game, build_gne_game, challenge_sets
 from mtgames.search import find_gne
 from mtgames.strategy import Profile, constant_strategy, enumerate_strategies, wintop
@@ -173,12 +171,9 @@ def test_criterion_7_deviation_oracle_equivalence():
             target_sets.append(all_tops)
         for profile in profiles:
             for deviator in game.players:
-                masks = deviator_wintop_masks(game, profile, deviator, memory_bound=2)
                 di = game.players.index(deviator)
                 for targets in target_sets:
-                    want = sum(1 << game.topologies.index(t) for t in targets)
-                    brute = any(bool(np.any((m & want) == want))
-                                for _, _, m in masks)
+                    brute = brute_force_deviation(game, profile, deviator, targets, 2)[0]
                     checker, strat = can_deviator_win_set(game, profile, deviator, targets)
                     comparisons += 1
                     assert not (brute and not checker), \

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from brute import reference_single_target, residual_arena
-from mtgames import equilibria
+from mtgames import equilibria, oracles
 from mtgames.arena import SEEKER, SPOILER
 from mtgames.core import InputError, Mtg
 from mtgames.equilibria import (DeviationOracle, KnowledgeNode, build_knowledge_arena,
                                 can_deviator_win_set, check_cne, check_gne, check_ne,
                                 deviation_questions)
-from mtgames.generate import random_mtg, random_strategy
+from mtgames.generate import random_mtg, random_profile, random_strategy
+from mtgames.oracles import brute_force_deviation
 from mtgames.strategy import Profile, constant_strategy, enumerate_strategies, wintop
 
 
@@ -349,8 +350,6 @@ class TestBruteForceAgreement:
     def test_found_deviations_refute_the_checks(self):
         """A bounded brute-force scan finding a beneficial deviation must be
         mirrored by a False verdict of the corresponding check."""
-        import numpy as np
-        from mtgames.oracles import deviator_wintop_masks
         rng = random.Random(55)
         gne_refuted = cne_refuted = 0
         for _ in range(30):
@@ -362,29 +361,67 @@ class TestBruteForceAgreement:
             gne = check_gne(game, profile, oracle=oracle)
             cne = check_cne(game, profile, oracle=oracle)
             for p in game.players:
-                w_mask = 0
                 w = wintop(game, profile, p)
-                for i, t in enumerate(game.topologies):
-                    w_mask |= (t in w) << i
-                masks = np.concatenate([m for _, _, m in
-                                        deviator_wintop_masks(game, profile, p, 2)])
-                if bool(np.any(masks & ~w_mask)):
+                losing = [t for t in game.topologies if t not in w]
+                # GNE: some deviation wins a topology p loses now
+                if any(brute_force_deviation(game, profile, p, frozenset({t}), 2)[0]
+                       for t in losing):
                     assert not gne.verdict
                     gne_refuted += 1
-                covers = (masks & w_mask) == w_mask
-                if bool(np.any(covers & (masks != w_mask))):
+                # CNE: some deviation wins all of w and one more topology
+                if any(brute_force_deviation(game, profile, p, w | {t}, 2)[0] for t in losing):
                     assert not cne.verdict
                     cne_refuted += 1
         assert gne_refuted > 0 and cne_refuted > 0
 
     def test_brute_force_finds_no_deviation_beyond_every_strategy(self, fig3):
-        from mtgames.oracles import brute_force_deviation
         profile = Profile((constant_strategy(fig3, "1"),))
         strat = brute_force_deviation(fig3, profile, "solo", frozenset({"t2"}), 1)[1]
         assert wintop(fig3, Profile((strat,)), "solo") >= {"t2"}
         # no strategy of any memory wins both topologies
         assert brute_force_deviation(fig3, profile, "solo", frozenset({"t1", "t2"}),
                                      2) == (False, None)
+
+    def test_scan_returns_the_first_winning_deviation(self):
+        """The oracle's answer and witness are the first strategy, in enumeration
+        order, whose lasso-path winning set covers the targets."""
+        rng = random.Random(32)
+        answers = set()
+        for _ in range(12):
+            game = random_mtg(rng, n_players=rng.randint(1, 3), n_states=rng.randint(2, 3),
+                              n_topologies=rng.randint(2, 3), max_priority=rng.randint(2, 5))
+            profile = random_profile(rng, game, 2)
+            p = rng.choice(game.players)
+            di = game.players.index(p)
+            targets = frozenset(rng.sample(game.topologies, rng.randint(1, 2)))
+            for bound in (1, 2):
+                want = next(((True, s) for s in enumerate_strategies(game, bound)
+                             if targets <= wintop(game, profile.substitute(di, s), p)),
+                            (False, None))
+                assert brute_force_deviation(game, profile, p, targets, bound) == want
+                answers.add((len(game.players), bound, want[0]))
+        # hits and misses, at both bounds, with one to three players
+        assert {ok for _, _, ok in answers} == {True, False}
+        assert {(n, bound) for n, bound, _ in answers} >= {(n, b) for n in (1, 2, 3)
+                                                           for b in (1, 2)}
+
+    def test_scan_stops_in_the_first_range_that_hits(self, router, turn_taking, monkeypatch):
+        calls = []
+        sweep = oracles._kernels.sweep_block
+
+        def spy(*args, **kwargs):
+            calls.append(args[5:7])  # (lo, hi)
+            return sweep(*args, **kwargs)
+        monkeypatch.setattr(oracles._kernels, "sweep_block", spy)
+        ok, strat = brute_force_deviation(router, turn_taking, "blue", frozenset({"A", "B"}), 2)
+        # a memoryless deviation wins both: the 4,096 memory-2 strategies are never swept
+        assert ok and len(strat.memory) == 1
+        assert calls == [(0, 8)]
+
+    def test_empty_target_set_is_refused(self, router, turn_taking):
+        # as the exact checker refuses it, rather than winning it vacuously
+        with pytest.raises(InputError, match="target topology set must be nonempty"):
+            brute_force_deviation(router, turn_taking, "blue", frozenset(), 2)
 
 
 class TestOracleCache:

@@ -487,6 +487,12 @@ class TestMalformedInput:
                                       str(data_path("turn-taking.profile")), *flags], capsys)
         assert name in line
 
+    def test_oracle_deviation_target_set_repeats_a_topology(self, capsys):
+        line = assert_one_error_line(["oracle", "deviation", str(data_path("router.game")),
+                                      str(data_path("turn-taking.profile")),
+                                      "--deviator", "blue", "--target-set", "A,A"], capsys)
+        assert line == "error: --target-set: repeats the topology 'A'"
+
     def test_strategy_error_names_file_and_player(self, tmp_path, capsys):
         doc = json.loads(data_path("turn-taking.profile").read_text())
         doc["players"]["blue"]["update"][0]["next"] = "m9"

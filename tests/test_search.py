@@ -517,7 +517,12 @@ class TestScreenedSearchEqualsReference:
 
 
 def _screen_spy(monkeypatch):
-    """Record (player, memory size, strategy tables, question) of every one-fixed-player screen."""
+    """Record (player, memory size, strategy tables, question) of every one-fixed-player screen.
+
+    A window's strategies may be screened under more than one question in a
+    search: a 2-player GNE search asks the 4-pattern stack in the size vectors
+    it screens, and the alone question in those under ``_SCREEN_ROWS``.
+    """
     screened = []
     walks = search._kernels.closed_walk_exists
 
@@ -574,6 +579,23 @@ class TestScreenOncePerSearch:
             assert reached[key] <= strategies
             assert len(strategies) <= len(reached[key]) + search._WINDOW
         assert (result.status, result.examined, result.profile) == ("budget-exhausted", 100, None)
+
+    def test_screened_gne_window_is_decided_once(self, xor, monkeypatch):
+        """A screened 2-player GNE window's alone sets come from its 4-pattern table."""
+        graphs = []
+        walks = search._kernels.closed_walk_exists
+
+        def spy(delta, prio, tables, rows, *rest):
+            graphs.append(len(next(r for r in rows if r is not None)))
+            return walks(delta, prio, tables, rows, *rest)
+        monkeypatch.setattr(search._kernels, "closed_walk_exists", spy)
+        result = find_gne(xor, 2, budget=150000)
+        assert (result.status, result.examined) == ("budget-exhausted", 150000)
+        # per player: the memoryless window (8 strategies) is asked the alone
+        # question in the (1, 1) size vector, under the break-even, and the
+        # 4-pattern stack in the screened ones, like the two memory-2 windows
+        # (3,982 and 114); an alone question per screened window would add 4 calls
+        assert (len(graphs), sum(graphs)) == (8, 8224)
 
     def test_alone_screens_decide_each_graph_once(self, monkeypatch):
         """A 3-player GNE search keeps its two-fixed-player screens for the whole search."""
