@@ -325,7 +325,7 @@ def renaming_perms(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def canonical_mask(upd_digits: np.ndarray, act_digits: np.ndarray, m: int,
-                   n_actions: int | None = None) -> np.ndarray:
+                   n_actions: int) -> np.ndarray:
     """Rows that are lexicographically minimal under memory-state renaming.
 
     The initial memory state 0 is fixed; renamings permute states 1..m-1.
@@ -337,10 +337,6 @@ def canonical_mask(upd_digits: np.ndarray, act_digits: np.ndarray, m: int,
     """
     batch = upd_digits.shape[0]
     keep = np.ones(batch, dtype=bool)
-    if m <= 2 or batch == 0:
-        return keep
-    if n_actions is None:
-        n_actions = int(act_digits.max(initial=0)) + 1
     n_states = upd_digits.shape[1] // m
     phis, invs = renaming_perms(m)
     enc_u = encode_tables(upd_digits, m)
@@ -374,8 +370,6 @@ def canonical_range(lo: int, hi: int, m: int, n_states: int,
     upd = decode_tables(distinct, cells, m)
     row = indices // n_act_tables - lo // n_act_tables
     keep = np.ones(hi - lo, dtype=bool)
-    if m <= 2:
-        return keep, upd, row
     phis, _ = renaming_perms(m)
     for phi in phis:
         # digit c of a table moves to cell phi[c // n_states] * n_states + c % n_states

@@ -8,7 +8,7 @@ All identifier lists are ordered; every iteration and report in this package
 follows file order so results are deterministic.
 
 All types here are immutable after construction and every operation is a pure
-function, so they can be shared freely across workers.
+function of its arguments.
 """
 
 from __future__ import annotations

@@ -36,18 +36,17 @@ row is simulated only if each player's table of patterns admits it. A
 its measured break-even, and takes a screened window's alone sets from its
 table; with three players the tables cost more than the rows they spare.
 One kernel call decides a window of consecutive chunks of one block, at
-most ``_WINDOW`` strategies, and the outer player's chunks stream one
-window ahead, so a budgeted search screens at most one window past the
-chunks it reaches. Router's ``find target --memory 2`` decides its 8,208
-residual graphs in 6 calls. The CNE search keeps a memoryless-deviation
-prefilter, a necessary condition that rests on the same fact: each
-memoryless deviation is simulated once per tuple of the other players'
-strategies, in a tile with the deviator's chunk swapped for the memoryless
-block. It is skipped when that block is larger than one player's tile
-side. No row past the budget is simulated. Whatever the search returns has
-passed the full equilibrium check, so a found profile re-verifies; absence
-after exhausting the space is NOT a proof of non-existence beyond the
-memory bound, and the result says so.
+most ``_WINDOW`` strategies, the first time a chunk of it is read, so a
+budgeted search screens at most one window past the chunks it reaches.
+Router's ``find target --memory 2`` decides its 8,208 residual graphs in 6
+calls. The CNE search keeps a memoryless-deviation prefilter, a necessary
+condition that rests on the same fact: each memoryless deviation is
+simulated once per tuple of the other players' strategies, in a tile with
+the deviator's chunk swapped for the memoryless block. It is skipped when
+that block is larger than one player's tile side. No row past the budget is
+simulated. Whatever the search returns has passed the full equilibrium
+check, so a found profile re-verifies; absence after exhausting the space is
+NOT a proof of non-existence beyond the memory bound, as the result notes.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .strategy import Profile, StrategyBlock, constant_strategy, wintop_map
 
 CHUNK_CAP = 1 << 17
 _SMALL_BLOCK = 1 << 20
-_SWEEP_RANGE = 1 << 16  # block indices per one-player sweep task
+_SWEEP_RANGE = 1 << 16  # block indices per one-player sweep_block call
 _WINDOW = 4096  # strategies per one-fixed-player closed-walk screen call
 _SCREEN_ROWS = 1 << 14  # rows of a size vector from which a 2-player GNE screen pays
 
@@ -143,7 +142,7 @@ def _block_chunks(block: StrategyBlock, side: int, screens: dict):
     """The block's chunks of ``side`` indices, read one window of chunks at a time.
 
     A window's screens are kept in ``screens`` by its key, so they outlive
-    the chunks, which an outer player reads again per size vector.
+    the chunks of a block that streams, which are read again per size vector.
     """
     width = side * max(1, _WINDOW // side)
     for indices, upd, act in block.canonical_chunks(chunk_size=width):
@@ -159,23 +158,24 @@ def _nested(sizes: tuple[int, ...], chunks_of, acc: tuple = ()):
     if len(acc) == len(sizes):
         yield _Chunk(sizes=sizes, per_player=list(acc))
         return
-    for pc in chunks_of(len(acc), sizes[len(acc)]):
+    for pc in chunks_of(sizes[len(acc)]):
         yield from _nested(sizes, chunks_of, acc + (pc,))
 
 
 def _candidate_chunks(game: Mtg, bound: int):
     """The search's tiles, in enumeration order, for every size vector up to ``bound``.
 
-    The outer player's block streams. An inner player's small block is
-    materialized once per search and shared by every size vector and inner
-    player; a huge one is re-filtered per outer chunk, which is the price of
-    lazy enumeration.
+    A block of at most ``_SMALL_BLOCK`` indices is decoded once per search
+    and shared by every size vector and player that reads it; its windows
+    are still screened only when read. A larger block streams, and an inner
+    player re-filters it per outer chunk, which is the price of lazy
+    enumeration.
     """
     side, lists, screens = _tile_side(len(game.players)), {}, {}
 
-    def chunks_of(p: int, m: int):
+    def chunks_of(m: int):
         block = StrategyBlock(game, m)
-        if p == 0 or block.total > _SMALL_BLOCK:
+        if block.total > _SMALL_BLOCK:
             return _block_chunks(block, side, screens)
         if m not in lists:
             lists[m] = list(_block_chunks(block, side, screens))

@@ -15,7 +15,7 @@ from mtgames.equilibria import check_cne, check_gne
 from mtgames.generate import random_mtg, random_profile
 from mtgames.oracles import compare_deviation_checker
 from mtgames.search import find_cne, find_gne, find_profile_with_wintop
-from mtgames.strategy import wintop, wintop_map
+from mtgames.strategy import StrategyBlock, wintop, wintop_map
 
 
 class TestFindGne:
@@ -549,6 +549,28 @@ def _reached(game, budget):
             return reached
 
 
+class TestDecodeOncePerSearch:
+    """A block of at most ``_SMALL_BLOCK`` indices is decoded once a search, whichever
+    player reads it."""
+
+    @pytest.mark.parametrize("name, decoded", [("router-target-m2", [1, 2]),
+                                               ("xor-gne-m2-budget", [1, 2]),
+                                               ("router-gne-m2", [1])])
+    def test_each_block_is_decoded_once(self, router, xor, name, decoded, monkeypatch):
+        sizes = []
+        chunks = StrategyBlock.canonical_chunks
+
+        def spy(block, *args, **kwargs):
+            sizes.append(block.m)
+            return chunks(block, *args, **kwargs)
+        monkeypatch.setattr(StrategyBlock, "canonical_chunks", spy)
+        targets = io.load_targets(io.data_path("router-all.tt"), router)
+        {"router-target-m2": lambda: find_profile_with_wintop(router, targets, 2),
+         "xor-gne-m2-budget": lambda: find_gne(xor, 2, budget=150000),
+         "router-gne-m2": lambda: find_gne(router, 2)}[name]()
+        assert sizes == decoded
+
+
 class TestScreenOncePerSearch:
     """Each (player, memory size, strategy) is screened at most once a search per question, a
     window a call."""
@@ -683,13 +705,15 @@ def _pinned_outputs():
     return out
 
 
-@pytest.mark.parametrize("window", [None, 160])
-def test_pinned_searches_keep_their_outputs(window, monkeypatch):
-    """Status, ``examined`` and profile as recorded, whatever the screen's window."""
-    if window is not None:
-        # 20 chunks a window at CHUNK_CAP = 64 with 2 players, 3 at the default
-        # with 3 players, and 1 at the default with 2
-        monkeypatch.setattr(search, "_WINDOW", window)
+@pytest.mark.parametrize("name, value", [(None, None), ("_WINDOW", 160), ("_SMALL_BLOCK", 0)],
+                         ids=["None", "160", "streamed"])
+def test_pinned_searches_keep_their_outputs(name, value, monkeypatch):
+    """Status, ``examined`` and profile as recorded, whatever the screen's window, and
+    when every block of every player streams, as a block past ``_SMALL_BLOCK`` does."""
+    if name is not None:
+        # a window of 160 holds 20 chunks at CHUNK_CAP = 64 with 2 players, 3 at
+        # the default with 3 players, and 1 at the default with 2
+        monkeypatch.setattr(search, name, value)
     assert _pinned_outputs() == json.loads(PINNED_SEARCHES.read_text())
 
 
