@@ -2,9 +2,10 @@
 
 Everything expensive in this package funnels through one operation: simulate a
 large batch of Moore strategy combinations over the indexed transition tables
-and decide, per strategy and topology, whether each player's minimum
-infinitely-visited priority is even. The brute-force oracles and the bounded
-search both ride on it.
+and return, per combination and player, the topologies in which that player's
+minimum infinitely-visited priority is even. The brute-force oracles and the
+bounded search both ride on it. Both batch kernels answer in topology masks:
+int64, bit t for topology t, the one form of a set of topologies in the search.
 
 There is one simulation walk, in ``simulate_min_even``. The sweep
 ``sweep_block``, which varies one player's strategy over an index range, only
@@ -55,7 +56,7 @@ def active_backend() -> str:
 def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
                       tables: list[tuple[np.ndarray, np.ndarray]],
                       s0: int, n_actions: int, *, rows: list | None = None) -> np.ndarray:
-    """Simulate a batch of strategy combinations; return win flags (batch, top, player).
+    """Simulate a batch of strategy combinations; return topology masks (batch, player).
 
     ``tables`` holds one ``(update, act)`` pair per player, each of shape
     ``(D_p, M_p, S)``: the distinct strategies player ``p`` plays in the batch.
@@ -63,9 +64,9 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
     tables, or an ``(update_index, act_index)`` pair of vectors. A table
     without an index (``None``, or ``rows=None`` for every player) holds the
     one strategy every row plays. The batch has as many rows as the index
-    vectors, one if there are none. Entry ``wins[b, t, p]`` is True iff under
-    combination ``b`` in topology ``t`` the minimum priority player ``p``
-    sees infinitely often is even.
+    vectors, one if there are none. Bit ``t`` of ``masks[b, p]`` is set iff
+    under combination ``b`` in topology ``t`` the minimum priority player
+    ``p`` sees infinitely often is even.
 
     Each distinct table's share of the step keys is computed once; a row's
     keys are then one gather per indexed table. The walk takes ``SUB_BATCH``
@@ -126,7 +127,8 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
     full = (min(batch, SUB_BATCH), *per_walker.shape)
     table = np.broadcast_to(per_walker, full).reshape(-1, n_pla)
 
-    wins = np.empty((batch, n_top, n_pla), dtype=bool)
+    masks = np.empty((batch, n_pla), dtype=np.int64)
+    bit = 1 << np.arange(n_top, dtype=np.int64)  # topology t's bit in a mask
     for lo in range(0, batch, SUB_BATCH):
         hi = min(lo + SUB_BATCH, batch)
         key = np.broadcast_to(base_key, (hi - lo, window))
@@ -136,8 +138,8 @@ def simulate_min_even(delta: np.ndarray, prio: np.ndarray,
         nxt = (np.take(lookup, key, axis=0).reshape(hi - lo, -1) + offsets).ravel()
         start = (offsets + (s0 * n_top + np.arange(n_top, dtype=itype))).ravel()
         minima, _ = _fold_cycles(nxt, start, table, window)
-        wins[lo:hi] = (minima % 2 == 0).reshape(hi - lo, n_top, n_pla)
-    return wins
+        masks[lo:hi] = bit @ (minima % 2 == 0).reshape(hi - lo, n_top, n_pla)
+    return masks
 
 
 def _fold_cycles(nxt: np.ndarray, pos: np.ndarray, table: np.ndarray,
@@ -186,18 +188,18 @@ def _fold_cycles(nxt: np.ndarray, pos: np.ndarray, table: np.ndarray,
 def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
                        tables: list[tuple[np.ndarray, np.ndarray] | None], rows: list,
                        s0: int, n_actions: int, wants: np.ndarray) -> np.ndarray:
-    """Decide a batch of residual graphs; return flags (batch, top), or (batch, K, top).
+    """Decide a batch of residual graphs under K patterns; return topology masks (batch, K).
 
     Players with an ``(update, act)`` pair in ``tables``, each of shape
     ``(D_p, M_p, S)``, are fixed: ``rows[p]`` is an index vector saying which
     of them graph ``b`` fixes. Players whose entry is ``None`` are free. A
     graph of topology ``t`` has a node per (fixed players' memories, state)
-    and an edge per free players' joint action. ``wants[t, q]`` is 0 or 1
-    for the parity wanted of player ``q``'s minimum priority in topology
-    ``t``, or -1 for no constraint. Entry ``[b, t]`` is True iff graph ``b``
-    has a closed walk, reachable from the start, whose minimum priority has
-    the wanted parity for every constrained player of ``t``. A stack of K
-    such patterns, ``(K, T, n)``, answers each in ``[b, k, t]``.
+    and an edge per free players' joint action. ``wants`` is a ``(K, T, n)``
+    stack of patterns: ``wants[k, t, q]`` is 0 or 1 for the parity wanted of
+    player ``q``'s minimum priority in topology ``t``, or -1 for no
+    constraint. Bit ``t`` of ``masks[b, k]`` is set iff graph ``b`` has a
+    closed walk, reachable from the start, whose minimum priority has the
+    wanted parity of pattern ``k`` for every constrained player of ``t``.
 
     This is the SCC emptiness test of Emerson and Lei ("Modalities for model
     checking", 1987). A graph's successor sets, the OR of the free players'
@@ -213,9 +215,10 @@ def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
     n_top, n_pla, n_states = prio.shape
     fixed = [p for p, pair in enumerate(tables) if pair is not None]
     free = [p for p, pair in enumerate(tables) if pair is None]
-    if not fixed or len(tables) != n_pla or {len(rows[p]) for p in fixed} != {len(rows[fixed[0]])}:
-        raise ValueError(f"expected {n_pla} tables, at least one fixed, with row "
-                         "indices of one length")
+    if (not fixed or len(tables) != n_pla or np.shape(wants)[1:] != (n_top, n_pla)
+            or {len(rows[p]) for p in fixed} != {len(rows[fixed[0]])}):
+        raise ValueError(f"expected {n_pla} tables, at least one fixed, with row indices of "
+                         f"one length, and a (K, {n_top}, {n_pla}) stack of wanted parities")
     batch = len(rows[fixed[0]])
     mem_sizes = [tables[p][0].shape[1] for p in fixed]
     n_nodes = n_states * math.prod(mem_sizes)
@@ -236,15 +239,14 @@ def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
         shares = [c + a * n_actions ** (n_pla - 1 - p) for c in shares for a in range(n_actions)]
     bit = np.packbits(np.eye(n_nodes, dtype=bool), axis=1, bitorder="little")  # node -> bit row
 
-    stack = np.asarray(wants).reshape(-1, n_top, n_pla)
-    out = np.zeros((batch, len(stack), n_top), dtype=bool)
+    out = np.zeros((batch, len(wants), n_top), dtype=bool)
     sub = max(1, SUB_BATCH * 64 // (n_nodes * n_nodes))
     for t in range(n_top):
         at = prio[t][:, state].tolist()  # per player, per node
         # per set of kept nodes, a bitmask, the (pattern, hit nodes per
         # constrained player) of each candidate vector that keeps it
         tests: dict = {}
-        for k, want in enumerate(stack[:, t].tolist()):
+        for k, want in enumerate(wants[:, t].tolist()):
             cons = [q for q, w in enumerate(want) if w >= 0]
             out[:, k, t] = not cons  # a finite graph always has a reachable cycle
             masks = [[(sum(1 << u for u, x in enumerate(at[q]) if x >= v),
@@ -277,7 +279,7 @@ def closed_walk_exists(delta: np.ndarray, prio: np.ndarray,
                                 closed[:, u, v >> 3] >> (v & 7) & closed[:, v, u >> 3] >> (u & 7)
                                 for v in hits))
                         found |= good.view(bool)
-    return out if np.ndim(wants) == 3 else out[:, 0]
+    return out @ (1 << np.arange(n_top, dtype=np.int64))
 
 
 def _warshall(adj: np.ndarray, nodes) -> np.ndarray:
@@ -393,23 +395,23 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
 
     All players except ``var_player`` play the fixed strategies; the varying
     player's strategy is decoded from each index in ``[lo, hi)``. Returns
-    ``(keep, bits)``: ``keep[i]`` flags canonical representatives and
-    ``bits[i]`` holds the varying player's winning-topology bitmask. Entries
-    with ``keep[i] == 0`` are renamings of earlier strategies and carry no
-    simulation result, nor do kept entries past the first ``limit``. This is
-    the hot path of the bounded searches and the brute-force deviation oracle.
+    ``(keep, bits)``: bool ``keep[i]`` flags canonical representatives and
+    ``bits[i]`` holds the varying player's topology mask. Entries not kept
+    are renamings of earlier strategies and carry no simulation result, nor
+    do kept entries past the first ``limit``. This is the hot path of the
+    bounded searches and the brute-force deviation oracle.
 
     :func:`canonical_range` filters the range and hands back its distinct
     update tables; with the range's act tables they take the ``var_player``
-    slot of one :func:`simulate_min_even` call, indexed by the kept rows.
+    slot of one :func:`simulate_min_even` call, whose ``var_player`` column is ``bits``.
     """
-    n_top, _, n_states = prio.shape
+    n_states = prio.shape[2]
     n_act_tables = n_actions ** (m_var * n_states)
     keep, ud, row_of = canonical_range(lo, hi, m_var, n_states, n_actions)
     bits = np.zeros(hi - lo, dtype=np.int64)
     kept = np.nonzero(keep)[0][:limit]
     if len(kept) == 0:
-        return keep.astype(np.uint8), bits
+        return keep, bits
 
     # act table j of the range is the one of index lo + j, so kept row i plays
     # act table i mod n_act_tables
@@ -420,6 +422,5 @@ def sweep_block(delta: np.ndarray, prio: np.ndarray,
     tables[var_player] = (ud.reshape(shape), ad.reshape(shape))
     rows: list = [None] * len(tables)
     rows[var_player] = (row_of[kept], kept % n_act_tables)
-    wins = simulate_min_even(delta, prio, tables, s0, n_actions, rows=rows)
-    bits[kept] = (wins[:, :, var_player] << np.arange(n_top, dtype=np.int64)).sum(axis=1)
-    return keep.astype(np.uint8), bits
+    bits[kept] = simulate_min_even(delta, prio, tables, s0, n_actions, rows=rows)[:, var_player]
+    return keep, bits

@@ -134,7 +134,7 @@ def _knowledge_arena(game: Mtg, profile: Profile, deviator: str,
     owner: list[int] = []
     succ: list[list[int]] = []
     labels: list[list] = []
-    bases: list[KnowledgeNode] = []  # the knowledge node whose priorities each node carries
+    priorities: list[tuple] = []  # per target, 0 where it is no longer consistent
 
     def knowledge(key: tuple) -> int:
         """Append the knowledge node ``key`` = (state, consistent, memories); return its index."""
@@ -144,7 +144,9 @@ def _knowledge_arena(game: Mtg, profile: Profile, deviator: str,
         owner.append(SEEKER)
         succ.append([])
         labels.append(list(actions))
-        bases.append(node)
+        s, consistent, _ = key
+        priorities.append(tuple([priority[(t, deviator, s)] if t in consistent else 0
+                                 for t in tlist]))
         return vi
 
     knowledge((game.initial, frozenset(tlist), tuple([s.init for s in co_strats])))
@@ -179,16 +181,10 @@ def _knowledge_arena(game: Mtg, profile: Profile, deviator: str,
             owner.append(SPOILER)
             succ.append([])
             labels.append([None] * len(groups))
-            bases.append(node)
+            priorities.append(priorities[vi])  # a Spoiler midpoint carries its node's priorities
             for s2 in sorted(groups, key=game.states.index):
                 key = (s2, frozenset(groups[s2]), new_mems)
                 succ[mid].append(index[key] if key in index else knowledge(key))
-    if len(tlist) == 1:  # a lone target never drops out
-        priorities = [(priority[(tlist[0], deviator, s)],) for s, _, _ in bases]
-    else:
-        columns = [[priority[(t, deviator, s)] if t in consistent else 0
-                    for s, consistent, _ in bases] for t in tlist]
-        priorities = list(zip(*columns))
     return Arena(nodes=nodes, owner=owner, succ=succ, labels=labels,
                  priorities=priorities, initial=0, k=len(tlist))
 

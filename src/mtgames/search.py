@@ -187,21 +187,13 @@ def _candidate_chunks(game: Mtg, bound: int):
                 yield chunk
 
 
-def _topology_bits(flags: np.ndarray) -> np.ndarray:
-    """(rows, topologies, ...) bool -> (rows, ...) bitmask over topologies."""
-    bits = np.zeros(flags.shape[:1] + flags.shape[2:], dtype=np.int64)
-    for t in range(flags.shape[1]):
-        bits |= flags[:, t].astype(np.int64) << t
-    return bits
-
-
 def _wintop_masks(idx_game, chunk: _Chunk, rows: np.ndarray | None = None,
                   limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``chunk`` and their (rows, players) bitmasks over topologies.
+    """Rows of ``chunk`` and their (rows, players) topology masks, as the kernel returns them.
 
-    Each player's chunk tables go to the simulation kernel once, with every
-    row's positions in them. ``rows``, ascending, are the rows to simulate,
-    all of them by default; with ``limit``, none from ``limit`` on is.
+    Each player's chunk tables go to ``_kernels.simulate_min_even`` once,
+    with every row's positions in them. ``rows``, ascending, are the rows to
+    simulate, all of them by default; with ``limit``, none from ``limit`` on is.
     """
     rows = np.arange(chunk.batch) if rows is None else rows
     if limit is not None:
@@ -209,20 +201,18 @@ def _wintop_masks(idx_game, chunk: _Chunk, rows: np.ndarray | None = None,
     if not len(rows):
         return rows, np.zeros((0, len(chunk.lens)), dtype=np.int64)
     tables = [(pc.upd, pc.act) for pc in chunk.per_player]
-    wins = _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables, idx_game.initial,
-                                      idx_game.n_actions, rows=chunk.positions(rows))
-    return rows, _topology_bits(wins)
+    return rows, _kernels.simulate_min_even(idx_game.delta, idx_game.prio, tables, idx_game.initial,
+                                            idx_game.n_actions, rows=chunk.positions(rows))
 
 
 def _walk_masks(idx_game, chunk: _Chunk, fixed: list[int], wants: np.ndarray) -> np.ndarray:
-    """Topology bitmask of ``_kernels.closed_walk_exists`` per tuple of fixed strategies.
+    """``_kernels.closed_walk_exists``'s (tuples, K) masks for the stack of K patterns ``wants``.
 
     The players ``fixed`` play one strategy each from their chunks and the
     others are free; tuples are in row-major order of the fixed players'
-    chunk positions, and a stack of K patterns in ``wants`` gives (tuples, K)
-    masks. Each answer is kept for the whole search in the first fixed
-    player's window: with one fixed player, the kernel decides that window
-    the first time; with more, each tuple of chunks.
+    chunk positions. Each answer is kept for the whole search in the first
+    fixed player's window: with one fixed player, the kernel decides that
+    window the first time; with more, each tuple of chunks.
     """
     pcs = [chunk.per_player[q] for q in fixed]
     whole, screens = len(fixed) == 1, pcs[0].window[3]
@@ -235,9 +225,8 @@ def _walk_masks(idx_game, chunk: _Chunk, fixed: list[int], wants: np.ndarray) ->
         grids = np.indices([len(upd) for upd, _ in pairs]).reshape(len(fixed), -1)
         for q, pair, grid in zip(fixed, pairs, grids):
             tables[q], rows[q] = pair, grid
-        screens[key] = _topology_bits(np.moveaxis(_kernels.closed_walk_exists(
-            idx_game.delta, idx_game.prio, tables, rows, idx_game.initial,
-            idx_game.n_actions, wants), -1, 1))
+        screens[key] = _kernels.closed_walk_exists(idx_game.delta, idx_game.prio, tables, rows,
+                                                   idx_game.initial, idx_game.n_actions, wants)
     masks = screens[key]
     return masks[pcs[0].at:pcs[0].at + len(pcs[0].indices)] if whole else masks
 
@@ -253,9 +242,9 @@ def _alone_masks(idx_game, chunk: _Chunk, player: int,
     if patterns is not None:
         table = _walk_masks(idx_game, chunk, others, patterns)
         return table[:, 0] | table[:, 2 >> player]
-    wants = np.full(idx_game.prio.shape[:2], -1)
-    wants[:, player] = 0
-    return _walk_masks(idx_game, chunk, others, wants)
+    wants = np.full((1, *idx_game.prio.shape[:2]), -1)
+    wants[0, :, player] = 0
+    return _walk_masks(idx_game, chunk, others, wants)[:, 0]
 
 
 def _admitted(idx_game, chunk: _Chunk, patterns: np.ndarray, kind: str) -> np.ndarray:

@@ -12,6 +12,17 @@ from mtgames.generate import random_mtg, random_profile, random_strategy
 from mtgames.strategy import (MooreStrategy, Profile, StrategyBlock, constant_strategy,
                               wintop)
 
+
+def _mask(game, topologies):
+    """The topology mask of a set of topology names: bit t for topology t."""
+    return sum(1 << t for t, name in enumerate(game.topologies) if name in topologies)
+
+
+def _flags(masks, n_top):
+    """Unpack topology masks (...) into bool flags (..., n_top), flag t for bit t."""
+    return (np.asarray(masks)[..., None] >> np.arange(n_top) & 1).astype(bool)
+
+
 def _decode(block, indices):
     """Block indices -> ((B, M, S) update, (B, M, S) act) tables, the update table most significant."""
     upd_idx, act_idx = np.divmod(np.asarray(indices, dtype=np.int64), block.n_act_tables)
@@ -92,9 +103,8 @@ class TestSimulate:
             tables = [s.tables(game) for s in profile.by_player]
             wins = _kernels.simulate_min_even(idx.delta, idx.prio, tables,
                                               idx.initial, idx.n_actions)
-            for ti, t in enumerate(game.topologies):
-                for pi, p in enumerate(game.players):
-                    assert wins[0, ti, pi] == (t in wintop(game, profile, p))
+            for pi, p in enumerate(game.players):
+                assert wins[0, pi] == _mask(game, wintop(game, profile, p))
 
     def test_batched_equals_individual(self):
         rng = random.Random(14)
@@ -109,9 +119,8 @@ class TestSimulate:
             idx.initial, idx.n_actions, rows=[np.arange(len(strategies)), None])
         for i, strat in enumerate(strategies):
             profile = Profile((strat, fixed))
-            for ti, t in enumerate(game.topologies):
-                for pi, p in enumerate(game.players):
-                    assert wins[i, ti, pi] == (t in wintop(game, profile, p)), (i, t, p)
+            for pi, p in enumerate(game.players):
+                assert wins[i, pi] == _mask(game, wintop(game, profile, p)), (i, p)
 
     def test_tail_window_equals_raw_simulation(self):
         rng = random.Random(15)
@@ -121,8 +130,7 @@ class TestSimulate:
         wins = _kernels.simulate_min_even(idx.delta, idx.prio, [strat.tables(game)],
                                           idx.initial, idx.n_actions)
         brute = raw_step_wintop(game, Profile((strat,)), game.players[0])
-        for ti, t in enumerate(game.topologies):
-            assert wins[0, ti, 0] == (t in brute)
+        assert wins[0, 0] == _mask(game, brute)
 
 
 def _stacked_tables(game, strategies):
@@ -131,10 +139,10 @@ def _stacked_tables(game, strategies):
 
 
 def _check_rows(game, tables, strategies, rows):
-    """Kernel flags of ``rows`` against the lasso and raw-simulation oracles.
+    """Kernel masks of ``rows`` against the lasso and raw-simulation oracles.
 
     ``strategies[p]`` lists player ``p``'s strategy per row, or holds one
-    strategy that every row plays. Returns the flags.
+    strategy that every row plays. Returns the masks.
     """
     idx = compile_tables(game)
     wins = _kernels.simulate_min_even(idx.delta, idx.prio, tables, idx.initial,
@@ -146,8 +154,7 @@ def _check_rows(game, tables, strategies, rows):
         for pi, p in enumerate(game.players):
             lasso = wintop(game, profile, p)
             assert lasso == raw_step_wintop(game, profile, p)
-            for ti, t in enumerate(game.topologies):
-                assert wins[b, ti, pi] == (t in lasso), (b, t, p)
+            assert wins[b, pi] == _mask(game, lasso), (b, p)
     return wins
 
 
@@ -214,14 +221,12 @@ def _check_sweep(game, var_player, co, m, lo, hi):
     upd, act = _decode(block, np.arange(lo, hi, dtype=np.int64))
     want = _kernels.canonical_mask(upd.reshape(hi - lo, -1), act.reshape(hi - lo, -1),
                                    m, block.n_actions)
-    assert np.array_equal(keep.astype(bool), want)
+    assert keep.dtype == bool and np.array_equal(keep, want)
     player = game.players[var_player]
     for i in np.nonzero(keep)[0]:
         profile = Profile(tuple(block.strategy_at(lo + int(i)) if p == var_player else s
                                 for p, s in enumerate(co)))
-        won = wintop(game, profile, player)
-        mask = sum(1 << t for t, name in enumerate(game.topologies) if name in won)
-        assert bits[i] == mask, (m, lo + int(i))
+        assert bits[i] == _mask(game, wintop(game, profile, player)), (m, lo + int(i))
     return int(np.count_nonzero(keep))
 
 
@@ -390,9 +395,8 @@ class TestLassoClosure:
             profile = Profile((strat,))
             lasso = wintop(game, profile, "p0")
             assert lasso == raw_step_wintop(game, profile, "p0")
-            want = [t in lasso for t in game.topologies]
-            assert (wins[index == i, :, 0] == want).all(), i
-        assert wins[_kernels.SUB_BATCH + 17, :, 0].tolist() == [False, True]
+            assert (wins[index == i, 0] == _mask(game, lasso)).all(), i
+        assert wins[_kernels.SUB_BATCH + 17, 0] == _mask(game, {"t1"})
 
 
 class TestIndexedTables:
@@ -431,9 +435,10 @@ class TestIndexedTables:
         game = random_mtg(random.Random(43), n_players=2)
         idx = compile_tables(game)
         tables = [_decode(StrategyBlock(game, 1), np.arange(3)) for _ in game.players]
-        for rows in ([np.arange(3), np.arange(2)], [np.arange(3), None], None):
+        for pairs, rows in ((tables, [np.arange(3), np.arange(2)]),
+                            (tables, [np.arange(3), None]), (tables, None), (tables[:1], None)):
             with pytest.raises(ValueError):
-                _kernels.simulate_min_even(idx.delta, idx.prio, tables, idx.initial,
+                _kernels.simulate_min_even(idx.delta, idx.prio, pairs, idx.initial,
                                            idx.n_actions, rows=rows)
 
 
@@ -443,13 +448,15 @@ def _stacked(game, strategies):
     return np.concatenate([u for u, _ in pairs]), np.concatenate([a for _, a in pairs])
 
 
-def _closed_walks(game, fixed, wants):
-    """Kernel flags (batch, top) for ``fixed``: player index -> list of strategies, one per graph."""
+def _closed_walks(game, fixed, stack):
+    """Kernel masks for ``fixed`` (player index -> list of strategies, one per graph) under
+    a stack of K patterns, unpacked to flags (batch, K, top)."""
     idx = compile_tables(game)
     tables = [_stacked(game, fixed[p]) if p in fixed else None for p in range(len(game.players))]
     rows = [np.arange(len(fixed[p])) if p in fixed else None for p in range(len(game.players))]
-    return _kernels.closed_walk_exists(idx.delta, idx.prio, tables, rows, idx.initial,
-                                       idx.n_actions, np.asarray(wants))
+    return _flags(_kernels.closed_walk_exists(idx.delta, idx.prio, tables, rows, idx.initial,
+                                              idx.n_actions, np.asarray(stack)),
+                  len(game.topologies))
 
 
 def _graph_game(succ, prio):
@@ -478,7 +485,7 @@ class TestClosedWalk:
                 wants = np.full((len(game.topologies), n_pla), -1)
                 wants[:, dev] = 0
                 got = _closed_walks(game, {p: strategies[p] for p in range(n_pla) if p != dev},
-                                    wants)
+                                    [wants])[:, 0]
                 for b in range(batch):
                     profile = Profile(tuple(strategies[p][b] for p in range(n_pla)))
                     for ti, t in enumerate(game.topologies):
@@ -493,7 +500,7 @@ class TestClosedWalk:
         profile = Profile(tuple(strategies))
         wants = np.full((2, 3), -1)
         wants[:, 0] = 0
-        got = _closed_walks(game, {1: [strategies[1]], 2: [strategies[2]]}, wants)
+        got = _closed_walks(game, {1: [strategies[1]], 2: [strategies[2]]}, [wants])[:, 0]
         assert 3 * 3 * 8 > 64
         for ti, t in enumerate(game.topologies):
             assert got[0, ti] == can_deviator_win_set(game, profile, "p0", frozenset({t}))[0]
@@ -510,7 +517,7 @@ class TestClosedWalk:
                           for p in fixed}
             wants = np.array([[rng.choice((-1, 0, 1)) for _ in range(n_pla)]
                               for _ in game.topologies])
-            got = _closed_walks(game, strategies, wants)
+            got = _closed_walks(game, strategies, [wants])[:, 0]
             for b in range(2):
                 for ti, t in enumerate(game.topologies):
                     want = residual_closed_walk(
@@ -521,7 +528,7 @@ class TestClosedWalk:
     @staticmethod
     def _decide(succ, prio, wants):
         game = _graph_game(succ, prio)
-        return bool(_closed_walks(game, {0: [constant_strategy(game, "0")]}, [wants])[0, 0])
+        return bool(_closed_walks(game, {0: [constant_strategy(game, "0")]}, [[wants]])[0, 0, 0])
 
     def test_long_cycle_needs_the_whole_closure(self):
         # 0 -> 1 -> ... -> 6 -> 0: the only closed walk has length 7
@@ -584,7 +591,7 @@ class TestClosedWalk:
                 want = float_closed_walk_exists(idx.delta, idx.prio, tables, rows, idx.initial,
                                                 idx.n_actions, wants)
                 assert np.array_equal(got[:, k], want), (k, wants)
-                assert np.array_equal(_closed_walks(game, strategies, wants), want)
+                assert np.array_equal(_closed_walks(game, strategies, [wants])[:, 0], want)
                 if n_nodes > 9:
                     continue
                 for b in range(5):
@@ -597,10 +604,16 @@ class TestClosedWalk:
         game = random_mtg(random.Random(64), n_players=2)
         idx = compile_tables(game)
         tables = _decode(StrategyBlock(game, 1), np.arange(3))
-        wants = np.zeros((2, 2), dtype=int)
-        for pairs, rows in (([None, None], [None, None]),
-                            ([tables, tables], [np.arange(3), np.arange(2)]),
-                            ([tables], [np.arange(3)])):
+        stack = np.zeros((1, *idx.prio.shape[:2]), dtype=int)
+        for pairs, rows, wants in (([None, None], [None, None], stack),
+                                   ([tables, tables], [np.arange(3), np.arange(2)], stack),
+                                   ([tables], [np.arange(3)], stack),
+                                   ([tables, None], [np.arange(3), None], stack[0]),
+                                   ([tables, None], [np.arange(3), None], stack[:, :, :1])):
             with pytest.raises(ValueError):
                 _kernels.closed_walk_exists(idx.delta, idx.prio, pairs, rows, idx.initial,
                                             idx.n_actions, wants)
+        # the same call with the stack itself is well formed: one int64 mask per graph
+        masks = _kernels.closed_walk_exists(idx.delta, idx.prio, [tables, None],
+                                            [np.arange(3), None], idx.initial, idx.n_actions, stack)
+        assert masks.shape == (3, 1) and masks.dtype == np.int64

@@ -502,7 +502,8 @@ class TestScreenedSearchEqualsReference:
             for chunk in search._candidate_chunks(game, 2):
                 # rows with a strategy that fails the targets against every
                 # co-play are pruned; the others are simulated
-                ok = [search._walk_masks(idx_game, chunk, [p], wants) == 3 for p in range(2)]
+                ok = [search._walk_masks(idx_game, chunk, [p], wants[None])[:, 0] == 3
+                      for p in range(2)]
                 if not ok[0].all() and ok[0].any() and ok[1].any():
                     break
                 examined += chunk.batch
