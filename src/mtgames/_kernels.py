@@ -311,19 +311,9 @@ def encode_tables(digits: np.ndarray, base: int) -> np.ndarray:
 
 def renaming_perms(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Non-identity permutations of memory states fixing state 0, with inverses."""
-    phis = []
-    invs = []
-    for tail in itertools.permutations(range(1, m)):
-        phi = np.array((0,) + tail, dtype=np.int32)
-        if all(int(phi[i]) == i for i in range(m)):
-            continue
-        inv = np.empty(m, dtype=np.int32)
-        inv[phi] = np.arange(m, dtype=np.int32)
-        phis.append(phi)
-        invs.append(inv)
-    if not phis:
-        return np.zeros((0, max(m, 1)), dtype=np.int32), np.zeros((0, max(m, 1)), dtype=np.int32)
-    return np.stack(phis), np.stack(invs)
+    phis = [(0, *tail) for tail in itertools.permutations(range(1, m))][1:]  # [0] is the identity
+    invs = [sorted(range(m), key=phi.__getitem__) for phi in phis]
+    return tuple(np.array(x, dtype=np.int32).reshape(len(phis), max(m, 1)) for x in (phis, invs))
 
 
 def canonical_mask(upd_digits: np.ndarray, act_digits: np.ndarray, m: int,

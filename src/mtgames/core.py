@@ -57,7 +57,8 @@ class Lasso:
 
     The cycle is entered after the last prefix state; an empty prefix means the
     play starts directly on ``cycle[0]``. ``topology`` records which transition
-    table the play was produced in, so legality is checkable later.
+    table the play was produced in, so legality is checkable later; it is None
+    for a play of a challenge game, whose states are its ``HState``s.
     """
 
     prefix: tuple[str, ...]

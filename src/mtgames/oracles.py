@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import InputError, Mtg, compile_tables
+from .core import InputError, Lasso, Mtg, compile_tables
 from .equilibria import _question, can_deviator_win_set
 from .generate import random_profile, random_strategy
-from .reductions import (START, DeviationChoice, HLasso, PartialInfoGame,
-                         gamma_roundtrip, rank_parity, semantic_objective)
+from .reductions import (START, DeviationChoice, PartialInfoGame, gamma_roundtrip,
+                         rank_parity, semantic_objective)
 from .strategy import Profile, StrategyBlock, wintop
 
 
@@ -107,7 +107,7 @@ def omega_rank_agreement(h: PartialInfoGame, cycle_bound: int = 8) -> OmegaAgree
             v = walk[0]
             while (v := parent[v]) is not None:
                 prefix.append(v)
-            lasso = HLasso(prefix=tuple(reversed(prefix)), cycle=tuple(walk))
+            lasso = Lasso(prefix=tuple(reversed(prefix)), cycle=tuple(walk))
             checked += 1
             sem = semantic_objective(h, lasso)
             par = rank_parity(h, lasso)

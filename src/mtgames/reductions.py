@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import InputError, Lasso, Mtg
 from .strategy import MooreStrategy, Profile, _outcome
@@ -35,8 +36,7 @@ DEVIATOR = "deviator"
 RESOLVER = "resolver"
 
 
-@dataclass(frozen=True)
-class HState:
+class HState(NamedTuple):
     """Interior state of a challenge game; ``T`` is None in greedy instances."""
 
     s: str
@@ -44,14 +44,6 @@ class HState:
     T: frozenset[str] | None
     t: str
     b: bool
-
-
-@dataclass(frozen=True)
-class HLasso:
-    """Ultimately periodic play of a challenge game; prefix starts at ``start``."""
-
-    prefix: tuple
-    cycle: tuple
 
 
 @dataclass
@@ -247,7 +239,7 @@ def build_gne_game(game: Mtg, targets: dict[str, frozenset[str]]) -> PartialInfo
     return _build(game, targets, "gne")
 
 
-def check_h_lasso(h: PartialInfoGame, lasso: HLasso) -> None:
+def check_h_lasso(h: PartialInfoGame, lasso: Lasso) -> None:
     """Raise InputError unless the lasso is a legal play of the challenge game."""
     if not lasso.cycle:
         raise InputError("lasso cycle is empty")
@@ -263,7 +255,7 @@ def check_h_lasso(h: PartialInfoGame, lasso: HLasso) -> None:
             raise InputError(f"lasso edge {u!r} -> {v!r} not realizable")
 
 
-def semantic_objective(h: PartialInfoGame, lasso: HLasso) -> bool:
+def semantic_objective(h: PartialInfoGame, lasso: Lasso) -> bool:
     """Evaluate the defining objective clauses directly, independent of the rank.
 
     Conservative instances: the resolver must have picked a challenged
@@ -288,7 +280,7 @@ def semantic_objective(h: PartialInfoGame, lasso: HLasso) -> bool:
     return psi1 and psi2
 
 
-def rank_parity(h: PartialInfoGame, lasso: HLasso) -> bool:
+def rank_parity(h: PartialInfoGame, lasso: Lasso) -> bool:
     """True iff the minimum rank on the lasso's cycle is even."""
     return min(h.rank[q] for q in lasso.cycle) % 2 == 0
 
@@ -323,20 +315,16 @@ class RoundtripReport:
         return True
 
 
-def _up_equal(pa: list[str], ca: list[str], pb: list[str], cb: list[str]
-              ) -> tuple[bool, int | None]:
-    """Exact equality of two ultimately periodic sequences, with first mismatch."""
-    horizon = max(len(pa), len(pb)) + math.lcm(len(ca), len(cb))
-    a = Lasso(tuple(pa), tuple(ca)).unroll(horizon)
-    b = Lasso(tuple(pb), tuple(cb)).unroll(horizon)
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return False, i
-    return True, None
+def _first_difference(a: Lasso, b: Lasso) -> int | None:
+    """The first position where two plays differ, or None if they are one play."""
+    # past both prefixes and one common period of the cycles, both plays repeat
+    horizon = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.cycle), len(b.cycle))
+    return next((i for i, (x, y) in enumerate(zip(a.unroll(horizon), b.unroll(horizon)))
+                 if x != y), None)
 
 
 def simulate_h(h: PartialInfoGame, profile: Profile, deviation: DeviationChoice,
-               resolved: str | None = None) -> HLasso:
+               resolved: str | None = None) -> Lasso:
     """Deterministic play of the challenge game under transported strategies.
 
     The coalition plays the profile's action suggestions on the projected
@@ -375,7 +363,7 @@ def simulate_h(h: PartialInfoGame, profile: Profile, deviation: DeviationChoice,
         key = (q, tuple(mems), dev_mem)
         if key in seen:
             i = seen[key]
-            return HLasso(prefix=(START,) + tuple(seq[:i]), cycle=tuple(seq[i:]))
+            return Lasso(prefix=(START,) + tuple(seq[:i]), cycle=tuple(seq[i:]))
         seen[key] = len(seq)
         seq.append(q)
 
@@ -395,20 +383,14 @@ def gamma_roundtrip(game: Mtg, h: PartialInfoGame, profile: Profile,
     interior = [q for q in list(rho.prefix) + list(rho.cycle) if q != START]
     t = interior[0].t
     obey = all(q.b for q in interior)
-    proj_prefix = [q.s for q in rho.prefix if q != START]
-    proj_cycle = [q.s for q in rho.cycle]
+    projected = Lasso(tuple(q.s for q in rho.prefix if q != START),
+                      tuple(q.s for q in rho.cycle))
 
     di = game.players.index(deviation.player)
-    deviated = _outcome(game, t, profile.substitute(di, deviation.strategy))
-    ok_dev, idx_dev = _up_equal(proj_prefix, proj_cycle,
-                                list(deviated.prefix), list(deviated.cycle))
-    ok_sug: bool | None = None
-    idx_sug: int | None = None
-    if obey:
-        suggested = _outcome(game, t, profile)
-        ok_sug, idx_sug = _up_equal(proj_prefix, proj_cycle,
-                                    list(suggested.prefix), list(suggested.cycle))
-    return RoundtripReport(obey=obey, proj_matches_deviated=ok_dev,
+    idx_dev = _first_difference(projected,
+                               _outcome(game, t, profile.substitute(di, deviation.strategy)))
+    idx_sug = _first_difference(projected, _outcome(game, t, profile)) if obey else None
+    return RoundtripReport(obey=obey, proj_matches_deviated=idx_dev is None,
                            deviated_mismatch_index=idx_dev,
-                           proj_matches_suggested=ok_sug,
+                           proj_matches_suggested=(idx_sug is None) if obey else None,
                            suggested_mismatch_index=idx_sug)

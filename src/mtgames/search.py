@@ -21,7 +21,7 @@ per distinct w for CNE. When the one GNE or target set cannot be won, the
 sweep only counts each range's canonical strategies with
 ``_kernels.canonical_range`` and simulates none. The README's
 ``find gne fig3.game --memory 3`` takes this path; its 5,043,816 candidates
-take about 0.15 s in process on a 2-core x86-64 VM, against 1.5 s when each
+take 90–100 ms in process on a 2-core x86-64 VM, against 1.5 s when each
 was simulated.
 
 The multi-player questions of the GNE and the target search are residual

@@ -65,29 +65,25 @@ class MooreStrategy:
             raise InputError(f"{where}: {name} table row {stray} outside memory x states")
 
     def encoding(self, game: Mtg) -> tuple:
-        """Hashable content key, used for caching deviation analyses."""
-        mi = {m: i for i, m in enumerate(self.memory)}
-        upd = tuple(mi[self.update[(m, s)]] for m in self.memory for s in game.states)
-        act = tuple(game.actions.index(self.act[(m, s)]) for m in self.memory for s in game.states)
-        return (len(self.memory), mi[self.init], upd, act)
+        """``(M, update digits, act digits)``: the cache key of deviation analyses.
+
+        Cells run in (memory, state) order and memory 0 is the initial memory,
+        the digit order of a strategy block's index, so the key does not depend
+        on where the initial memory is listed.
+        """
+        order = self.memory
+        if order[0] != self.init:
+            order = (self.init,) + tuple(m for m in order if m != self.init)
+        mi = {m: i for i, m in enumerate(order)}
+        upd = tuple(mi[self.update[(m, s)]] for m in order for s in game.states)
+        act = tuple(game.actions.index(self.act[(m, s)]) for m in order for s in game.states)
+        return (len(order), upd, act)
 
     def tables(self, game: Mtg) -> tuple[np.ndarray, np.ndarray]:
-        """Integer ``(update, act)`` tables of shape (1, M, S) for the kernels.
-
-        Memory index 0 is the initial memory state.
-        """
+        """The encoding's digits as the kernels' int32 ``(update, act)`` tables, shape (1, M, S)."""
         import numpy as np
-        order = [self.init] + [m for m in self.memory if m != self.init]
-        mi = {m: i for i, m in enumerate(order)}
-        n_m, n_s = len(order), len(game.states)
-        upd = np.zeros((1, n_m, n_s), dtype=np.int32)
-        act = np.zeros((1, n_m, n_s), dtype=np.int32)
-        ai = {a: i for i, a in enumerate(game.actions)}
-        for m in order:
-            for j, s in enumerate(game.states):
-                upd[0, mi[m], j] = mi[self.update[(m, s)]]
-                act[0, mi[m], j] = ai[self.act[(m, s)]]
-        return upd, act
+        n_m, *digits = self.encoding(game)
+        return tuple(np.array(d, dtype=np.int32).reshape(1, n_m, len(game.states)) for d in digits)
 
 
 def constant_strategy(game: Mtg, action: str) -> MooreStrategy:

@@ -11,11 +11,12 @@ import pytest
 
 from brute import reference_cycle_sets
 from mtgames import reductions
-from mtgames.core import InputError
+from mtgames.core import InputError, Lasso
 from mtgames.oracles import _reachable_cycle_sets, gamma_sample, omega_rank_agreement
-from mtgames.reductions import (START, DeviationChoice, HLasso, build_cne_game,
-                                build_gne_game, challenge_sets, gamma_roundtrip,
-                                rank_parity, semantic_objective, simulate_h)
+from mtgames.reductions import (START, DeviationChoice, RoundtripReport, _first_difference,
+                                build_cne_game, build_gne_game, challenge_sets,
+                                gamma_roundtrip, rank_parity, semantic_objective,
+                                simulate_h)
 from mtgames.strategy import constant_strategy
 
 
@@ -160,7 +161,7 @@ class TestSemanticObjective:
         q = router_cne.transitions[(START, ("blue", frozenset({"A"}), "B"))]
         loop = router_cne.transitions[(q, (("0", "0"), "0"))]
         assert loop.s == "ready"
-        lasso = HLasso(prefix=(START,), cycle=(q,))
+        lasso = Lasso(prefix=(START,), cycle=(q,))
         assert not semantic_objective(router_cne, lasso)
         assert not rank_parity(router_cne, lasso)
 
@@ -175,13 +176,13 @@ class TestSemanticObjective:
 
     def test_illegal_lasso_rejected(self, router_cne):
         with pytest.raises(InputError):
-            semantic_objective(router_cne, HLasso(prefix=(), cycle=(START,)))
+            semantic_objective(router_cne, Lasso(prefix=(), cycle=(START,)))
         blue = router_cne.transitions[(START, ("blue", frozenset({"A"}), "A"))]
         red = router_cne.transitions[(START, ("red", frozenset({"A"}), "A"))]
         for lasso, message in (
-                (HLasso(prefix=(START,), cycle=()), "lasso cycle is empty"),
-                (HLasso(prefix=(), cycle=(blue,)), "plays start at the start state"),
-                (HLasso(prefix=(START,), cycle=(blue, red)), "not realizable")):
+                (Lasso(prefix=(START,), cycle=()), "lasso cycle is empty"),
+                (Lasso(prefix=(), cycle=(blue,)), "plays start at the start state"),
+                (Lasso(prefix=(START,), cycle=(blue, red)), "not realizable")):
             with pytest.raises(InputError, match=message):
                 semantic_objective(router_cne, lasso)
 
@@ -282,6 +283,18 @@ class TestSemanticObjective:
 
 
 class TestGammaRoundtrip:
+    def test_first_difference_of_two_plays(self):
+        a, b = "a", "b"
+        assert _first_difference(Lasso((a,), (b, a)), Lasso((), (a, b))) is None
+        assert _first_difference(Lasso((a,), (b,)), Lasso((), (a, b))) == 2
+        assert _first_difference(Lasso((), (b,)), Lasso((a,), (b,))) == 0
+
+    def test_an_obeying_play_unlike_the_suggested_one_is_not_ok(self):
+        report = RoundtripReport(obey=True, proj_matches_deviated=True,
+                                 deviated_mismatch_index=None,
+                                 proj_matches_suggested=False, suggested_mismatch_index=2)
+        assert not report.ok()
+
     def test_obeying_deviator_reproduces_suggested_play(self, router, router_cne,
                                                         turn_taking):
         dev = DeviationChoice(player="red", strategy=turn_taking.by_player[1],

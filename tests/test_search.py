@@ -391,10 +391,28 @@ class TestScreenedSearchEqualsReference:
             result = (find_gne if kind == "gne" else find_cne)(game, bound, budget=budget)
         return result.status, result.examined, result.profile
 
+    @staticmethod
+    def _spy_exact_checks(monkeypatch):
+        """The profiles a search hands its exact GNE or target check."""
+        checked = []
+        for name in ("check_gne", "wintop_map"):
+            def spy(game, profile, *args, real=getattr(search, name), **kwargs):
+                checked.append(profile)
+                return real(game, profile, *args, **kwargs)
+            monkeypatch.setattr(search, name, spy)
+        return checked
+
+    @staticmethod
+    def _assert_survivors_are_answers(kind, got, checked):
+        """A GNE or target search's screens are exact: it checks only the row it returns."""
+        if kind != "cne":
+            assert checked == ([got[2]] if got[0] == "found" else [])
+
     @pytest.mark.parametrize("n_players, n_states, bound",
                              [(2, 2, 2), (2, 3, 1), (3, 3, 1), (3, 2, 1)])
     def test_random_games(self, n_players, n_states, bound, monkeypatch):
         monkeypatch.setattr(search, "CHUNK_CAP", 16)  # four strategies per player a tile
+        checked = self._spy_exact_checks(monkeypatch)
         prefiltered = []
         improvable = search._memoryless_improvable
 
@@ -414,7 +432,9 @@ class TestScreenedSearchEqualsReference:
             reachable = wintop_map(game, random_profile(rng, game, bound))
             for kind, targets in zip(kinds, (None, aimed, reachable, None)):
                 want = _reference_scan(game, kind, bound, budget=3000, targets=targets)
-                assert self._run(game, kind, bound, 3000, targets) == want
+                checked.clear()
+                assert (got := self._run(game, kind, bound, 3000, targets)) == want
+                self._assert_survivors_are_answers(kind, got, checked)
         assert bool(prefiltered) == (n_states == 2)
 
     @pytest.mark.parametrize("n_players, n_states", [(2, 3), (3, 2)])
@@ -466,6 +486,7 @@ class TestScreenedSearchEqualsReference:
             calls.append(1)
             return sweep(*args, **kwargs)
         monkeypatch.setattr(search._kernels, "sweep_block", spy)
+        checked = self._spy_exact_checks(monkeypatch)
         rng = random.Random(60 + n_states + 10 * (max_top - 3))
         statuses = set()
         swept = set()  # whether a search simulated, or no allowed set could be won
@@ -481,7 +502,9 @@ class TestScreenedSearchEqualsReference:
                 for budget in (None, rng.randrange(1, count), count):
                     want = _reference_scan(game, kind, bound, budget=budget, targets=targets)
                     before = len(calls)
-                    assert self._run(game, kind, bound, budget, targets) == want
+                    checked.clear()
+                    assert (got := self._run(game, kind, bound, budget, targets)) == want
+                    self._assert_survivors_are_answers(kind, got, checked)
                     swept.add(len(calls) > before)
                     statuses.add(want[0])
                     if budget == count:

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,11 +245,31 @@ class TestEnumerate:
         for strat in enumerate_strategies(fig3, 2):
             strat.check(fig3)
             key = strat.encoding(fig3)
-            iso = isomorphic_encodings((key[2], key[3]), len(strat.memory),
-                                       len(fig3.states))
-            assert key[2:] == min(iso | {key[2:]})
+            iso = isomorphic_encodings(key[1:], len(strat.memory), len(fig3.states))
+            assert key[1:] == min(iso | {key[1:]})
             assert key not in seen
             seen.add(key)
+
+
+class TestEncoding:
+    def test_where_the_initial_memory_is_listed_changes_no_form(self, router, turn_taking,
+                                                                 monkeypatch):
+        blue, red = turn_taking.by_player
+        second = replace(blue, memory=("m1", "m0", "m2", "m3"))
+        assert second.encoding(router) == blue.encoding(router)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(second.tables(router), blue.tables(router)))
+        calls = []
+        real = equilibria._can_win_set
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(equilibria, "_can_win_set", spy)
+        oracle = equilibria.DeviationOracle(router)
+        answers = [oracle.can_win(Profile((b, red)), "red", {"A"}) for b in (blue, second)]
+        assert answers[0] == answers[1]
+        assert len(calls) == 1
 
 
 class TestPeriodic:
