@@ -6,8 +6,8 @@ from .core import (ActionProfile, InputError, Lasso, Mtg, compile_tables,
 from .equilibria import (DeviationOracle, DeviationWitness, EquilibriumReport,
                          KnowledgeNode, build_knowledge_arena, can_deviator_win_set,
                          check_cne, check_gne, check_ne)
-from .reductions import (DeviationChoice, HState, PartialInfoGame, build_cne_game,
-                         build_gne_game, gamma_roundtrip, semantic_objective)
+from .reductions import (HState, PartialInfoGame, build_cne_game, build_gne_game,
+                         gamma_roundtrip, semantic_objective)
 from .solvers import solve_conjunction, solve_one_player
 from .strategy import (MooreStrategy, Profile, enumerate_strategies, outcome,
                        winners, wintop, wintop_map)
@@ -15,7 +15,7 @@ from .strategy import (MooreStrategy, Profile, enumerate_strategies, outcome,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionProfile", "Arena", "ArenaLasso", "DeviationChoice", "DeviationOracle",
+    "ActionProfile", "Arena", "ArenaLasso", "DeviationOracle",
     "DeviationWitness", "EquilibriumReport", "HState", "InputError", "KnowledgeNode",
     "Lasso", "MooreStrategy", "Mtg", "PartialInfoGame", "Profile",
     "SEEKER", "SPOILER", "SearchResult", "build_cne_game", "build_gne_game",

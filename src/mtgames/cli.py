@@ -247,7 +247,7 @@ def _run(args) -> int:
                    "disagreements": res.disagreements})
             _info(f"checked {res.checked} cycle sets, {len(res.disagreements)} disagreement(s)")
             return EXIT_OK
-        res = gamma_sample(game, h, samples=args.samples, seed=args.seed, memory=args.memory)
+        res = gamma_sample(h, samples=args.samples, seed=args.seed, memory=args.memory)
         _emit({"command": "oracle-gamma", "samples": res.samples,
                "mismatches": len(res.mismatches)})
         _info(f"{res.samples} samples, {len(res.mismatches)} mismatch(es)")

@@ -201,8 +201,8 @@ def _machine_to_moore(game: Mtg, arena: Arena, machine: WitnessMachine) -> Moore
     default = game.actions[0]
     nodes, owner, succ, labels = arena.nodes, arena.owner, arena.succ, arena.labels
     choice, moves = machine.choice, machine.moves
-    ids = {(arena.initial, machine.init): "w0"}
-    order = [(arena.initial, machine.init, "w0")]
+    ids = {(arena.initial, 0): "w0"}
+    order = [(arena.initial, 0, "w0")]
     update: dict[tuple[str, str], str] = {}
     act: dict[tuple[str, str], str] = {}
     for w, record, mid in order:

@@ -362,16 +362,14 @@ def h_to_dict(h: PartialInfoGame) -> dict:
     transitions = []
     for (q, action), q2 in h.transitions.items():
         if q == START:
-            if h.kind == "cne":
-                p, T, t = action
+            p, T, t = action
+            if T is None:
+                entry = {"from": START, "deviator": {"player": p, "topology": t}, "to": ids[q2]}
+            else:  # a conservative instance: the resolver names the topology
                 entry = {"from": START,
                          "deviator": {"player": p,
                                       "challenge": [x for x in game.topologies if x in T]},
                          "resolver": t, "to": ids[q2]}
-            else:
-                p, t = action
-                entry = {"from": START, "deviator": {"player": p, "topology": t},
-                         "to": ids[q2]}
         else:
             prof, a = action
             entry = {"from": ids[q], "coalition": list(prof), "deviator": a,

@@ -10,8 +10,9 @@ Three oracles are exposed (also via the command line):
   0..n-1 and keys on (state id, visited-set bitmask), so no state is hashed
   inside the loop. One BFS tree from the start gives the reachable states
   and each lasso's prefix: the tree path to the cycle's first state.
-* ``gamma``: sample finite-memory commitments and check the projected
-  challenge-game play against the plays it must mirror.
+* ``gamma``: sample a profile, a start choice and a finite-memory deviating
+  strategy, and check the projected challenge-game play against the plays it
+  must mirror.
 * ``deviation``: sweep the deviator's strategies up to a memory bound with
   the batch kernels, in enumeration order, stop at the first that wins every
   target, and compare the answer against the exact deviation checker.
@@ -28,8 +29,8 @@ from . import _kernels
 from .core import InputError, Lasso, Mtg, compile_tables
 from .equilibria import _question, can_deviator_win_set
 from .generate import random_profile, random_strategy
-from .reductions import (START, DeviationChoice, PartialInfoGame, gamma_roundtrip,
-                         rank_parity, semantic_objective)
+from .reductions import (START, PartialInfoGame, gamma_roundtrip, rank_parity,
+                         semantic_objective)
 from .strategy import Profile, StrategyBlock, wintop
 
 
@@ -127,9 +128,8 @@ class GammaSample:
     mismatches: list
 
 
-def gamma_sample(game: Mtg, h: PartialInfoGame, samples: int, seed: int,
-                 memory: int = 2) -> GammaSample:
-    """Sample finite-memory commitments and verify the play correspondence."""
+def gamma_sample(h: PartialInfoGame, samples: int, seed: int, memory: int = 2) -> GammaSample:
+    """Check the play correspondence on sampled profiles, start choices and strategies."""
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
     if memory < 1:
@@ -138,18 +138,10 @@ def gamma_sample(game: Mtg, h: PartialInfoGame, samples: int, seed: int,
     mismatches = []
     start_choices = h.start_choices()
     for i in range(samples):
-        profile = random_profile(rng, game, memory)
+        profile = random_profile(rng, h.game, memory)
         choice = rng.choice(start_choices)
-        strat = random_strategy(rng, game, rng.randint(1, memory))
-        if h.kind == "cne":
-            deviation = DeviationChoice(player=choice[0], strategy=strat,
-                                        topologies=choice[1])
-            resolved = rng.choice(game.topologies)
-            report = gamma_roundtrip(game, h, profile, deviation, resolved)
-        else:
-            deviation = DeviationChoice(player=choice[0], strategy=strat,
-                                        topology=choice[1])
-            report = gamma_roundtrip(game, h, profile, deviation)
+        strat = random_strategy(rng, h.game, rng.randint(1, memory))
+        report = gamma_roundtrip(h, profile, strat, choice)
         if not report.ok():
             mismatches.append({"sample": i, "report": report})
     return GammaSample(samples=samples, mismatches=mismatches)

@@ -69,7 +69,11 @@ class PartialInfoGame:
         return self._succ
 
     def start_choices(self) -> list[tuple]:
-        """The start state's commitments, ordered by the names of the states they lead to."""
+        """The start state's commitments, ordered by the names of the states they lead to.
+
+        A commitment is the ``(p, T, t)`` of the state it leads to: the deviating
+        player, the challenge set (None in greedy instances) and the topology.
+        """
         return sorted((key[1] for key in self.transitions if key[0] == START),
                       key=lambda c: self.ids[self.transitions[(START, c)]])
 
@@ -170,18 +174,15 @@ def _build(game: Mtg, targets: dict[str, frozenset[str]], kind: str) -> PartialI
 
     if kind == "cne":
         per_player, family = challenge_sets(game, targets)
-        for p in game.players:
-            for T in per_player[p]:
-                for t in game.topologies:
-                    q = intern(HState(game.initial, p, T, t, True))
-                    transitions[(START, (p, T, t))] = q
     elif kind == "gne":
-        for p in game.players:
-            for t in game.topologies:
-                q = intern(HState(game.initial, p, None, t, True))
-                transitions[(START, (p, t))] = q
+        per_player = {p: [None] for p in game.players}
     else:
         raise InputError(f"unknown reduction kind {kind!r}")
+    for p in game.players:
+        for T in per_player[p]:
+            for t in game.topologies:
+                q = intern(HState(game.initial, p, T, t, True))
+                transitions[(START, (p, T, t))] = q
 
     profiles = game.action_profiles()
     frontier = 1
@@ -285,34 +286,21 @@ def rank_parity(h: PartialInfoGame, lasso: Lasso) -> bool:
     return min(h.rank[q] for q in lasso.cycle) % 2 == 0
 
 
-@dataclass(frozen=True)
-class DeviationChoice:
-    """The deviator controller's commitment: player, strategy, and challenge.
-
-    ``topologies`` is the challenge set in conservative instances;
-    ``topology`` the single topology in greedy ones.
-    """
-
-    player: str
-    strategy: MooreStrategy
-    topologies: frozenset[str] | None = None
-    topology: str | None = None
-
-
 @dataclass
 class RoundtripReport:
+    """Where the projected play first leaves the plays it must mirror, None if nowhere.
+
+    ``suggested_mismatch_index`` is None when the deviator disobeys: the
+    projected play then mirrors only the deviated outcome.
+    """
+
     obey: bool
-    proj_matches_deviated: bool
     deviated_mismatch_index: int | None
-    proj_matches_suggested: bool | None
     suggested_mismatch_index: int | None
 
     def ok(self) -> bool:
-        if not self.proj_matches_deviated:
-            return False
-        if self.obey and self.proj_matches_suggested is not True:
-            return False
-        return True
+        return self.deviated_mismatch_index is None and (
+            not self.obey or self.suggested_mismatch_index is None)
 
 
 def _first_difference(a: Lasso, b: Lasso) -> int | None:
@@ -323,42 +311,32 @@ def _first_difference(a: Lasso, b: Lasso) -> int | None:
                  if x != y), None)
 
 
-def simulate_h(h: PartialInfoGame, profile: Profile, deviation: DeviationChoice,
-               resolved: str | None = None) -> Lasso:
+def simulate_h(h: PartialInfoGame, profile: Profile, strategy: MooreStrategy,
+               commitment: tuple) -> Lasso:
     """Deterministic play of the challenge game under transported strategies.
 
-    The coalition plays the profile's action suggestions on the projected
-    state history; the deviator controller plays its strategy the same way.
-    Inputs are observation-based by construction; commitments that the start
-    state does not offer are rejected.
+    The deviator controller commits to ``commitment``, one of
+    ``h.start_choices()``, and then plays ``strategy`` for its player. The
+    coalition plays the profile's action suggestions on the projected state
+    history; the deviator plays its strategy the same way. Inputs are
+    observation-based by construction.
     """
-    game = h.game
-    profile.check(game)
-    deviation.strategy.check(game)
-    if deviation.player not in game.players:
-        raise InputError(f"unknown player {deviation.player!r}")
-    if h.kind == "cne":
-        if deviation.topologies is None or resolved is None:
-            raise InputError("conservative instances need a challenge set and a resolved topology")
-        start_key = (deviation.player, frozenset(deviation.topologies), resolved)
-    else:
-        if deviation.topology is None:
-            raise InputError("greedy instances need a single committed topology")
-        start_key = (deviation.player, deviation.topology)
-    if (START, start_key) not in h.transitions:
-        raise InputError("commitment is not an available start choice of this instance")
-
-    q = h.transitions[(START, start_key)]
+    profile.check(h.game)
+    strategy.check(h.game)
+    try:
+        q = h.transitions[(START, commitment)]
+    except (KeyError, TypeError):  # TypeError: an unhashable commitment
+        raise InputError("commitment is not an available start choice of this instance") from None
     mems = [strat.init for strat in profile.by_player]
-    dev_mem = deviation.strategy.init
+    dev_mem = strategy.init
     seq = [q]
     seen: dict = {(q, tuple(mems), dev_mem): 0}
     while True:
         s = q.s
         prof = tuple(strat.action(m, s) for strat, m in zip(profile.by_player, mems))
-        a = deviation.strategy.action(dev_mem, s)
+        a = strategy.action(dev_mem, s)
         mems = [strat.advance(m, s) for strat, m in zip(profile.by_player, mems)]
-        dev_mem = deviation.strategy.advance(dev_mem, s)
+        dev_mem = strategy.advance(dev_mem, s)
         q = h.transitions[(q, (prof, a))]
         key = (q, tuple(mems), dev_mem)
         if key in seen:
@@ -368,29 +346,23 @@ def simulate_h(h: PartialInfoGame, profile: Profile, deviation: DeviationChoice,
         seq.append(q)
 
 
-def gamma_roundtrip(game: Mtg, h: PartialInfoGame, profile: Profile,
-                    deviation: DeviationChoice, resolved: str | None = None
-                    ) -> RoundtripReport:
+def gamma_roundtrip(h: PartialInfoGame, profile: Profile, strategy: MooreStrategy,
+                    commitment: tuple) -> RoundtripReport:
     """Compare the challenge-game play with the plays it is meant to mirror.
 
     The projected play must equal the outcome of the profile with the
     deviating strategy substituted, always; and when the deviator obeys the
     coalition it must also equal the outcome of the unmodified profile.
     """
-    if game != h.game:
-        raise InputError("the challenge game was built from another game")
-    rho = simulate_h(h, profile, deviation, resolved)  # checks the profile and deviation
-    interior = [q for q in list(rho.prefix) + list(rho.cycle) if q != START]
-    t = interior[0].t
-    obey = all(q.b for q in interior)
+    rho = simulate_h(h, profile, strategy, commitment)  # checks all three
+    p, _, t = commitment
+    obey = all(q.b for q in list(rho.prefix) + list(rho.cycle) if q != START)
     projected = Lasso(tuple(q.s for q in rho.prefix if q != START),
                       tuple(q.s for q in rho.cycle))
 
-    di = game.players.index(deviation.player)
+    di = h.game.players.index(p)
     idx_dev = _first_difference(projected,
-                               _outcome(game, t, profile.substitute(di, deviation.strategy)))
-    idx_sug = _first_difference(projected, _outcome(game, t, profile)) if obey else None
-    return RoundtripReport(obey=obey, proj_matches_deviated=idx_dev is None,
-                           deviated_mismatch_index=idx_dev,
-                           proj_matches_suggested=(idx_sug is None) if obey else None,
+                               _outcome(h.game, t, profile.substitute(di, strategy)))
+    idx_sug = _first_difference(projected, _outcome(h.game, t, profile)) if obey else None
+    return RoundtripReport(obey=obey, deviated_mismatch_index=idx_dev,
                            suggested_mismatch_index=idx_sug)

@@ -83,7 +83,7 @@ def tarjan_scc(nodes, succ) -> list[list[int]]:
 
 @dataclass
 class WitnessMachine:
-    """Finite-memory Seeker strategy whose memory is a plan position ``r`` below k.
+    """Finite-memory Seeker strategy whose memory, a plan position ``r`` below k, starts at 0.
 
     On visiting arena node ``v`` with record ``r``, a Seeker node takes edge
     ``choice[(r, v)]``; then the record becomes ``moves[(r, v)]`` where that is
@@ -91,7 +91,6 @@ class WitnessMachine:
     where ``v`` carries its good component's minimum of coordinate ``r``.
     """
 
-    init: int
     moves: dict[tuple[int, int], int]
     choice: dict[tuple[int, int], int]
 
@@ -201,7 +200,7 @@ def _solve_conjunction(arena: Arena) -> ConjunctionResult:
         for v, w in _attract(carriers, inner, dict.fromkeys(comp_of, 1)).items():
             if owner[v] == SEEKER:
                 choice[(r, v)] = stay[v] if w is None else succ[v].index(w)
-    return ConjunctionResult(True, WitnessMachine(init=0, moves=moves, choice=choice))
+    return ConjunctionResult(True, WitnessMachine(moves=moves, choice=choice))
 
 
 def solve_one_player(arena: Arena, coordinate: int = 0) -> tuple[bool, ArenaLasso | None]:

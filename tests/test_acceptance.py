@@ -120,12 +120,11 @@ def test_criterion_4_rank_vs_semantics(router, fig3):
 def test_criterion_5_correspondence_harness(router, fig3):
     t0 = time.time()
     instances = [
-        (router, build_cne_game(router, {"blue": frozenset({"A", "B"}),
-                                         "red": frozenset({"A", "B"})})),
-        (fig3, build_cne_game(fig3, {"solo": frozenset({"t1"})})),
+        build_cne_game(router, {"blue": frozenset({"A", "B"}), "red": frozenset({"A", "B"})}),
+        build_cne_game(fig3, {"solo": frozenset({"t1"})}),
     ]
-    for game, h in instances:
-        res = gamma_sample(game, h, samples=100, seed=99)
+    for h in instances:
+        res = gamma_sample(h, samples=100, seed=99)
         assert res.samples == 100
         assert res.mismatches == []
     _report(5, time.time() - t0, 30.0,

@@ -13,11 +13,10 @@ from brute import reference_cycle_sets
 from mtgames import reductions
 from mtgames.core import InputError, Lasso
 from mtgames.oracles import _reachable_cycle_sets, gamma_sample, omega_rank_agreement
-from mtgames.reductions import (START, DeviationChoice, RoundtripReport, _first_difference,
-                                build_cne_game, build_gne_game, challenge_sets,
-                                gamma_roundtrip, rank_parity, semantic_objective,
-                                simulate_h)
-from mtgames.strategy import constant_strategy
+from mtgames.reductions import (START, RoundtripReport, _first_difference, build_cne_game,
+                                build_gne_game, challenge_sets, gamma_roundtrip, rank_parity,
+                                semantic_objective, simulate_h)
+from mtgames.strategy import Profile, constant_strategy
 
 
 def all_target_tuples(game):
@@ -89,6 +88,15 @@ class TestBuildCne:
                 assert (q2.p, q2.T, q2.t) == (q.p, q.T, q.t)
                 if not q.b:
                     assert not q2.b
+
+    @pytest.mark.parametrize("kind", ["cne", "gne"])
+    def test_a_start_choice_is_the_commitment_of_the_state_it_enters(self, request, kind):
+        h = request.getfixturevalue(f"router_{kind}")
+        starts = {c: q for (u, c), q in h.transitions.items() if u == START}
+        assert h.start_choices() == sorted(starts, key=lambda c: h.ids[starts[c]])
+        for c, q in starts.items():
+            assert c == (q.p, q.T, q.t)
+            assert (q.T is None) == (kind == "gne")
 
     def test_observations_project_to_game_states(self, router, router_cne):
         for role in ("coalition", "deviator"):
@@ -168,9 +176,8 @@ class TestSemanticObjective:
     def test_obeying_win_on_intended_topology(self, router_cne, turn_taking):
         # turn taking realizes the intended sets, so the obeying play satisfies it
         profile = turn_taking
-        dev = DeviationChoice(player="blue", strategy=profile.by_player[0],
-                              topologies=frozenset({"A"}))
-        rho = simulate_h(router_cne, profile, dev, resolved="A")
+        rho = simulate_h(router_cne, profile, profile.by_player[0],
+                         ("blue", frozenset({"A"}), "A"))
         assert semantic_objective(router_cne, rho) == rank_parity(router_cne, rho)
         assert semantic_objective(router_cne, rho)
 
@@ -289,70 +296,82 @@ class TestGammaRoundtrip:
         assert _first_difference(Lasso((a,), (b,)), Lasso((), (a, b))) == 2
         assert _first_difference(Lasso((), (b,)), Lasso((a,), (b,))) == 0
 
-    def test_an_obeying_play_unlike_the_suggested_one_is_not_ok(self):
-        report = RoundtripReport(obey=True, proj_matches_deviated=True,
-                                 deviated_mismatch_index=None,
-                                 proj_matches_suggested=False, suggested_mismatch_index=2)
-        assert not report.ok()
+    @pytest.mark.parametrize("obey, deviated, suggested, ok", [
+        (True, None, None, True),
+        (True, None, 2, False),  # an obeying play unlike the suggested one
+        (False, None, None, True),
+        (False, 2, None, False),  # a deviating play unlike the deviated one
+    ])
+    def test_an_obeying_play_unlike_the_suggested_one_is_not_ok(self, obey, deviated,
+                                                                suggested, ok):
+        report = RoundtripReport(obey=obey, deviated_mismatch_index=deviated,
+                                 suggested_mismatch_index=suggested)
+        assert report.ok() is ok
 
-    def test_obeying_deviator_reproduces_suggested_play(self, router, router_cne,
-                                                        turn_taking):
-        dev = DeviationChoice(player="red", strategy=turn_taking.by_player[1],
-                              topologies=frozenset({"B"}))
-        report = gamma_roundtrip(router, router_cne, turn_taking, dev, resolved="B")
+    def test_obeying_deviator_reproduces_suggested_play(self, router_cne, turn_taking):
+        report = gamma_roundtrip(router_cne, turn_taking, turn_taking.by_player[1],
+                                 ("red", frozenset({"B"}), "B"))
         assert report.obey
-        assert report.proj_matches_deviated
-        assert report.proj_matches_suggested
+        assert report.deviated_mismatch_index is None
+        assert report.suggested_mismatch_index is None
 
     def test_immediate_deviation_clears_obedience(self, router, router_cne, turn_taking):
-        dev = DeviationChoice(player="blue", strategy=constant_strategy(router, "1"),
-                              topologies=frozenset({"A"}))
-        report = gamma_roundtrip(router, router_cne, turn_taking, dev, resolved="A")
+        dev = constant_strategy(router, "1")
+        commitment = ("blue", frozenset({"A"}), "A")
+        report = gamma_roundtrip(router_cne, turn_taking, dev, commitment)
         assert not report.obey
-        assert report.proj_matches_deviated
-        rho = simulate_h(router_cne, turn_taking, dev, resolved="A")
+        assert report.deviated_mismatch_index is None
+        rho = simulate_h(router_cne, turn_taking, dev, commitment)
         interior = [q for q in rho.prefix if q != START] + list(rho.cycle)
         assert not interior[1].b
 
-    def test_sampled_correspondence_cne_and_gne(self, router, router_cne, router_gne):
-        res = gamma_sample(router, router_cne, samples=60, seed=3)
+    def test_sampled_correspondence_cne_and_gne(self, router_cne, router_gne):
+        res = gamma_sample(router_cne, samples=60, seed=3)
         assert res.mismatches == []
-        res = gamma_sample(router, router_gne, samples=60, seed=4)
+        res = gamma_sample(router_gne, samples=60, seed=4)
         assert res.mismatches == []
 
-    def test_redirected_transition_is_a_mismatch(self, router, router_gne):
-        q = router_gne.transitions[(START, ("blue", "A"))]
+    @pytest.mark.parametrize("kind, commitment", [
+        ("gne", ("blue", None, "A")),
+        ("cne", ("blue", frozenset({"A"}), "A")),
+    ], ids=["gne", "cne"])
+    def test_redirected_transition_is_a_mismatch(self, request, router, kind, commitment):
+        h = request.getfixturevalue(f"router_{kind}")
+        q = h.transitions[(START, commitment)]
         key = (q, (("0", "0"), "0"))  # everyone plays 0 in the first round
-        wrong = next(w for w in router_gne.states[1:] if w.s != router_gne.transitions[key].s)
-        broken = dataclasses.replace(router_gne,
-                                     transitions={**router_gne.transitions, key: wrong})
-        res = gamma_sample(router, broken, samples=200, seed=0)
-        assert res.mismatches
-        assert all(not m["report"].proj_matches_deviated for m in res.mismatches)
-
-    def test_invalid_commitment_rejected(self, router, router_cne, turn_taking):
-        dev = DeviationChoice(player="blue", strategy=constant_strategy(router, "0"),
-                              topologies=frozenset())
-        with pytest.raises(InputError):
-            gamma_roundtrip(router, router_cne, turn_taking, dev, resolved="A")
-
-    def test_malformed_deviations_rejected(self, router, fig3, router_cne, router_gne,
-                                           turn_taking):
+        wrong = next(w for w in h.states[1:] if w.s != h.transitions[key].s)
+        broken = dataclasses.replace(h, transitions={**h.transitions, key: wrong})
         stay = constant_strategy(router, "0")
-        for h, dev, message in (
-                (router_gne, DeviationChoice("green", stay, topology="A"), "unknown player 'green'"),
-                (router_cne, DeviationChoice("blue", stay), "need a challenge set"),
-                (router_gne, DeviationChoice("blue", stay), "need a single committed topology")):
-            with pytest.raises(InputError, match=message):
-                simulate_h(h, turn_taking, dev, resolved="A")
-        with pytest.raises(InputError, match="built from another game"):
-            gamma_roundtrip(fig3, router_gne, turn_taking,
-                            DeviationChoice("blue", stay, topology="A"))
+        report = gamma_roundtrip(broken, Profile((stay, stay)), stay, commitment)
+        assert report.deviated_mismatch_index == 1  # the redirected first move
+        if kind == "gne":
+            res = gamma_sample(broken, samples=200, seed=0)
+            assert res.mismatches
+            assert all(m["report"].deviated_mismatch_index is not None
+                       for m in res.mismatches)
+
+    @pytest.mark.parametrize("kind, commitment", [
+        ("gne", ("green", None, "A")),  # an unknown player
+        ("gne", ("blue", frozenset({"A"}), "A")),  # a challenge set in a greedy instance
+        ("cne", ("blue", None, "A")),  # no challenge set in a conservative instance
+        ("gne", ("blue", "A")),  # a greedy commitment without its challenge field
+        ("cne", ("blue", frozenset(), "A")),  # a challenge set the instance does not offer
+        ("cne", ("blue", {"A"}, "A")),  # an unhashable challenge set
+    ], ids=["unknown player", "gne with set", "cne without set", "2-tuple", "empty set",
+            "set"])
+    def test_malformed_commitments_rejected(self, request, router, turn_taking, kind,
+                                            commitment):
+        h = request.getfixturevalue(f"router_{kind}")
+        stay = constant_strategy(router, "0")
+        for call in (simulate_h, gamma_roundtrip):
+            with pytest.raises(InputError, match="not an available start choice"):
+                call(h, turn_taking, stay, commitment)
+
+    def test_unknown_reduction_kind_rejected(self, router):
         with pytest.raises(InputError, match="unknown reduction kind 'ne'"):
             reductions._build(router, {p: frozenset() for p in router.players}, "ne")
 
     def test_gne_instance_needs_no_resolver(self, router, router_gne, turn_taking):
-        dev = DeviationChoice(player="blue", strategy=constant_strategy(router, "1"),
-                              topology="B")
-        report = gamma_roundtrip(router, router_gne, turn_taking, dev)
-        assert report.proj_matches_deviated
+        report = gamma_roundtrip(router_gne, turn_taking, constant_strategy(router, "1"),
+                                 ("blue", None, "B"))
+        assert report.deviated_mismatch_index is None

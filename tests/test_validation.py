@@ -20,7 +20,7 @@ from mtgames.equilibria import (DeviationOracle, build_knowledge_arena, build_re
 from mtgames.generate import random_mtg, random_profile
 from mtgames.io import data_path
 from mtgames.oracles import compare_deviation_checker
-from mtgames.reductions import DeviationChoice, build_gne_game, gamma_roundtrip, simulate_h
+from mtgames.reductions import build_gne_game, gamma_roundtrip, simulate_h
 from mtgames.strategy import MooreStrategy, Profile, outcome, winners, wintop, wintop_map
 
 DEFECTS = ["wrong length", "missing cell", "update target", "unknown action"]
@@ -69,10 +69,9 @@ def entry_points(router, router_gne, turn_taking):
             lambda prof: DeviationOracle(router).can_win(prof, "red", frozenset({"A"})),
         "compare_deviation_checker": lambda prof: compare_deviation_checker(
             router, prof, "red", frozenset({"A"}), memory_bound=1),
-        "simulate_h": lambda prof: simulate_h(router_gne, prof,
-                                              DeviationChoice("red", red, topology="A")),
-        "gamma_roundtrip": lambda prof: gamma_roundtrip(
-            router, router_gne, prof, DeviationChoice("red", red, topology="A")),
+        "simulate_h": lambda prof: simulate_h(router_gne, prof, red, ("red", None, "A")),
+        "gamma_roundtrip": lambda prof: gamma_roundtrip(router_gne, prof, red,
+                                                        ("red", None, "A")),
     }
 
 
